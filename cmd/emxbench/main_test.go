@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"emx/internal/cluster"
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -144,22 +146,43 @@ func TestRemoteDaemonRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRemoteMultiNode: a comma-separated -remote list shards panels
+// TestRemoteMultiNode: a comma-separated -remote list spreads panels
 // across nodes and survives one of them being dead, byte-identically.
 func TestRemoteMultiNode(t *testing.T) {
-	srv1 := service.New(service.Options{Scale: 1 << 20, Seed: 1})
-	ts1 := httptest.NewServer(srv1.Handler())
-	defer func() { ts1.Close(); srv1.Close() }()
-	srv2 := service.New(service.Options{Scale: 1 << 20, Seed: 1})
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer func() { ts2.Close(); srv2.Close() }()
 	dead := httptest.NewServer(nil)
 	dead.Close()
+	// Panels chosen among the cheap-at-minimum-grid ones. Rendezvous
+	// placement depends on the listeners' random ports, so nodes are
+	// re-created until each live node owns outright at least one panel
+	// whose points run on its scheduler ("model" simulates directly).
+	panels := []string{"6a", "6c", "7a", "7c", "model"}
+	var srv1, srv2 *service.Server
+	var ts1, ts2 *httptest.Server
+	for try := 0; ; try++ {
+		srv1 = service.New(service.Options{Scale: 1 << 20, Seed: 1})
+		ts1 = httptest.NewServer(srv1.Handler())
+		srv2 = service.New(service.Options{Scale: 1 << 20, Seed: 1})
+		ts2 = httptest.NewServer(srv2.Handler())
+		r := ring.New([]string{ts1.URL, ts2.URL, dead.URL})
+		owners := map[string]bool{}
+		for _, fig := range panels[:4] {
+			owners[r.Owner(cluster.FigureKey(fig, 1<<20, 1))] = true
+		}
+		if owners[ts1.URL] && owners[ts2.URL] {
+			break
+		}
+		ts1.Close()
+		srv1.Close()
+		ts2.Close()
+		srv2.Close()
+		if try == 50 {
+			t.Fatal("no listener placement spread the panels over both nodes")
+		}
+	}
+	defer func() { ts1.Close(); srv1.Close(); ts2.Close(); srv2.Close() }()
 
-	// Enough panels that rendezvous hashing spreads them over both live
-	// nodes, chosen among the cheap-at-minimum-grid ones.
 	nodes := ts1.URL + "," + ts2.URL + "," + dead.URL
-	for _, fig := range []string{"6a", "6c", "7a", "7c", "model"} {
+	for _, fig := range panels {
 		code, local, stderr := runCLI(t, "-fig", fig, "-scale", hugeScale, "-format", "csv")
 		if code != 0 {
 			t.Fatalf("local %s exit %d:\n%s", fig, code, stderr)
@@ -174,7 +197,7 @@ func TestRemoteMultiNode(t *testing.T) {
 	}
 	s1, s2 := srv1.Scheduler().Stats().Started, srv2.Scheduler().Stats().Started
 	if s1 == 0 || s2 == 0 {
-		t.Fatalf("panels did not shard across nodes: started %d/%d", s1, s2)
+		t.Fatalf("panels did not spread across nodes: started %d/%d", s1, s2)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command emxcluster federates several emxd nodes behind one gateway
 // speaking the same HTTP API. Requests are routed to their owning node
 // by rendezvous hashing over the experiment's content identity, so the
-// per-node result caches shard across the cluster instead of
+// per-node result caches partition across the cluster instead of
 // duplicating; node failures are absorbed by bounded retries, hedged
 // attempts, and failover to the next-ranked peer. Because every node
 // computes byte-identical results for a given run identity, failover is

@@ -46,7 +46,6 @@ func main() {
 		cache   = flag.Int("cache", 512, "LRU result cache bound in entries")
 		scale   = flag.Int("scale", harness.DefaultScale, "default scale-down factor for requests that omit one")
 		seed    = flag.Int64("seed", 1, "default input generator seed")
-		shards  = flag.Int("shards", 0, "default engine shards per simulation (0 = auto, 1 = single engine)")
 
 		replicas = flag.Int("replicas", 1, "run-cache replication factor across the peer set (1 = off)")
 		self     = flag.String("self", "", "this node's base URL as peers address it (required with -replicas > 1)")
@@ -61,10 +60,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "emxd: -workers must be >= 0")
 		os.Exit(2)
 	}
-	if *shards < 0 || (*shards > 1 && *shards&(*shards-1) != 0) {
-		fmt.Fprintln(os.Stderr, "emxd: -shards must be 0, 1, or a power of two")
-		os.Exit(2)
-	}
 	var peers []string
 	if *peersStr != "" {
 		peers = strings.Split(*peersStr, ",")
@@ -75,10 +70,9 @@ func main() {
 	}
 
 	srv := service.New(service.Options{
-		Scale:  *scale,
-		Seed:   *seed,
-		Shards: *shards,
-		Sched:  labd.Options{Workers: *workers, QueueSize: *queue, CacheSize: *cache},
+		Scale: *scale,
+		Seed:  *seed,
+		Sched: labd.Options{Workers: *workers, QueueSize: *queue, CacheSize: *cache},
 		Replication: service.ReplicationOptions{
 			Replicas: *replicas,
 			Self:     *self,

@@ -1,5 +1,5 @@
 // Command emxvet runs the repository's determinism, hot-path, and
-// shard-safety analyzers (internal/lint) over Go packages, go-vet
+// observability analyzers (internal/lint) over Go packages, go-vet
 // style.
 //
 // Usage:

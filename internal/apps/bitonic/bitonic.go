@@ -136,11 +136,6 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 	if need := 2*bl + 64; cfg.MemWords < need {
 		cfg.MemWords = need
 	}
-	if p.Tracer != nil {
-		// Trace capture needs the single-engine event order (the callback
-		// is not safe for concurrent shard workers).
-		cfg.Shards = 1
-	}
 	mach, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
@@ -180,7 +175,7 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 
 	bar := mach.NewBarrier("iteration", p.H)
 	for pe := range states {
-		states[pe].ws = mach.NewWaitSetOn(packet.PE(pe))
+		states[pe].ws = mach.NewWaitSet()
 	}
 
 	for pe := 0; pe < P; pe++ {

@@ -1,3 +1,19 @@
+// Package cluster federates N emxd nodes into one experiment service:
+// a rendezvous-hashing ring (internal/ring) routes each
+// content-addressed run to an owner node (so the per-node LRU caches
+// shard instead of duplicating), a membership layer probes /v1/status and tracks node health and load,
+// and a failover-aware client issues requests with per-attempt
+// timeouts, bounded retries, hedged second attempts, and graceful
+// degradation to any healthy peer — or local in-process execution —
+// when the owner is down.
+//
+// The design practices what the simulated machine preaches: the EM-X
+// tolerates remote latency by overlapping useful work with outstanding
+// split-phase requests, and the cluster client tolerates slow or dead
+// owners by overlapping a hedged request with the outstanding one.
+// Failover never changes results: runs are deterministic, so any node
+// (or the local fallback) produces byte-identical measurements for a
+// given run identity.
 package cluster
 
 import (
@@ -283,7 +299,7 @@ func expired(deadline time.Time) bool {
 // ranked unhealthy ones as a last resort (health data may be stale and
 // a "down" node is still better than no node).
 func (c *Client) candidates(key string) []string {
-	ranked := NewRing(c.members.Members()).Ranked(key)
+	ranked := ring.New(c.members.Members()).Ranked(key)
 	healthy := make([]string, 0, len(ranked))
 	down := make([]string, 0, len(ranked))
 	for _, n := range ranked {

@@ -11,6 +11,7 @@ import (
 
 	"emx/internal/labd/service"
 	"emx/internal/metrics"
+	"emx/internal/ring"
 )
 
 func figureBody(t *testing.T, fig string) []byte {
@@ -30,7 +31,7 @@ func TestClientRoutesToOwner(t *testing.T) {
 	c := NewClient(m, ClientOptions{Registry: reg, RetryBackoff: time.Millisecond})
 
 	key := FigureKey("6a", hugeScale, 1)
-	owner := NewRing(m.Members()).Owner(key)
+	owner := ring.New(m.Members()).Owner(key)
 	res, err := c.Do(key, "/v1/figure", figureBody(t, "6a"))
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestClientFailsOverToPeer(t *testing.T) {
 	c := NewClient(m, ClientOptions{Registry: reg, RetryBackoff: time.Millisecond})
 
 	key := FigureKey("6a", hugeScale, 1)
-	owner := NewRing(m.Members()).Owner(key)
+	owner := ring.New(m.Members()).Owner(key)
 	// Kill the owner; the peer must answer with identical bytes.
 	peer := srv2
 	if owner == ts1.URL {
@@ -170,12 +171,12 @@ func TestClientHedgesSlowOwner(t *testing.T) {
 	})
 
 	// Find a key the slow node owns, so the hedge targets the fast one.
-	ring := NewRing(m.Members())
+	r := ring.New(m.Members())
 	key := "k0"
-	for i := 0; ring.Owner(key) != slow.URL && i < 10000; i++ {
+	for i := 0; r.Owner(key) != slow.URL && i < 10000; i++ {
 		key = "k" + string(rune('a'+i%26)) + key
 	}
-	if ring.Owner(key) != slow.URL {
+	if r.Owner(key) != slow.URL {
 		t.Fatal("could not construct a key owned by the slow node")
 	}
 
@@ -252,12 +253,12 @@ func TestClientHedgeLoserDrainedAndUnpoisoned(t *testing.T) {
 	})
 
 	// A key the slow node owns, so every request hedges to the fast one.
-	ring := NewRing(m.Members())
+	r := ring.New(m.Members())
 	key := "k0"
-	for i := 0; ring.Owner(key) != slow.URL && i < 10000; i++ {
+	for i := 0; r.Owner(key) != slow.URL && i < 10000; i++ {
 		key = "k" + string(rune('a'+i%26)) + key
 	}
-	if ring.Owner(key) != slow.URL {
+	if r.Owner(key) != slow.URL {
 		t.Fatal("could not construct a key owned by the slow node")
 	}
 
@@ -352,7 +353,7 @@ func TestClientStatsDeltas(t *testing.T) {
 
 	// Kill the owner: the next request must retry and fail over, and
 	// the deltas must show exactly that.
-	owner := NewRing(m.Members()).Owner(key)
+	owner := ring.New(m.Members()).Owner(key)
 	for _, ts := range []*httptest.Server{ts1, ts2} {
 		if ts.URL == owner {
 			ts.CloseClientConnections()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,9 +166,14 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		g.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return nil, false
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		g.writeError(w, status, fmt.Errorf("reading body: %w", err))
 		return nil, false
 	}
 	return body, true

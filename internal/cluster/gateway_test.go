@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 // sweepPanels is a small cross-section of the paper's figure panels —
@@ -85,9 +87,9 @@ func TestGatewayFailoverSweep(t *testing.T) {
 
 	// Pick the victim so the kill actually matters: the node that owns a
 	// panel in the second half of the sweep must die before serving it.
-	ring := NewRing(tc.members.Members())
+	r := ring.New(tc.members.Members())
 	mid := len(sweepPanels) / 2
-	victim := ring.Owner(FigureKey(sweepPanels[mid], hugeScale, 1))
+	victim := r.Owner(FigureKey(sweepPanels[mid], hugeScale, 1))
 	var victimSrv *httptest.Server
 	for _, b := range tc.backends {
 		if b.URL == victim {
@@ -203,7 +205,7 @@ func TestGatewayReplicatedSweepOwnerKill(t *testing.T) {
 
 	// Kill the owner of a panel it served in the first sweep. Its cache
 	// dies with it; only the pushed replica copies remain.
-	victim := NewRing(tc.members.Members()).Owner(FigureKey(sweepPanels[0], hugeScale, 1))
+	victim := ring.New(tc.members.Members()).Owner(FigureKey(sweepPanels[0], hugeScale, 1))
 	victimIdx := -1
 	for i, b := range tc.backends {
 		if b.URL == victim {
@@ -373,6 +375,38 @@ func TestGatewayValidationPassThrough(t *testing.T) {
 	}
 	if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
 		t.Fatal("validation error lost its message through the gateway")
+	}
+}
+
+// TestGatewayRejectsBadBodiesPromptly: the gateway resolves a run's
+// routing key with the nodes' own ResolveRun, so a p that once made the
+// size clamp spin forever must come back as a prompt 400 here too, and
+// an oversized body as a 413; neither is forwarded to a node.
+func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	client := &http.Client{Timeout: 5 * time.Second}
+	cases := []struct {
+		name, path, body string
+		status           int
+	}{
+		{"overflowing p", "/v1/run", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
+		{"overflowing p profile", "/v1/profile", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
+		{"oversized figure", "/v1/figure", `{"fig":"6a","pad":"` + strings.Repeat("x", service.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		resp, err := client.Post(tc.front.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+	}
+	for _, srv := range tc.servers {
+		if got := srv.Registry().Snapshot()["emxd_forwarded_requests_total"]; got != 0 {
+			t.Fatalf("a node received %v forwarded requests", got)
+		}
 	}
 }
 

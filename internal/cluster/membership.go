@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 // MembershipOptions configures the health prober.
@@ -84,7 +85,7 @@ func NewMembership(urls []string, opts MembershipOptions) *Membership {
 		nodes: map[string]*member{},
 		stop:  make(chan struct{}),
 	}
-	for _, u := range NewRing(urls).Members() { // normalized: sorted, deduplicated
+	for _, u := range ring.New(urls).Members() { // normalized: sorted, deduplicated
 		m.nodes[u] = &member{url: u, healthy: true}
 	}
 	return m

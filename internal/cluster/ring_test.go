@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"emx/internal/ring"
 )
 
 func keys(n int) []string {
@@ -16,8 +18,8 @@ func keys(n int) []string {
 
 func TestRingStableOwnership(t *testing.T) {
 	members := []string{"http://c:8484", "http://a:8484", "http://b:8484"}
-	r1 := NewRing(members)
-	r2 := NewRing([]string{"http://b:8484", "http://a:8484", "http://c:8484", "http://a:8484"})
+	r1 := ring.New(members)
+	r2 := ring.New([]string{"http://b:8484", "http://a:8484", "http://c:8484", "http://a:8484"})
 	if r1.Len() != 3 || r2.Len() != 3 {
 		t.Fatalf("dedup/len wrong: %d, %d", r1.Len(), r2.Len())
 	}
@@ -37,9 +39,9 @@ func TestRingStableOwnership(t *testing.T) {
 // else's shard (and therefore their warm run cache) is untouched.
 func TestRingMinimalRemap(t *testing.T) {
 	members := []string{"http://a:8484", "http://b:8484", "http://c:8484", "http://d:8484"}
-	full := NewRing(members)
+	full := ring.New(members)
 	departed := members[1]
-	reduced := NewRing([]string{members[0], members[2], members[3]})
+	reduced := ring.New([]string{members[0], members[2], members[3]})
 
 	moved, kept, owned := 0, 0, 0
 	for _, k := range keys(1000) {
@@ -75,10 +77,10 @@ func TestRingMinimalRemap(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if NewRing(nil).Owner("k") != "" {
+	if ring.New(nil).Owner("k") != "" {
 		t.Error("empty ring must own nothing")
 	}
-	one := NewRing([]string{"http://only:8484"})
+	one := ring.New([]string{"http://only:8484"})
 	if one.Owner("k") != "http://only:8484" || len(one.Ranked("k")) != 1 {
 		t.Error("single-member ring must own everything")
 	}

@@ -60,7 +60,7 @@ func (m *Machine) NewBarrier(name string, threadsPerPE int) *Barrier {
 	b.waits = make([]*WaitSet, m.Cfg.P)
 	for pe := range b.local {
 		b.local[pe].recv = make([]uint64, rounds)
-		b.waits[pe] = m.NewWaitSetOn(packet.PE(pe))
+		b.waits[pe] = m.NewWaitSet()
 	}
 	m.barriers = append(m.barriers, b)
 	return b

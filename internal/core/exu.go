@@ -22,13 +22,10 @@ import (
 // the thr or passed through EventArg, so steady-state execution does
 // not allocate closures.
 type exu struct {
-	m   *Machine
-	pe  packet.PE
-	p   *proc.Proc
-	st  *metrics.PE
-	eng *sim.Engine // the owning shard's engine
-	sh  *shardState // the owning shard's runtime state
-	obs *obs.Tracer // the owning shard's tracer (nil: disabled)
+	m  *Machine
+	pe packet.PE
+	p  *proc.Proc
+	st *metrics.PE
 
 	busy         bool
 	idleSince    sim.Time // valid when !busy
@@ -48,9 +45,7 @@ type exu struct {
 }
 
 func newEXU(m *Machine, pe packet.PE) *exu {
-	sh := m.shards[m.peShard[pe]]
-	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe],
-		eng: sh.eng, sh: sh, idleSince: 0}
+	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0}
 	x.hApply = applyH{x}
 	x.hInjectApply = injectApplyH{x}
 	x.hInjectResume = injectResumeH{x}
@@ -138,8 +133,8 @@ func (h injectSaveDispatchH) OnEvent(arg sim.EventArg) {
 	x := h.x
 	x.p.Inject(arg.Ptr.(*packet.Packet))
 	x.st.Times.Switch += x.m.Cfg.SaveCycles
-	x.obs.Cycle(int64(x.eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SaveCycles))
-	x.eng.AfterHandler(x.m.Cfg.SaveCycles, x.hDispatch, sim.EventArg{})
+	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SaveCycles))
+	x.m.Eng.AfterHandler(x.m.Cfg.SaveCycles, x.hDispatch, sim.EventArg{})
 }
 
 // handleH interprets a dequeued packet after the Matching Unit delay.
@@ -171,17 +166,17 @@ func (x *exu) dispatch() {
 	pkt, _, _, ok := x.p.Queue.Pop()
 	if !ok {
 		x.busy = false
-		x.idleSince = x.eng.Now()
+		x.idleSince = x.m.Eng.Now()
 		return
 	}
-	now := x.eng.Now()
+	now := x.m.Eng.Now()
 	if !x.busy {
 		x.st.Times.Comm += now - x.idleSince
-		x.obs.Cycle(int64(now), int32(x.pe), obs.PhaseIdle, int64(now-x.idleSince))
+		x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseIdle, int64(now-x.idleSince))
 		x.busy = true
 	}
 	x.st.Dispatches++
-	x.obs.MUDispatch(int64(now), int32(x.pe))
+	x.m.obs.MUDispatch(int64(now), int32(x.pe))
 	cost := x.m.Cfg.DispatchCycles
 	// Spilled packets are restored from the on-memory buffer by extra MCU
 	// traffic; charge it to the dispatch that consumed the restore.
@@ -191,9 +186,9 @@ func (x *exu) dispatch() {
 		x.restoredSeen = restored
 	}
 	x.st.Times.Switch += cost + spill
-	x.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSwitch, int64(cost))
-	x.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSpill, int64(spill))
-	x.eng.AfterHandler(cost+spill, x.hHandle, sim.EventArg{Ptr: pkt})
+	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSwitch, int64(cost))
+	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSpill, int64(spill))
+	x.m.Eng.AfterHandler(cost+spill, x.hHandle, sim.EventArg{Ptr: pkt})
 }
 
 // handle interprets one dequeued packet.
@@ -204,8 +199,6 @@ func (x *exu) handle(pkt *packet.Packet) {
 		f := x.p.Frames.Alloc(thread.NoFrame, info.name)
 		t := &thr{
 			m:      x.m,
-			sh:     x.sh,
-			eng:    x.eng,
 			pe:     x.pe,
 			frame:  f.ID,
 			name:   info.name,
@@ -213,16 +206,16 @@ func (x *exu) handle(pkt *packet.Packet) {
 			resume: make(chan resumeMsg),
 		}
 		f.State = t
-		x.sh.threads = append(x.sh.threads, t)
-		x.sh.live++
+		x.m.allThreads = append(x.m.allThreads, t)
+		x.m.live++
 		x.m.wg.Add(1)
 		go t.main()
 		// Frame allocation and argument deposit.
 		x.st.Times.Switch += x.m.Cfg.SpawnCycles
-		x.obs.Cycle(int64(x.eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
-		x.obs.ThreadName(int32(x.pe), f.ID, info.name)
+		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
+		x.m.obs.ThreadName(int32(x.pe), f.ID, info.name)
 		t.resumeVal = pkt.Data
-		x.eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, sim.EventArg{Ptr: t})
+		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, sim.EventArg{Ptr: t})
 
 	case packet.KindReadReply:
 		t := x.threadOf(pkt.Cont.Frame)
@@ -260,8 +253,8 @@ func (x *exu) handle(pkt *packet.Packet) {
 	case packet.KindReadReq, packet.KindBlockReadReq, packet.KindWrite:
 		// ServiceEXU mode (EM-4): the request steals EXU cycles.
 		x.st.Times.Overhead += x.m.Cfg.EXUServiceCycles
-		x.obs.Cycle(int64(x.eng.Now()), int32(x.pe), obs.PhaseService, int64(x.m.Cfg.EXUServiceCycles))
-		x.eng.AfterHandler(x.m.Cfg.EXUServiceCycles, x.hService, sim.EventArg{Ptr: pkt})
+		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(x.m.Cfg.EXUServiceCycles))
+		x.m.Eng.AfterHandler(x.m.Cfg.EXUServiceCycles, x.hService, sim.EventArg{Ptr: pkt})
 
 	default:
 		x.m.fail(fmt.Errorf("core: PE%d cannot handle %v", x.pe, pkt))
@@ -280,8 +273,8 @@ func (x *exu) threadOf(frame uint32) *thr {
 // the payload staged on t.
 func (x *exu) resumeThread(t *thr) {
 	x.st.Times.Switch += x.m.Cfg.RestoreCycles
-	x.obs.Cycle(int64(x.eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.RestoreCycles))
-	x.eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, sim.EventArg{Ptr: t})
+	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.RestoreCycles))
+	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, sim.EventArg{Ptr: t})
 }
 
 // execResume builds the resume message from the payload staged on t and
@@ -302,7 +295,7 @@ func (x *exu) execResume(t *thr) {
 func (x *exu) exec(t *thr, msg resumeMsg) {
 	t.final = x.m.step(t, msg)
 	if len(t.buf) > 0 {
-		x.obs.Flush(int64(x.eng.Now()), int32(x.pe), int64(len(t.buf)))
+		x.m.obs.Flush(int64(x.m.Eng.Now()), int32(x.pe), int64(len(t.buf)))
 	}
 	t.bufIdx = 0
 	x.apply(t)
@@ -315,7 +308,7 @@ func (x *exu) exec(t *thr, msg resumeMsg) {
 //emx:hotpath
 func (x *exu) apply(t *thr) {
 	cfg := &x.m.Cfg
-	eng := x.eng
+	eng := x.m.Eng
 	if t.bufIdx < len(t.buf) {
 		op := &t.buf[t.bufIdx]
 		t.bufIdx++
@@ -326,12 +319,12 @@ func (x *exu) apply(t *thr) {
 				return
 			}
 			x.st.Times.Compute += op.cycles
-			x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(op.cycles))
+			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(op.cycles))
 			eng.AfterHandler(op.cycles, x.hApply, sim.EventArg{Ptr: t})
 
 		case bufWrite:
 			x.st.Times.Overhead += cfg.PacketGenCycles
-			x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
+			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 			x.st.RemoteWrites++
 			t.pendingPkt = &packet.Packet{
 				Kind: packet.KindWrite,
@@ -344,7 +337,7 @@ func (x *exu) apply(t *thr) {
 		case bufLocalStore:
 			done := x.p.Mem.Write(eng.Now(), memory.PortEXU, op.off, op.data)
 			x.st.Times.Compute += done - eng.Now()
-			x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
+			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 			eng.AtHandler(done, x.hApply, sim.EventArg{Ptr: t})
 		}
 		return
@@ -362,7 +355,7 @@ func (x *exu) apply(t *thr) {
 //emx:hotpath
 func (x *exu) finish(t *thr, op any) {
 	cfg := &x.m.Cfg
-	eng := x.eng
+	eng := x.m.Eng
 	switch op := op.(type) {
 	case opFlush:
 		// Buffered ops are applied; resume the coroutine at this time.
@@ -380,7 +373,7 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opWriteSync:
 		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 		t.pendingPkt = &packet.Packet{
 			Kind: packet.KindSync,
 			Src:  x.pe,
@@ -391,9 +384,9 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opSpawn:
 		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 		x.st.Invokes++
-		seq := x.m.registerSpawn(x.pe, op.name, op.fn)
+		seq := x.m.registerSpawn(op.name, op.fn)
 		t.pendingPkt = &packet.Packet{
 			Kind: packet.KindInvoke,
 			Src:  x.pe,
@@ -407,8 +400,8 @@ func (x *exu) finish(t *thr, op any) {
 		x.st.Switches[op.kind]++
 		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
 		// metrics.SwitchKind and obs.SwitchCause are numerically aligned.
-		x.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
-		x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
+		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stBlocked
 		x.m.trace(TraceYield, t)
 		op.ws.waiters = append(op.ws.waiters, waiter{t: t, cond: op.cond})
@@ -417,8 +410,8 @@ func (x *exu) finish(t *thr, op any) {
 	case opYield:
 		x.st.Switches[op.kind]++
 		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
-		x.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
-		x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
+		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
 		x.m.trace(TraceYield, t)
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, sim.EventArg{Ptr: &packet.Packet{
@@ -430,20 +423,20 @@ func (x *exu) finish(t *thr, op any) {
 	case opLocalLoad:
 		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, op.off)
 		x.st.Times.Compute += done - eng.Now()
-		x.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		t.resumeVal = v
 		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
 
 	case opDone:
 		t.state = stDone
 		x.m.trace(TraceEnd, t)
-		x.sh.live--
+		x.m.live--
 		x.p.Frames.Free(t.frame)
 		x.dispatch()
 
 	case opPanic:
 		t.state = stDone
-		x.sh.live--
+		x.m.live--
 		x.m.fail(fmt.Errorf("core: thread %v panicked: %v", t, op.reason))
 
 	default:
@@ -462,8 +455,8 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, n int) {
 	x.st.Times.Overhead += cfg.PacketGenCycles
 	x.st.RemoteReads += uint64(n)
 	x.st.Switches[metrics.SwitchRemoteRead]++
-	x.obs.Cycle(int64(x.eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
-	x.obs.Switch(int64(x.eng.Now()), int32(x.pe), obs.CauseRemoteRead, t.frame)
+	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
+	x.m.obs.Switch(int64(x.m.Eng.Now()), int32(x.pe), obs.CauseRemoteRead, t.frame)
 	t.rw = &readWait{base: addr.Off, buf: make([]packet.Word, n), remaining: n}
 	t.state = stSuspendedRead
 	x.m.trace(TraceReadIssue, t)
@@ -480,7 +473,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, n int) {
 		Block: block,
 		Cont:  packet.Continuation{PE: x.pe, Frame: t.frame},
 	}
-	x.eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, sim.EventArg{Ptr: pkt})
+	x.m.Eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, sim.EventArg{Ptr: pkt})
 }
 
 // closeAccounting attributes trailing idle time (after the PE's last
@@ -488,7 +481,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, n int) {
 func (x *exu) closeAccounting(end sim.Time) {
 	if !x.busy && x.idleSince <= end {
 		x.st.Times.Comm += end - x.idleSince
-		x.obs.Cycle(int64(x.idleSince), int32(x.pe), obs.PhaseIdle, int64(end-x.idleSince))
+		x.m.obs.Cycle(int64(x.idleSince), int32(x.pe), obs.PhaseIdle, int64(end-x.idleSince))
 		x.idleSince = end
 	}
 }

@@ -50,24 +50,16 @@ type TraceEvent struct {
 
 // SetTracer installs a callback receiving every thread lifecycle event.
 // Must be called before Run. A nil tracer (the default) costs nothing.
-// Unsupported on a sharded machine: the callback would receive events
-// from multiple shard goroutines concurrently and in a host-dependent
-// order — run trace captures with Shards <= 1.
-func (m *Machine) SetTracer(fn func(TraceEvent)) {
-	if fn != nil && m.grp != nil {
-		panic("core: SetTracer is not supported on a sharded machine (set Config.Shards <= 1 for trace capture)")
-	}
-	m.tracer = fn
-}
+func (m *Machine) SetTracer(fn func(TraceEvent)) { m.tracer = fn }
 
 func (m *Machine) trace(k TraceKind, t *thr) {
 	// TraceKind and obs.ThreadKind are numerically aligned by definition.
-	t.sh.obs.Thread(int64(t.eng.Now()), int32(t.pe), obs.ThreadKind(k), t.frame)
+	m.obs.Thread(int64(m.Eng.Now()), int32(t.pe), obs.ThreadKind(k), t.frame)
 	if m.tracer == nil {
 		return
 	}
 	m.tracer(TraceEvent{
-		At:     t.eng.Now(),
+		At:     m.Eng.Now(),
 		PE:     t.pe,
 		Thread: t.name,
 		Frame:  t.frame,

@@ -3,6 +3,7 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"emx/internal/metrics"
 	"emx/internal/proc"
@@ -56,6 +57,22 @@ func TestSimSizeClamped(t *testing.T) {
 	s2 := Sweep{P: 4, Scale: 512, Threads: []int{1}}
 	if got := s2.SimSize(64 * K); got != 128 {
 		t.Errorf("SimSize = %d, want 128", got)
+	}
+}
+
+// TestSimSizeTerminatesOnHugeP: a P whose clamp target lies past the
+// int range once made the doubling wrap to 0 and spin forever. The
+// serving path bounds P first; SimSize must return regardless.
+func TestSimSizeTerminatesOnHugeP(t *testing.T) {
+	done := make(chan int, 1)
+	go func() { done <- Sweep{P: 1<<62 + 1, Scale: 1, Threads: []int{1}}.SimSize(1) }()
+	select {
+	case n := <-done:
+		if n <= 0 {
+			t.Errorf("SimSize = %d, want a positive size", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SimSize did not return for P = 2^62+1")
 	}
 }
 

@@ -97,9 +97,9 @@ type Options struct {
 	// served with Source Replicated.
 	Fill func(key string, deadline time.Time) *metrics.Run
 	// OnFill, when set, is invoked after an executed result is inserted
-	// into the cache — the replication push trigger. Called from the
-	// worker goroutine without the scheduler lock held; it must not
-	// block (enqueue and return).
+	// into the cache and before its waiters are released — the
+	// replication push trigger. Called from the worker goroutine without
+	// the scheduler lock held; it must not block (enqueue and return).
 	OnFill func(key string, run *metrics.Run)
 }
 
@@ -436,10 +436,12 @@ func (s *Scheduler) worker() {
 				s.hostNanos.Add(uint64(j.run.HostElapsedSecs * 1e9))
 			}
 		}
-		close(j.done)
+		// Enqueue the replication push before waking waiters, so a
+		// caller that has seen the result also sees the push pending.
 		if cached && s.onFill != nil {
 			s.onFill(j.key, j.run)
 		}
+		close(j.done)
 	}
 }
 

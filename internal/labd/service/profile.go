@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -98,7 +97,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ProfileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -113,7 +112,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("slice_cycles must be >= 0, got %d", req.SliceCycles))
 		return
 	}
-	ps, scale, err := s.pointSpec(req.RunRequest)
+	ps, scale, err := ResolveRun(req.RunRequest, s.opts.Scale, s.opts.Seed)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -30,6 +30,22 @@ import (
 	"emx/internal/proc"
 )
 
+// Request bounds. ResolveRun rejects a run outside them before it
+// reaches a scheduler or a routing hash, so the gateway and every node
+// refuse the same requests. Each bound sits far above every figure panel
+// and every emxload request space (P <= 80, H <= 16, paper sizes up to
+// 2^29 elements, scale up to 2^20).
+const (
+	MaxP     = 1 << 10
+	MaxH     = 1 << 8
+	MaxN     = 1 << 30
+	MaxScale = 1 << 30
+
+	// MaxBodyBytes caps a /v1/run, /v1/figure or /v1/profile request
+	// body; real bodies are a few hundred bytes.
+	MaxBodyBytes = 64 << 10
+)
+
 // ForwardedByHeader marks a request as relayed by the cluster layer
 // (the emxcluster gateway or cluster.Client). Nodes count these so an
 // operator can tell direct traffic from cluster-routed traffic.
@@ -71,10 +87,6 @@ type Options struct {
 	Scale int
 	// Seed is the default input generator seed.
 	Seed int64
-	// Shards is the default engine-shard count for requests that omit
-	// one (0: auto-select per point, 1: single engine). Host-side only;
-	// it never enters a run's cache identity.
-	Shards int
 	// Sched configures the underlying scheduler (workers, queue, cache).
 	Sched labd.Options
 	// Replication configures N-way cache replication across cluster
@@ -298,7 +310,6 @@ type RunRequest struct {
 	BlockRead bool   `json:"block_read,omitempty"` // bitonic block-read ablation
 	ReplyHigh bool   `json:"reply_high,omitempty"` // resume-first reply scheduling
 	Verify    bool   `json:"verify,omitempty"`     // run the workload self-check
-	Shards    int    `json:"shards,omitempty"`     // engine shards (0: server default)
 }
 
 // RunResponse reports one point's measurements and how they were
@@ -323,10 +334,9 @@ type RunResponse struct {
 
 // FigureRequest is the body of POST /v1/figure.
 type FigureRequest struct {
-	Fig    string `json:"fig"`              // panel name, see harness.PanelNames
-	Scale  int    `json:"scale,omitempty"`  // 0: server default
-	Seed   int64  `json:"seed,omitempty"`   // 0: server default
-	Shards int    `json:"shards,omitempty"` // engine shards (0: server default)
+	Fig   string `json:"fig"`             // panel name, see harness.PanelNames
+	Scale int    `json:"scale,omitempty"` // 0: server default
+	Seed  int64  `json:"seed,omitempty"`  // 0: server default
 }
 
 // FigureResponse carries the panel's figures.
@@ -347,7 +357,6 @@ type StatusResponse struct {
 	CacheCap      int                `json:"cache_cap"`
 	DefaultScale  int                `json:"default_scale"`
 	DefaultSeed   int64              `json:"default_seed"`
-	DefaultShards int                `json:"default_shards"`
 	Replicas      int                `json:"replicas,omitempty"`
 	Panels        []string           `json:"panels"`
 	Throughput    Throughput         `json:"throughput"`
@@ -404,7 +413,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // signal to back off or fail over.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, labd.ErrQueueFull), errors.Is(err, labd.ErrDeadlineExceeded):
 		// Both are shed load, and both get the adaptive drain estimate: a
 		// deadline shed means the queue outlasted the client's patience,
@@ -458,6 +470,11 @@ func (s *Server) executor(deadline time.Time) harness.Executor {
 	return deadlineExec{sched: s.sched, deadline: deadline}
 }
 
+// decodeBody decodes a JSON request body of at most MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+}
+
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -472,11 +489,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	ps, scale, err := s.pointSpec(req)
+	ps, scale, err := ResolveRun(req, s.opts.Scale, s.opts.Seed)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -509,16 +526,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pointSpec validates a run request and resolves it to a PointSpec,
-// filling the server's default shard count when the request omits one.
-func (s *Server) pointSpec(req RunRequest) (harness.PointSpec, int, error) {
-	ps, scale, err := ResolveRun(req, s.opts.Scale, s.opts.Seed)
-	if err == nil && ps.Shards == 0 {
-		ps.Shards = s.opts.Shards
-	}
-	return ps, scale, err
-}
-
 // ResolveRun validates a run request against default scale/seed and
 // resolves it to the point it will execute, plus the effective scale.
 // It is the single request→identity mapping: the cluster gateway calls
@@ -529,21 +536,17 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 	if err != nil {
 		return harness.PointSpec{}, 0, err
 	}
-	if req.P < 1 {
-		return harness.PointSpec{}, 0, fmt.Errorf("p must be >= 1, got %d", req.P)
-	}
-	if req.H < 1 {
-		return harness.PointSpec{}, 0, fmt.Errorf("h must be >= 1, got %d", req.H)
-	}
-	if req.N < 1 {
-		return harness.PointSpec{}, 0, fmt.Errorf("n must be >= 1, got %d", req.N)
-	}
 	scale := req.Scale
 	if scale == 0 {
 		scale = defaultScale
 	}
-	if scale < 1 {
-		return harness.PointSpec{}, 0, fmt.Errorf("scale must be >= 1, got %d", scale)
+	for _, b := range []struct {
+		name     string
+		val, max int
+	}{{"p", req.P, MaxP}, {"h", req.H, MaxH}, {"n", req.N, MaxN}, {"scale", scale, MaxScale}} {
+		if b.val < 1 || b.val > b.max {
+			return harness.PointSpec{}, 0, fmt.Errorf("%s must be in [1, %d], got %d", b.name, b.max, b.val)
+		}
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -551,9 +554,6 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		return harness.PointSpec{}, 0, err
-	}
-	if err := validShards(req.Shards); err != nil {
 		return harness.PointSpec{}, 0, err
 	}
 	sw := harness.Sweep{P: req.P, Scale: scale, Threads: []int{req.H}}
@@ -568,21 +568,7 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 		ReplyHigh: req.ReplyHigh,
 		Seed:      seed,
 		Verify:    req.Verify,
-		Shards:    req.Shards,
 	}, scale, nil
-}
-
-// validShards rejects shard counts the core machine would refuse, with
-// the request-level vocabulary (the P-dependent checks stay with
-// core.Config.Validate).
-func validShards(shards int) error {
-	if shards < 0 {
-		return fmt.Errorf("shards must be >= 0, got %d", shards)
-	}
-	if shards > 1 && shards&(shards-1) != 0 {
-		return fmt.Errorf("shards must be a power of two, got %d", shards)
-	}
-	return nil
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -590,7 +576,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FigureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -612,15 +598,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = s.opts.Seed
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.opts.Shards
-	}
-	if err := validShards(shards); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed, Shards: shards},
+	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed},
 		s.executor(RequestDeadline(r)))
 	figs, err := pr.Panel(name)
 	if err != nil {
@@ -644,7 +622,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CacheCap:      st.CacheCap,
 		DefaultScale:  s.opts.Scale,
 		DefaultSeed:   s.opts.Seed,
-		DefaultShards: s.opts.Shards,
 		Replicas:      s.opts.Replication.Replicas,
 		Panels:        harness.PanelNames(),
 		Throughput: Throughput{

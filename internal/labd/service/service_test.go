@@ -97,8 +97,10 @@ func TestRunEndpointValidation(t *testing.T) {
 		{Workload: "fft", P: 4, H: 1, N: 0},
 		{Workload: "fft", P: 4, H: 1, N: 1024, Mode: "warp"},
 		{Workload: "fft", P: 4, H: 1, N: 1024, Scale: -1},
-		{Workload: "fft", P: 4, H: 1, N: 1024, Shards: 3},
-		{Workload: "fft", P: 4, H: 1, N: 1024, Shards: -2},
+		{Workload: "fft", P: MaxP + 1, H: 1, N: 1024},
+		{Workload: "fft", P: 4, H: MaxH + 1, N: 1024},
+		{Workload: "fft", P: 4, H: 1, N: MaxN + 1},
+		{Workload: "fft", P: 4, H: 1, N: 1024, Scale: MaxScale + 1},
 	}
 	for i, req := range bad {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
@@ -119,23 +121,63 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestRunEndpointShardsShareIdentity: a sharded request reports the same
-// key and measurements as the single-engine run — sharding is host-side
-// only, so the second request is a straight cache hit.
-func TestRunEndpointShardsShareIdentity(t *testing.T) {
+// TestRunEndpointLegacyFieldSharesIdentity: older clients may still send
+// a field this API has since dropped. The decoder ignores unknown fields, so
+// such a body succeeds and resolves to the same key as the body without
+// it (served from the cache entry the first request filled).
+func TestRunEndpointLegacyFieldSharesIdentity(t *testing.T) {
 	_, ts := newTestServer(t)
-	req := RunRequest{Workload: "bitonic", P: 4, H: 2, N: 64 << 10}
-	first := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", req))
-	if first.Source != "executed" {
-		t.Fatalf("first request source %q, want executed", first.Source)
+	post := func(body string) RunResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d", body, resp.StatusCode)
+		}
+		return decode[RunResponse](t, resp)
 	}
-	req.Shards = 4
-	second := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", req))
-	if second.Key != first.Key {
-		t.Fatalf("shards entered the run identity: %q vs %q", second.Key, first.Key)
+	first := post(`{"workload":"bitonic","p":4,"h":2,"n":65536}`)
+	second := post(`{"workload":"bitonic","p":4,"h":2,"n":65536,"shards":3}`)
+	if second.Key != first.Key || second.Source != "cached" {
+		t.Fatalf("legacy body resolved differently: %+v vs %+v", second, first)
 	}
-	if second.Source != "cached" || second.MakespanCycles != first.MakespanCycles {
-		t.Fatalf("sharded request not served from the shared cache entry: %+v", second)
+}
+
+// TestBadBodiesNeverReachScheduler: an oversized body and a run whose
+// size clamp once overflowed (p = 2^62+1 made SimSize spin forever) are
+// refused promptly with a 4xx, and the scheduler never sees them.
+func TestBadBodiesNeverReachScheduler(t *testing.T) {
+	oversized := `{"workload":"fft","p":4,"h":1,"n":1024,"fig":"6a","pad":"` +
+		strings.Repeat("x", MaxBodyBytes) + `"}`
+	cases := []struct {
+		name, path, body string
+		status           int
+	}{
+		{"oversized run", "/v1/run", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized figure", "/v1/figure", oversized, http.StatusRequestEntityTooLarge},
+		{"oversized profile", "/v1/profile", oversized, http.StatusRequestEntityTooLarge},
+		{"overflowing p", "/v1/run", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
+		{"overflowing p profile", "/v1/profile", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			resp, err := client.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			if st := srv.Scheduler().Stats(); st.Started+st.CacheHits+st.Coalesced+st.Rejected+st.ShedDeadline != 0 {
+				t.Fatalf("request reached the scheduler: %+v", st)
+			}
+		})
 	}
 }
 

@@ -10,10 +10,8 @@ import (
 )
 
 // The call graph is the interprocedural backbone of the v2 analyzers:
-// shardaffinity, obspurity, fingerprintpurity, and hotpropagate all
-// reason about what is reachable from a set of entry points, and the
-// taint engine (dataflow.go) consults it for call summaries. The graph
-// is built once per Program from the loaded ASTs — stdlib-only, no SSA:
+// obspurity, fingerprintpurity, and hotpropagate all reason about what
+// is reachable from a set of entry points. The graph is built once per Program from the loaded ASTs — stdlib-only, no SSA:
 // nodes are named functions (including methods) and function literals,
 // and edges come in four kinds:
 //

@@ -80,9 +80,9 @@ func TestCallGraphFixture(t *testing.T) {
 func TestCallGraphRealEngine(t *testing.T) {
 	_, lines := loadGraph(t, "emx/internal/sim")
 
-	// The closure-scheduling API exists and the package has literals.
-	if !hasEdge(lines, "emx/internal/sim.", "[closure]") {
-		t.Errorf("no closure edges in emx/internal/sim\n%s", strings.Join(lines, "\n"))
+	// The closure-scheduling API routes onto the handler lane.
+	if !hasEdge(lines, "emx/internal/sim.(Engine).At -> emx/internal/sim.(Engine).AtHandler", "[direct]") {
+		t.Errorf("Engine.At does not reach AtHandler\n%s", strings.Join(lines, "\n"))
 	}
 	// Handler dispatch: something in sim calls Handler.OnEvent through
 	// the interface, and funcRunner.OnEvent is among the conservative

@@ -11,9 +11,9 @@ import (
 // address of a run hashes core.Config through Fingerprint; any field the
 // method clears before hashing is thereby declared host-side-only —
 // "this knob cannot change simulation results, so runs that differ only
-// here may share a cache entry". That is a strong claim, and PR 6 set
-// the precedent with Shards: the field is excluded AND the sharded
-// engine is proven byte-identical.
+// here may share a cache entry". That is a strong claim: excluding a
+// field is only sound when runs that differ in it are proven
+// byte-identical.
 //
 // The analyzer makes the claim checkable: for every receiver field a
 // Fingerprint method overwrites before hashing, either
@@ -110,7 +110,7 @@ func checkFingerprint(pass *Pass, fd *ast.FuncDecl) {
 	}
 
 	// Track copies of the receiver: `cc := c` aliases the hashed value,
-	// so `cc.Shards = 0` excludes the field just like `c.Shards = 0`.
+	// so `cc.Field = 0` excludes the field just like `c.Field = 0`.
 	taint := NewTaint(pkg, func(expr ast.Expr) Labels {
 		if id, ok := expr.(*ast.Ident); ok && pkg.Info.Uses[id] == recvObj {
 			return Labels{"recv": true}

@@ -26,8 +26,6 @@ func TestFlushBefore(t *testing.T) { linttest.Run(t, "flushbefore", lint.FlushBe
 
 func TestDirective(t *testing.T) { linttest.Run(t, "directive", lint.EmxDirective) }
 
-func TestShardAffinity(t *testing.T) { linttest.Run(t, "shardaffinity", lint.ShardAffinity) }
-
 func TestFingerprintPurity(t *testing.T) { linttest.Run(t, "fingerprint", lint.FingerprintPurity) }
 
 func TestObsPurity(t *testing.T) { linttest.Run(t, "obs", lint.ObsPurity) }

@@ -26,6 +26,6 @@ func TestRepositoryIsClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 	if len(diags) > 0 {
-		t.Logf("%d findings: fix true positives or annotate intentional sites (//emx:hostclock, //emx:orderinvariant, //emx:coldpath, //emx:crossshard, //emx:nofingerprint, //emx:obsexempt)", len(diags))
+		t.Logf("%d findings: fix true positives or annotate intentional sites (//emx:hostclock, //emx:orderinvariant, //emx:coldpath, //emx:nofingerprint, //emx:obsexempt)", len(diags))
 	}
 }

@@ -12,10 +12,10 @@ type Config struct {
 	// P is hashed; the attestation on it is stale and must be flagged.
 	P int //emx:nofingerprint // want "stale //emx:nofingerprint on field P"
 
-	// Shards is excluded AND read on result paths, but the audit
+	// Workers is excluded AND read on result paths, but the audit
 	// directive attests that is safe: no finding.
 	//emx:nofingerprint
-	Shards int
+	Workers int
 
 	// Trace is excluded without attestation and read two calls below
 	// the exported surface: the cache-poisoning case.
@@ -28,7 +28,7 @@ type Config struct {
 
 // Fingerprint hashes the config minus the host-side knobs.
 func (c Config) Fingerprint() string {
-	c.Shards = 0
+	c.Workers = 0
 	c.Trace = false // want "field Trace is excluded from Fingerprint but read"
 	c.Debug = false
 	return fmt.Sprintf("%+v", c)
@@ -36,7 +36,7 @@ func (c Config) Fingerprint() string {
 
 // Run is the exported, result-affecting surface.
 func Run(c Config) int {
-	return c.P + stage(c) + shardsOf(c)
+	return c.P + stage(c) + workersOf(c)
 }
 
 func stage(c Config) int { return inner(c) }
@@ -49,8 +49,8 @@ func inner(c Config) int {
 	return 0
 }
 
-// shardsOf reads the attested field: covered by the directive.
-func shardsOf(c Config) int { return c.Shards }
+// workersOf reads the attested field: covered by the directive.
+func workersOf(c Config) int { return c.Workers }
 
 // debugDump reads Debug but is unreachable from the exported surface,
 // so Debug's exclusion needs no attestation.

@@ -245,7 +245,7 @@ func (g *Generator) runRequest(d *draws) service.RunRequest {
 
 // Request derives the i-th request. The routing key is computed with
 // the same request→identity mapping the cluster gateway uses, so a
-// load run exercises the real sharding.
+// load run exercises the real routing.
 func (g *Generator) Request(i uint64) Request {
 	d := drawsAt(g.seed, i)
 	pick := d.intn(g.mix.total())

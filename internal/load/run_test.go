@@ -10,6 +10,7 @@ import (
 	"emx/internal/cluster"
 	"emx/internal/labd"
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 // hugeScale shrinks every panel to its minimum grid so lab-backed load
@@ -85,7 +86,7 @@ func TestChaosKillFailover(t *testing.T) {
 	// With one client, global issue order is index order, so request 10
 	// is the 10th issued: killing its owner just before it is issued
 	// guarantees at least one failover.
-	owner := cluster.NewRing(lab.URLs()).Owner(gen.Request(10).Key)
+	owner := ring.New(lab.URLs()).Owner(gen.Request(10).Key)
 	victim := -1
 	for i, u := range lab.URLs() {
 		if u == owner {

@@ -13,17 +13,6 @@
 //     output port is occupied for 2 cycles per packet (throughput), while
 //     the head is forwarded after 1 cycle (latency);
 //   - ports are FIFO, which enforces the message non-overtaking rule.
-//
-// # Sharded execution
-//
-// The fabric can be partitioned across the member engines of a
-// sim.Group (NewSharded): each switch node — its two output ports and
-// its processor port — is owned by the shard that owns its PE, every
-// handler runs on the owner's engine, and a packet moving between nodes
-// of different shards crosses via sim.AtHandlerOn, the group's
-// deterministic cross-shard channel. Counters and observability are
-// kept per shard (each shard writes only its own row) and summed by
-// Total, so a sharded run reproduces the single-engine totals exactly.
 package network
 
 import (
@@ -54,27 +43,17 @@ type Stats struct {
 	LocalShort uint64   // self-addressed packets short-circuited OBU->IBU
 }
 
-// add accumulates other into s.
-func (s *Stats) add(other *Stats) {
-	s.Sent += other.Sent
-	s.Delivered += other.Delivered
-	s.Hops += other.Hops
-	s.QueueDelay += other.QueueDelay
-	s.LocalShort += other.LocalShort
-}
-
 // Network is the circular Omega interconnect for P processors. P may be
-// any size >= 2 on a single engine: the switch fabric is built over the
-// next power of two (the 80-PE prototype routes through a 128-node
-// shuffle, with the excess nodes acting as pure switch stages), and
-// packets originate and terminate only at the P real PEs.
+// any size >= 2: the switch fabric is built over the next power of two
+// (the 80-PE prototype routes through a 128-node shuffle, with the excess
+// nodes acting as pure switch stages), and packets originate and
+// terminate only at the P real PEs.
 type Network struct {
-	engs   []*sim.Engine // one engine per shard; len 1 when unsharded
-	nodeSh []int         // owning shard of each switch node
-	p      int           // attached processors
-	nodes  int           // switch nodes: next power of two >= p
-	l      int           // log2(nodes): route length in hops
-	mask   int
+	eng   *sim.Engine
+	p     int // attached processors
+	nodes int // switch nodes: next power of two >= p
+	l     int // log2(nodes): route length in hops
+	mask  int
 
 	// ports[v][b] is node v's network output port b (shuffle links).
 	ports [][2]sim.Resource
@@ -87,32 +66,16 @@ type Network struct {
 	hArrive  sim.Handler
 	hDeliver sim.Handler
 
-	// obs[s], when non-nil, records shard s's per-hop latency and
-	// port-contention stalls, attributed to the packet's destination PE.
-	obs []*obs.Tracer
+	// obs, when non-nil, records per-hop latency and port-contention
+	// stalls, attributed to the packet's destination PE.
+	obs *obs.Tracer
 
-	// stats[s] is written only by shard s's worker; Total sums the rows.
-	stats []Stats
+	Stats Stats
 }
 
-// SetObs installs the observability tracer on every shard row. For a
-// sharded network this is only safe with tracers that tolerate
-// concurrent use — machines install distinct per-shard children via
-// SetObsShards instead. A nil tracer (the default) disables recording.
-func (n *Network) SetObs(t *obs.Tracer) {
-	for i := range n.obs {
-		n.obs[i] = t
-	}
-}
-
-// SetObsShards installs one tracer per shard (len must match the member
-// engine count). Each shard records only into its own tracer.
-func (n *Network) SetObsShards(ts []*obs.Tracer) {
-	if len(ts) != len(n.engs) {
-		panic(fmt.Sprintf("network: %d shard tracers for %d shards", len(ts), len(n.engs)))
-	}
-	copy(n.obs, ts)
-}
+// SetObs installs the observability tracer. A nil tracer (the default)
+// disables recording.
+func (n *Network) SetObs(t *obs.Tracer) { n.obs = t }
 
 // hopH forwards a packet one switch hop. EventArg packs the packet in
 // Ptr and (node, hopsLeft) in N.
@@ -132,38 +95,20 @@ type deliverH struct{ n *Network }
 
 func (h deliverH) OnEvent(arg sim.EventArg) {
 	p := arg.Ptr.(*packet.Packet)
-	dst := p.Dst()
-	h.n.stats[h.n.nodeSh[dst]].Delivered++
-	if fn := h.n.deliver[dst]; fn != nil {
+	h.n.Stats.Delivered++
+	if fn := h.n.deliver[p.Dst()]; fn != nil {
 		fn(p)
 	}
 }
 
-// New builds the network for p PEs on a single engine.
+// New builds the network for p PEs on the given engine.
 func New(eng *sim.Engine, p int) (*Network, error) {
-	return NewSharded([]*sim.Engine{eng}, p)
-}
-
-// NewSharded builds the network for p PEs partitioned across the member
-// engines of a sim.Group (members in shard order). With more than one
-// member, p must be a power of two so that every switch node is a real
-// PE's Switching Unit and the node partition coincides with the PE
-// partition (node v belongs to shard v*S/p, the same contiguous blocks
-// the machine uses for PEs).
-func NewSharded(members []*sim.Engine, p int) (*Network, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("network: need at least 2 PEs, got %d", p)
 	}
-	if len(members) < 1 {
-		return nil, fmt.Errorf("network: need at least 1 member engine")
-	}
 	nodes := 1 << uint(bits.Len(uint(p-1)))
-	if s := len(members); s > 1 && nodes != p {
-		return nil, fmt.Errorf("network: sharded fabric needs a power-of-two PE count, got %d", p)
-	}
 	n := &Network{
-		engs:    members,
-		nodeSh:  make([]int, nodes),
+		eng:     eng,
 		p:       p,
 		nodes:   nodes,
 		l:       bits.Len(uint(nodes)) - 1,
@@ -171,11 +116,6 @@ func NewSharded(members []*sim.Engine, p int) (*Network, error) {
 		ports:   make([][2]sim.Resource, nodes),
 		eject:   make([]sim.Resource, p),
 		deliver: make([]DeliverFunc, p),
-		obs:     make([]*obs.Tracer, len(members)),
-		stats:   make([]Stats, len(members)),
-	}
-	for v := range n.nodeSh {
-		n.nodeSh[v] = v * len(members) / nodes
 	}
 	n.hHop = hopH{n}
 	n.hArrive = arriveH{n}
@@ -185,18 +125,6 @@ func NewSharded(members []*sim.Engine, p int) (*Network, error) {
 
 // P returns the number of processors.
 func (n *Network) P() int { return n.p }
-
-// Total sums the per-shard counter rows into network-wide totals. The
-// partition of counter updates across shards is deterministic, so the
-// totals match the single-engine run exactly. Call between runs, not
-// while the group is dispatching.
-func (n *Network) Total() Stats {
-	var t Stats
-	for i := range n.stats {
-		t.add(&n.stats[i])
-	}
-	return t
-}
 
 // RouteHops returns the number of link hops between src and dst: 0 for a
 // self-send (short-circuited inside the SU) and log2(P) otherwise, the
@@ -214,9 +142,8 @@ func (n *Network) SetDeliver(pe packet.PE, fn DeliverFunc) {
 }
 
 // Send injects a packet at its source node at the current simulated
-// time. It must be called from the source PE's shard (the only callers
-// are the source PE's OBU paths). The packet is eventually handed to
-// the destination's DeliverFunc on the destination's shard.
+// time. The packet is eventually handed to the destination's
+// DeliverFunc.
 func (n *Network) Send(p *packet.Packet) {
 	dst := p.Dst()
 	if int(dst) >= n.p || dst < 0 {
@@ -225,29 +152,23 @@ func (n *Network) Send(p *packet.Packet) {
 	if int(p.Src) >= n.p || p.Src < 0 {
 		panic(fmt.Sprintf("network: packet from PE%d on a %d-PE machine", p.Src, n.p))
 	}
-	sh := n.nodeSh[p.Src]
-	n.stats[sh].Sent++
+	n.Stats.Sent++
 	if p.Src == dst {
 		// The SU short-circuits self-addressed packets from the OBU to the
 		// IBU through the crossbar processor port: one cycle, no links.
-		n.stats[sh].LocalShort++
-		n.engs[sh].AfterHandler(0, n.hArrive, sim.EventArg{Ptr: p})
+		n.Stats.LocalShort++
+		n.eng.AfterHandler(0, n.hArrive, sim.EventArg{Ptr: p})
 		return
 	}
 	n.hop(p, int(p.Src), n.l)
 }
 
 // hop forwards the packet from node v with hopsLeft route bits
-// remaining. It runs on v's owner shard: the output port and counter
-// row it touches belong to that shard, and the next node's event is
-// scheduled on the next owner's engine.
+// remaining.
 //
 //emx:hotpath
 func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
-	sh := n.nodeSh[v]
-	e := n.engs[sh]
-	st := &n.stats[sh]
-	now := e.Now()
+	now := n.eng.Now()
 	dst := int(p.Dst())
 	bit := (dst >> (hopsLeft - 1)) & 1
 	next := ((v << 1) | bit) & n.mask
@@ -256,44 +177,41 @@ func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
 	start := now
 	if f := port.FreeAt(); f > start {
 		start = f
-		st.QueueDelay += start - now
+		n.Stats.QueueDelay += start - now
 	}
 	port.Acquire(start, PortCycles)
-	st.Hops++
-	n.obs[sh].Hop(int64(now), int32(p.Dst()), obs.NetHop, int64(start-now))
+	n.Stats.Hops++
+	n.obs.Hop(int64(now), int32(p.Dst()), obs.NetHop, int64(start-now))
 
 	headAt := start + HopCycles
 	if hopsLeft == 1 {
 		// next == dst: the last route bit lands the packet on the
 		// destination's own switch node.
-		e.AtHandlerOn(n.engs[n.nodeSh[next]], headAt, n.hArrive, sim.EventArg{Ptr: p})
+		n.eng.AtHandler(headAt, n.hArrive, sim.EventArg{Ptr: p})
 		return
 	}
-	e.AtHandlerOn(n.engs[n.nodeSh[next]], headAt, n.hHop, sim.EventArg{
+	n.eng.AtHandler(headAt, n.hHop, sim.EventArg{
 		Ptr: p,
 		N:   int64(next)<<32 | int64(hopsLeft-1),
 	})
 }
 
 // arriveDst moves the packet through the destination switch's processor
-// port into the PE. It runs on the destination's owner shard.
+// port into the PE.
 //
 //emx:hotpath
 func (n *Network) arriveDst(p *packet.Packet) {
 	dst := p.Dst()
-	sh := n.nodeSh[dst]
-	e := n.engs[sh]
-	st := &n.stats[sh]
-	now := e.Now()
+	now := n.eng.Now()
 	port := &n.eject[dst]
 	start := now
 	if f := port.FreeAt(); f > start {
 		start = f
-		st.QueueDelay += start - now
+		n.Stats.QueueDelay += start - now
 	}
 	port.Acquire(start, PortCycles)
-	n.obs[sh].Hop(int64(now), int32(dst), obs.NetEject, int64(start-now))
-	e.AtHandler(start+HopCycles, n.hDeliver, sim.EventArg{Ptr: p})
+	n.obs.Hop(int64(now), int32(dst), obs.NetEject, int64(start-now))
+	n.eng.AtHandler(start+HopCycles, n.hDeliver, sim.EventArg{Ptr: p})
 }
 
 // UnloadedLatency returns the cycles from injection to delivery on an idle

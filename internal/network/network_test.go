@@ -73,8 +73,8 @@ func TestSelfSendShortCircuit(t *testing.T) {
 	if eng.Now() != 10+1 {
 		t.Fatalf("self-send delivered at %d, want 11", eng.Now())
 	}
-	if n.Total().Hops != 0 || n.Total().LocalShort != 1 {
-		t.Fatalf("self-send took %d link hops", n.Total().Hops)
+	if n.Stats.Hops != 0 || n.Stats.LocalShort != 1 {
+		t.Fatalf("self-send took %d link hops", n.Stats.Hops)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestAllPairsDelivery(t *testing.T) {
 				}
 			}
 		}
-		if n.Total().Sent != uint64(p*p) || n.Total().Delivered != uint64(p*p) {
-			t.Fatalf("P=%d: sent=%d delivered=%d, want %d", p, n.Total().Sent, n.Total().Delivered, p*p)
+		if n.Stats.Sent != uint64(p*p) || n.Stats.Delivered != uint64(p*p) {
+			t.Fatalf("P=%d: sent=%d delivered=%d, want %d", p, n.Stats.Sent, n.Stats.Delivered, p*p)
 		}
 	}
 }
@@ -144,7 +144,7 @@ func TestPortContentionDelaysSecondPacket(t *testing.T) {
 	if times[1]-times[0] != PortCycles {
 		t.Fatalf("spacing = %d, want %d (port bandwidth)", times[1]-times[0], PortCycles)
 	}
-	if n.Total().QueueDelay == 0 {
+	if n.Stats.QueueDelay == 0 {
 		t.Fatal("contention produced no queueing delay")
 	}
 }
@@ -209,7 +209,7 @@ func TestPacketConservationProperty(t *testing.T) {
 		for _, g := range got {
 			sum += len(g)
 		}
-		return sum == total && n.Total().Delivered == uint64(total)
+		return sum == total && n.Stats.Delivered == uint64(total)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,6 @@ type Tracer struct {
 	ring        *Ring[Event]
 	retain      CategoryMask
 	sliceCycles int64
-	opts        Options
 
 	prof  Profile
 	names []NameEntry
@@ -58,7 +57,6 @@ func New(opts Options) *Tracer {
 		ring:        NewRing[Event](opts.Capacity),
 		retain:      opts.Retain,
 		sliceCycles: opts.SliceCycles,
-		opts:        opts,
 	}
 	t.prof.Version = ProfileVersion
 	t.prof.P = opts.P
@@ -233,70 +231,6 @@ func (t *Tracer) Finish(makespan int64) {
 			}
 			break
 		}
-	}
-}
-
-// Child returns a fresh tracer with the same options, for recording one
-// shard of the same machine run. A sharded machine gives every member
-// engine its own child (a Tracer is not safe for concurrent use) and
-// folds them back with Absorb before Finish.
-func (t *Tracer) Child() *Tracer {
-	if t == nil {
-		return nil
-	}
-	return New(t.opts)
-}
-
-// Absorb folds shard children back into the parent after a sharded run.
-// Counters and per-PE aggregates sum (the PE partition makes the PE rows
-// disjoint, so this reproduces the single-tracer aggregation exactly);
-// time slices add elementwise; retained events are re-pushed in At-major
-// order with shard index as the tie-break; name tables append in shard
-// order. Call before Finish, single-threaded.
-func (t *Tracer) Absorb(children []*Tracer) {
-	if t == nil {
-		return
-	}
-	evs := make([][]Event, len(children))
-	for i, c := range children {
-		t.prof.Recorded += c.prof.Recorded
-		t.prof.Dispatched += c.prof.Dispatched
-		for cat, n := range c.prof.Dropped {
-			t.prof.Dropped[cat] += n
-		}
-		for pe := range c.prof.PEs {
-			t.prof.PEs[pe].add(&c.prof.PEs[pe])
-		}
-		for s, sl := range c.prof.Slices {
-			for len(t.prof.Slices) <= s {
-				from := int64(len(t.prof.Slices)) * t.sliceCycles
-				t.prof.Slices = append(t.prof.Slices, Slice{From: from, To: from + t.sliceCycles})
-			}
-			for ph, cyc := range sl.Phases {
-				t.prof.Slices[s].Phases[ph] += cyc
-			}
-		}
-		t.names = append(t.names, c.names...)
-		evs[i] = c.ring.Snapshot()
-	}
-	idx := make([]int, len(evs))
-	for {
-		best := -1
-		for i := range evs {
-			if idx[i] >= len(evs[i]) {
-				continue
-			}
-			if best < 0 || evs[i][idx[i]].At < evs[best][idx[best]].At {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if old, dropped := t.ring.Push(evs[best][idx[best]]); dropped {
-			t.prof.Dropped[old.Cat]++
-		}
-		idx[best]++
 	}
 }
 

@@ -24,11 +24,7 @@
 // both lanes share one ordering domain.
 package sim
 
-import (
-	"sync/atomic"
-
-	"emx/internal/obs"
-)
+import "emx/internal/obs"
 
 // Time is a simulated time stamp measured in processor clock cycles.
 type Time int64
@@ -96,26 +92,11 @@ type bucket struct {
 // Engine is a deterministic discrete-event scheduler.
 //
 // The zero value is ready to use. Engine is not safe for concurrent use;
-// a simulation runs single-threaded. Parallelism lives one level up:
-// across independent simulations, or — for one large run — across the
-// member engines of a shard Group (see shard.go), which multiplexes
-// events onto S engines while replaying the exact single-engine
-// dispatch order.
+// a simulation runs single-threaded. Parallelism lives one level up,
+// across independent simulations.
 type Engine struct {
 	now Time
 	seq uint64
-
-	// grp/shardID bind a member engine to its shard group; both are nil/0
-	// for a standalone engine. curSeq is the sequence number of the event
-	// currently dispatching, the merge key for children born in a round.
-	grp     *Group
-	shardID int
-	curSeq  uint64
-
-	// stat is a round-granular atomic mirror of (now, events, pending)
-	// so schedulers and status endpoints can snapshot a running engine
-	// without perturbing (or racing with) the hot loop.
-	stat engineStats
 
 	// ring holds near-future events, one bucket per cycle, indexed by
 	// at&ringMask. All live events in one bucket share the same time:
@@ -145,36 +126,6 @@ type Engine struct {
 // SetObs installs an observability tracer notified of every event
 // dispatch. A nil tracer (the default) disables observation.
 func (e *Engine) SetObs(t *obs.Tracer) { e.obs = t }
-
-// engineStats mirrors the engine's progress counters behind atomics.
-// The hot loop refreshes it once per mirrorMask dispatches (and a
-// shard group once per round), so concurrent readers see a cheap,
-// slightly stale O(1) snapshot instead of walking live scheduler state.
-type engineStats struct {
-	now     atomic.Int64
-	events  atomic.Uint64
-	pending atomic.Int64
-}
-
-// mirrorMask throttles hot-loop mirror refreshes to every 1024 events.
-const mirrorMask = 1<<10 - 1
-
-// mirror refreshes the atomic snapshot from the live counters.
-//
-//emx:hotpath
-func (e *Engine) mirror() {
-	e.stat.now.Store(int64(e.now))
-	e.stat.events.Store(e.nEvents)
-	e.stat.pending.Store(int64(len(e.heap) + e.nearCount))
-}
-
-// Snapshot returns (now, events dispatched, events pending) from the
-// engine's atomic mirror. Unlike Now/Events/Pending it is safe to call
-// from another goroutine while the engine runs; values lag the live
-// counters by at most one mirror interval.
-func (e *Engine) Snapshot() (now Time, events uint64, pending int) {
-	return Time(e.stat.now.Load()), e.stat.events.Load(), int(e.stat.pending.Load())
-}
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine { return &Engine{} }
@@ -211,19 +162,8 @@ func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	if e.grp != nil {
-		e.scheduleSharded(e, t, h, arg)
-		return
-	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, h: h, arg: arg})
-}
-
-// push inserts a sequenced event into the ring or the far-future heap.
-//
-//emx:hotpath
-func (e *Engine) push(ev event) {
-	t := ev.at
+	ev := event{at: t, seq: e.seq, h: h, arg: arg}
 	if t-e.now < ringSize {
 		b := &e.ring[t&ringMask]
 		b.evs = append(b.evs, ev)
@@ -259,13 +199,9 @@ func (e *Engine) Run() Time {
 		ev := e.pop()
 		e.now = ev.at
 		e.nEvents++
-		if e.nEvents&mirrorMask == 0 {
-			e.mirror()
-		}
 		e.obs.Dispatch(int64(ev.at))
 		ev.h.OnEvent(ev.arg)
 	}
-	e.mirror()
 	return e.now
 }
 
@@ -277,19 +213,14 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	for e.Pending() > 0 && !e.stopped {
 		if e.peekTime() > deadline {
 			e.now = deadline
-			e.mirror()
 			return true
 		}
 		ev := e.pop()
 		e.now = ev.at
 		e.nEvents++
-		if e.nEvents&mirrorMask == 0 {
-			e.mirror()
-		}
 		e.obs.Dispatch(int64(ev.at))
 		ev.h.OnEvent(ev.arg)
 	}
-	e.mirror()
 	return e.Pending() > 0
 }
 

@@ -453,3 +453,49 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 	}
 	e.Run()
 }
+
+// TestWindowedDriverZeroAlloc guards the windowed single-engine driver
+// (RunUntil in fixed windows, the labd serving pattern): steady-state
+// scheduling and dispatch must not allocate.
+func TestWindowedDriverZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	h := &selfTickH{e: e}
+	for i := 0; i < 8; i++ {
+		e.AtHandler(Time(i), h, EventArg{N: 1 << 40})
+	}
+	deadline := Time(0)
+	// Warm up ring buckets.
+	deadline += 4096
+	e.RunUntil(deadline)
+	allocs := testing.AllocsPerRun(16, func() {
+		deadline += 1024
+		e.RunUntil(deadline)
+	})
+	if allocs != 0 {
+		t.Fatalf("windowed driver allocated %.1f per window, want 0", allocs)
+	}
+}
+
+type selfTickH struct{ e *Engine }
+
+func (h *selfTickH) OnEvent(arg EventArg) {
+	if arg.N > 0 {
+		h.e.AtHandler(h.e.Now()+1, h, EventArg{N: arg.N - 1})
+	}
+}
+
+// BenchmarkWindowedDriver is the 0 allocs/op guard in benchmark form.
+func BenchmarkWindowedDriver(b *testing.B) {
+	e := NewEngine()
+	h := &selfTickH{e: e}
+	for i := 0; i < 8; i++ {
+		e.AtHandler(Time(i), h, EventArg{N: 1 << 60})
+	}
+	deadline := Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deadline += 128
+		e.RunUntil(deadline)
+	}
+}
