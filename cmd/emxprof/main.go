@@ -122,7 +122,7 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, opts harnes
 	}
 	pc := harness.NewProfileCollector(opts)
 	ps := harness.PointSpec{Workload: w, P: p, SimN: n, H: h, Mode: svc, Seed: seed}
-	if _, err := pc.RunPointObserved(ps, 0); err != nil {
+	if _, err := pc.RunPointObserved(ps); err != nil {
 		fmt.Fprintln(stderr, "emxprof:", err)
 		return 1
 	}

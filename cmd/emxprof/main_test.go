@@ -115,25 +115,41 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// TestReportWorkerInvariantPanel: the merged panel profile is identical
-// on 1 and 4 workers — the profiler's headline determinism claim, here
-// end to end through the CLI.
+// TestReportWorkerInvariantPanel: every panel artifact — text report,
+// merged profile JSON, Perfetto trace — is identical on 1 and 4
+// workers, the profiler's headline determinism claim, here end to end
+// through the CLI. At this scale all five 6a sizes clamp to one
+// simulated n, so the panel is 9 distinct simulations (one per thread
+// count), each profiled once under a deterministically chosen label.
 func TestReportWorkerInvariantPanel(t *testing.T) {
-	args := func(workers string) []string {
-		return []string{"-fig", "6a", "-scale", "1048576", "-workers", workers}
+	outputs := map[string]string{}
+	for _, format := range []string{"report", "json", "perfetto"} {
+		args := func(workers string) []string {
+			return []string{"-fig", "6a", "-scale", "1048576", "-workers", workers, "-format", format}
+		}
+		code, one, errOut := runCLI(t, args("1")...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", format, code, errOut)
+		}
+		code, four, errOut := runCLI(t, args("4")...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", format, code, errOut)
+		}
+		if one != four {
+			t.Errorf("panel %s output differs between -workers 1 and -workers 4", format)
+		}
+		outputs[format] = one
 	}
-	code, one, errOut := runCLI(t, args("1")...)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
+	if !strings.Contains(outputs["report"], "dropped=0") {
+		t.Errorf("panel report should record zero drops:\n%s", outputs["report"])
 	}
-	code, four, errOut := runCLI(t, args("4")...)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
+	var prof struct {
+		Points int `json:"points"`
 	}
-	if one != four {
-		t.Error("panel report differs between -workers 1 and -workers 4")
+	if err := json.Unmarshal([]byte(outputs["json"]), &prof); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(one, "dropped=0") {
-		t.Errorf("panel report should record zero drops:\n%s", one)
+	if prof.Points != 9 {
+		t.Errorf("merged panel profile has %d points, want 9 distinct simulations", prof.Points)
 	}
 }

@@ -85,11 +85,25 @@ func TestGatewayFailoverSweep(t *testing.T) {
 
 	tc := newTestCluster(t, 3)
 
-	// Pick the victim so the kill actually matters: the node that owns a
-	// panel in the second half of the sweep must die before serving it.
+	// Pick the victim so the kill always matters, wherever the ring puts
+	// the panels for this run's random ports: a node that owns two panels
+	// (five panels on three nodes guarantee one) dies after serving the
+	// first and before the second. The first keeps it in the sweep; the
+	// second must fail over to a live node.
 	r := ring.New(tc.members.Members())
-	mid := len(sweepPanels) / 2
-	victim := r.Owner(FigureKey(sweepPanels[mid], hugeScale, 1))
+	victim, kill := "", -1
+	served := map[string]bool{}
+	for i, fig := range sweepPanels {
+		owner := r.Owner(FigureKey(fig, hugeScale, 1))
+		if served[owner] {
+			victim, kill = owner, i
+			break
+		}
+		served[owner] = true
+	}
+	if kill < 0 {
+		t.Fatalf("no node owns two of the %d panels on %d nodes", len(sweepPanels), len(tc.backends))
+	}
 	var victimSrv *httptest.Server
 	for _, b := range tc.backends {
 		if b.URL == victim {
@@ -99,7 +113,7 @@ func TestGatewayFailoverSweep(t *testing.T) {
 
 	nodesSeen := map[string]bool{}
 	for i, fig := range sweepPanels {
-		if i == mid {
+		if i == kill {
 			// Kill the owner mid-sweep — hard close, connections refused.
 			victimSrv.Close()
 		}
@@ -121,8 +135,11 @@ func TestGatewayFailoverSweep(t *testing.T) {
 	if tc.members.IsHealthy(victim) {
 		t.Error("killed node still marked healthy after serving the sweep")
 	}
-	if nodesSeen[victim] && tc.gateway.Registry().Snapshot()["emxcluster_failovers_total"] == 0 {
-		t.Error("no failover counted despite the victim owning a served panel")
+	if !nodesSeen[victim] {
+		t.Errorf("victim %s served no panel before it was killed", victim)
+	}
+	if tc.gateway.Registry().Snapshot()["emxcluster_failovers_total"] == 0 {
+		t.Error("no failover counted despite the victim owning a panel served after the kill")
 	}
 
 	// Same sweep again: every panel must now be served without touching

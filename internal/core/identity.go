@@ -9,18 +9,19 @@ import (
 
 // RunIdentity canonicalizes one simulation request — everything that
 // determines the outcome of a deterministic run: the workload, machine
-// geometry, problem size, thread count, seed, servicing mode, reply
-// scheduling policy, and the timing calibration itself. Two requests
-// with the same identity are guaranteed to produce identical
+// geometry, simulated problem size, thread count, seed, servicing mode,
+// reply scheduling policy, and the timing calibration itself. Two
+// requests with the same identity are guaranteed to produce identical
 // measurements, which is what makes content-addressed result caching
-// and in-flight coalescing (internal/labd) safe.
+// and in-flight coalescing (internal/labd) safe. Labels that never
+// reach the simulator, such as the paper-equivalent size a point stands
+// for or the scale-down factor that produced SimN, are deliberately not
+// part of it: two such labels for one simulation share one key.
 type RunIdentity struct {
 	Workload  string // workload name ("bitonic", "fft", "spmv", ...)
 	P         int    // processors
 	H         int    // threads per processor
 	SimN      int    // simulated element count
-	PaperN    int    // paper-equivalent size the point stands for
-	Scale     int    // scale-down factor the request used (0 if direct)
 	Seed      int64  // input generator seed
 	Service   string // remote-request servicing mode ("bypass", "EM-4 EXU")
 	Sched     string // reply scheduling policy ("fifo", "resume-first")
@@ -31,7 +32,7 @@ type RunIdentity struct {
 
 // identityVersion is bumped whenever the canonical encoding changes, so
 // stale persisted hashes can never alias new ones.
-const identityVersion = "emx-run/v1"
+const identityVersion = "emx-run/v2"
 
 // Canonical returns the deterministic one-line-per-field encoding that
 // is hashed. Field order is fixed; the encoding is versioned.
@@ -42,8 +43,6 @@ func (id RunIdentity) Canonical() string {
 	fmt.Fprintf(&b, "\np=%d", id.P)
 	fmt.Fprintf(&b, "\nh=%d", id.H)
 	fmt.Fprintf(&b, "\nsimn=%d", id.SimN)
-	fmt.Fprintf(&b, "\npapern=%d", id.PaperN)
-	fmt.Fprintf(&b, "\nscale=%d", id.Scale)
 	fmt.Fprintf(&b, "\nseed=%d", id.Seed)
 	fmt.Fprintf(&b, "\nservice=%s", id.Service)
 	fmt.Fprintf(&b, "\nsched=%s", id.Sched)

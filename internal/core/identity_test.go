@@ -7,8 +7,8 @@ import (
 
 func baseIdentity() RunIdentity {
 	return RunIdentity{
-		Workload: "bitonic", P: 16, H: 4, SimN: 256, PaperN: 512 << 10,
-		Scale: 512, Seed: 1, Service: "bypass", Sched: "fifo",
+		Workload: "bitonic", P: 16, H: 4, SimN: 256,
+		Seed: 1, Service: "bypass", Sched: "fifo",
 		Config: DefaultConfig(16).Fingerprint(),
 	}
 }
@@ -30,8 +30,6 @@ func TestIdentityHashSensitivity(t *testing.T) {
 		"p":        func(id *RunIdentity) { id.P = 64 },
 		"h":        func(id *RunIdentity) { id.H = 8 },
 		"simn":     func(id *RunIdentity) { id.SimN = 512 },
-		"papern":   func(id *RunIdentity) { id.PaperN = 1 << 20 },
-		"scale":    func(id *RunIdentity) { id.Scale = 256 },
 		"seed":     func(id *RunIdentity) { id.Seed = 2 },
 		"service":  func(id *RunIdentity) { id.Service = "EM-4 EXU" },
 		"sched":    func(id *RunIdentity) { id.Sched = "resume-first" },
@@ -53,12 +51,18 @@ func TestIdentityHashSensitivity(t *testing.T) {
 
 func TestIdentityCanonicalVersioned(t *testing.T) {
 	c := baseIdentity().Canonical()
-	if !strings.HasPrefix(c, "emx-run/v1\n") {
+	if !strings.HasPrefix(c, "emx-run/v2\n") {
 		t.Fatalf("canonical encoding not versioned:\n%s", c)
 	}
-	for _, field := range []string{"workload=bitonic", "p=16", "seed=1", "config="} {
+	for _, field := range []string{"workload=bitonic", "p=16", "simn=256", "seed=1", "config="} {
 		if !strings.Contains(c, field) {
 			t.Errorf("canonical encoding missing %q", field)
+		}
+	}
+	// Labels that never reach the simulator stay out of the key.
+	for _, label := range []string{"papern=", "scale="} {
+		if strings.Contains(c, label) {
+			t.Errorf("canonical encoding carries the non-simulation label %q:\n%s", label, c)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"emx/internal/labd"
@@ -159,35 +160,68 @@ func TestSweepRunMatchesRunOn(t *testing.T) {
 	}
 }
 
-// TestSweepCoalescesDuplicatePoints: a sweep whose grid degenerates to
-// identical points (clamped sizes) executes each unique point once when
-// run through a caching scheduler.
+// countingExec counts the Do calls a sweep makes on its executor.
+type countingExec struct {
+	sched *labd.Scheduler
+	mu    sync.Mutex
+	keys  []string
+}
+
+func (e *countingExec) Do(key string, fn func() (*metrics.Run, error)) (*metrics.Run, labd.Source, error) {
+	e.mu.Lock()
+	e.keys = append(e.keys, key)
+	e.mu.Unlock()
+	return e.sched.Do(key, fn)
+}
+
+// TestSweepCoalescesDuplicatePoints: a sweep whose distinct paper sizes
+// clamp to one simulated n submits each distinct simulation once, and
+// every cell still reports its own paper size — without mutating the
+// result the executor caches.
 func TestSweepCoalescesDuplicatePoints(t *testing.T) {
 	sched := labd.New(labd.Options{Workers: 4})
 	defer sched.Close()
+	exec := &countingExec{sched: sched}
 	s := Sweep{
 		Workload:   Bitonic,
 		P:          4,
-		PaperSizes: []int{64 * K, 64 * K}, // two identical size rows
+		PaperSizes: []int{128 * K, 64 * K}, // both clamp to P*maxH = 8
 		Scale:      1 << 20,
 		Threads:    []int{1, 2},
 		Seed:       3,
 	}
-	res, err := s.RunOn(sched)
+	res, err := s.RunOn(exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 grid cells, but only 2 unique (size rows collapse): the
-	// scheduler must have executed exactly 2 simulations.
-	st := sched.Stats()
-	if st.Started != 2 {
-		t.Fatalf("started %d simulations for 2 unique points", st.Started)
+	distinct := map[string]bool{}
+	for si := range s.PaperSizes {
+		for hi := range s.Threads {
+			distinct[s.Point(si, hi).Key(s.Scale)] = true
+		}
 	}
-	if st.CacheHits+st.Coalesced != 2 {
-		t.Fatalf("expected 2 deduplicated cells, got hits=%d coalesced=%d", st.CacheHits, st.Coalesced)
+	// 4 grid cells, 2 distinct simulations (the size rows collapse).
+	if len(distinct) != 2 || len(exec.keys) != len(distinct) {
+		t.Fatalf("%d executor calls for %d distinct keys, want 2 and 2", len(exec.keys), len(distinct))
+	}
+	if st := sched.Stats(); st.Started != 2 || st.CacheHits+st.Coalesced != 0 {
+		t.Fatalf("started=%d hits=%d coalesced=%d, want 2 executions and no duplicate submissions",
+			st.Started, st.CacheHits, st.Coalesced)
+	}
+	for si, paperN := range s.PaperSizes {
+		for hi := range s.Threads {
+			if got := res.Runs[si][hi].PaperN; got != paperN {
+				t.Errorf("cell (%d,%d) PaperN = %d, want its own %d", si, hi, got, paperN)
+			}
+		}
 	}
 	if res.Runs[0][0].Makespan != res.Runs[1][0].Makespan {
 		t.Fatal("identical points produced different results")
+	}
+	// The cached run keeps the representative's (first row's) label.
+	cached, ok := sched.CacheGet(s.Point(1, 0).Key(s.Scale))
+	if !ok || cached.PaperN != s.PaperSizes[0] {
+		t.Fatalf("cached run PaperN = %v (cached %v), want the representative's %d", cached, ok, s.PaperSizes[0])
 	}
 }
 
@@ -197,12 +231,24 @@ func TestPointSpecKeyStable(t *testing.T) {
 	if ps.Key(512) != ps.Key(512) {
 		t.Fatal("key not deterministic")
 	}
-	if ps.Key(512) == ps.Key(256) {
-		t.Fatal("scale not part of the identity")
+	// Scale and PaperN are labels: their effect on the simulation is
+	// already in SimN, so they do not change the key.
+	if ps.Key(512) != ps.Key(256) {
+		t.Fatal("scale changed the key")
 	}
-	other := ps
-	other.Seed = 2
-	if ps.Key(512) == other.Key(512) {
-		t.Fatal("seed not part of the identity")
+	relabelled := ps
+	relabelled.PaperN = 128 * K
+	if ps.Key(512) != relabelled.Key(512) {
+		t.Fatal("PaperN changed the key")
+	}
+	for name, mutate := range map[string]func(*PointSpec){
+		"seed": func(p *PointSpec) { p.Seed = 2 },
+		"simn": func(p *PointSpec) { p.SimN *= 2 },
+	} {
+		other := ps
+		mutate(&other)
+		if ps.Key(512) == other.Key(512) {
+			t.Errorf("%s not part of the identity", name)
+		}
 	}
 }

@@ -128,9 +128,10 @@ func (ps PointSpec) config() core.Config {
 }
 
 // Identity canonicalizes the point into the content-addressed run
-// identity the labd scheduler caches and coalesces on. scale records
-// the scale-down factor that produced SimN (0 when requested directly).
-func (ps PointSpec) Identity(scale int) core.RunIdentity {
+// identity the labd scheduler caches and coalesces on. It covers only
+// what reaches the simulator: PaperN is a label, so two points that
+// differ only in PaperN share one identity.
+func (ps PointSpec) Identity() core.RunIdentity {
 	sched := "fifo"
 	if ps.ReplyHigh {
 		sched = "resume-first"
@@ -140,8 +141,6 @@ func (ps PointSpec) Identity(scale int) core.RunIdentity {
 		P:         ps.P,
 		H:         ps.H,
 		SimN:      ps.SimN,
-		PaperN:    ps.PaperN,
-		Scale:     scale,
 		Seed:      ps.Seed,
 		Service:   ps.Mode.String(),
 		Sched:     sched,
@@ -151,8 +150,10 @@ func (ps PointSpec) Identity(scale int) core.RunIdentity {
 	}
 }
 
-// Key returns the point's content hash — its cache key.
-func (ps PointSpec) Key(scale int) string { return ps.Identity(scale).Hash() }
+// Key returns the point's content hash — its cache key. The scale
+// argument no longer affects the key (its effect is already in SimN);
+// it stays so existing callers keep compiling.
+func (ps PointSpec) Key(scale int) string { return ps.Identity().Hash() }
 
 // Label formats the point's identity for humans — profile reports and
 // trace process names.
@@ -227,8 +228,10 @@ type Sweep struct {
 	Seed       int64
 
 	// Observe, when non-nil, attaches a fresh tracer to every executed
-	// point and collects the resulting cycle-accounting profiles. Points
-	// served from an executor's cache are not re-executed and therefore
+	// simulation and collects the resulting cycle-accounting profiles:
+	// one per distinct simulation, not one per grid cell, labelled by
+	// the first cell (in size, thread order) that runs it. Points served
+	// from an executor's cache are not re-executed and therefore
 	// contribute no profile — profiled sweeps should run with caching off.
 	Observe *ProfileCollector `json:"-"`
 }
@@ -308,10 +311,13 @@ func (s Sweep) Run(workers int) (*SweepResult, error) {
 }
 
 // RunOn executes the sweep through an Executor — the shared execution
-// path of cmd/emxbench and the emxd daemon. Every grid point is
-// submitted concurrently under its content key, so the executor's
-// worker pool bounds parallelism and its cache/coalescing deduplicate
-// points shared with other figures.
+// path of cmd/emxbench and the emxd daemon. Cells whose sizes clamp to
+// one simulated n are one simulation: each distinct key is submitted
+// once, concurrently, under the first cell (in size, thread order) that
+// needs it, so the executor's worker pool bounds parallelism and its
+// cache/coalescing deduplicate points shared with other figures. Every
+// cell receives its own shallow copy of the result, stamped with the
+// cell's PaperN; executor results may be shared and are never mutated.
 func (s Sweep) RunOn(exec Executor) (*SweepResult, error) {
 	s = s.withDefaults()
 	res := &SweepResult{Sweep: s, Runs: make([][]*metrics.Run, len(s.PaperSizes))}
@@ -319,34 +325,58 @@ func (s Sweep) RunOn(exec Executor) (*SweepResult, error) {
 		res.Runs[i] = make([]*metrics.Run, len(s.Threads))
 	}
 
+	type cell struct{ si, hi int }
+	type group struct {
+		key   string
+		ps    PointSpec // the representative: the group's first cell
+		cells []cell
+	}
+	var groups []*group
+	byKey := map[string]*group{}
+	for si := range s.PaperSizes {
+		for hi := range s.Threads {
+			ps := s.Point(si, hi)
+			key := ps.Identity().Hash()
+			g := byKey[key]
+			if g == nil {
+				g = &group{key: key, ps: ps}
+				byKey[key] = g
+				groups = append(groups, g)
+			}
+			g.cells = append(g.cells, cell{si, hi})
+		}
+	}
+
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for si := range s.PaperSizes {
-		for hi := range s.Threads {
-			wg.Add(1)
-			go func(si, hi int) {
-				defer wg.Done()
-				ps := s.Point(si, hi)
-				run, _, err := exec.Do(ps.Key(s.Scale), func() (*metrics.Run, error) {
-					if s.Observe != nil {
-						return s.Observe.RunPointObserved(ps, s.Scale)
-					}
-					return RunPoint(ps)
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+	for _, g := range groups {
+		wg.Add(1)
+		go func(g *group) {
+			defer wg.Done()
+			ps := g.ps
+			run, _, err := exec.Do(g.key, func() (*metrics.Run, error) {
+				if s.Observe != nil {
+					return s.Observe.RunPointObserved(ps)
 				}
-				res.Runs[si][hi] = run
-			}(si, hi)
-		}
+				return RunPoint(ps)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				return
+			}
+			for _, c := range g.cells {
+				r := *run
+				r.PaperN = s.PaperSizes[c.si]
+				res.Runs[c.si][c.hi] = &r
+			}
+		}(g)
 	}
 	wg.Wait()
 	if firstErr != nil {

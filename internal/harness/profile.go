@@ -55,7 +55,7 @@ func NewProfileCollector(opts ObsOptions) *ProfileCollector {
 // RunPointObserved executes one point with a fresh tracer attached and
 // stores the resulting profile under the point's cache key. The
 // simulation is cycle-identical to an unobserved RunPoint.
-func (c *ProfileCollector) RunPointObserved(ps PointSpec, scale int) (*metrics.Run, error) {
+func (c *ProfileCollector) RunPointObserved(ps PointSpec) (*metrics.Run, error) {
 	tr := obs.New(obs.Options{
 		P:           ps.P,
 		Capacity:    c.opts.Capacity,
@@ -67,7 +67,7 @@ func (c *ProfileCollector) RunPointObserved(ps PointSpec, scale int) (*metrics.R
 		return nil, err
 	}
 	pt := &ProfiledPoint{
-		Key:     ps.Key(scale),
+		Key:     ps.Identity().Hash(),
 		Label:   ps.Label(),
 		Profile: tr.Profile(),
 		Events:  tr.Events(),

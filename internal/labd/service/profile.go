@@ -119,11 +119,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	// The profile's identity is the run identity plus the profiling
 	// knobs; the render format is presentation only and stays out of it.
-	key := fmt.Sprintf("%s/slice=%d", ps.Key(scale), req.SliceCycles)
+	runKey := ps.Key(scale)
+	key := fmt.Sprintf("%s/slice=%d", runKey, req.SliceCycles)
 
 	pt, cached := s.prof.get(key)
 	if !cached {
-		pt, err = s.profilePoint(key, ps, scale, req.SliceCycles, RequestDeadline(r))
+		pt, err = s.profilePoint(key, ps, req.SliceCycles, RequestDeadline(r))
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -135,7 +136,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	s.profiled(source).Inc()
 
-	w.Header().Set(RunKeyHeader, ps.Key(scale))
+	w.Header().Set(RunKeyHeader, runKey)
 	w.Header().Set(SourceHeader, source)
 	switch format {
 	case "report":
@@ -144,7 +145,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	case "perfetto":
 		w.Header().Set("Content-Type", "application/json")
 		tw := obs.NewTraceWriter(w)
-		obs.AppendTrace(tw, 1, pt.Label, pt.Profile, pt.Events, pt.Names)
+		// The cached profile may have been collected for another paper
+		// size that simulates the same point; name it after this request.
+		obs.AppendTrace(tw, 1, ps.Label(), pt.Profile, pt.Events, pt.Names)
 		tw.Close()
 	default:
 		w.Header().Set("Content-Type", "application/json")
@@ -158,10 +161,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // invoking our function — a skipped execution collects no profile — so
 // the fallback re-executes inline against the same deterministic
 // simulation (byte-identical profile, just not pooled).
-func (s *Server) profilePoint(key string, ps harness.PointSpec, scale int, slice int64, deadline time.Time) (*harness.ProfiledPoint, error) {
+func (s *Server) profilePoint(key string, ps harness.PointSpec, slice int64, deadline time.Time) (*harness.ProfiledPoint, error) {
 	pc := harness.NewProfileCollector(harness.ObsOptions{SliceCycles: slice})
 	if _, _, err := s.sched.DoDeadline("profile/"+key, deadline, func() (*metrics.Run, error) {
-		return pc.RunPointObserved(ps, scale)
+		return pc.RunPointObserved(ps)
 	}); err != nil {
 		return nil, err
 	}
@@ -170,7 +173,7 @@ func (s *Server) profilePoint(key string, ps harness.PointSpec, scale int, slice
 		if pt, ok := s.prof.get(key); ok {
 			return pt, nil
 		}
-		if _, err := pc.RunPointObserved(ps, scale); err != nil {
+		if _, err := pc.RunPointObserved(ps); err != nil {
 			return nil, err
 		}
 		pts = pc.Points()

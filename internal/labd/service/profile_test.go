@@ -85,6 +85,21 @@ func TestProfileFormats(t *testing.T) {
 		t.Fatal("perfetto trace has no events")
 	}
 
+	// Another paper size that clamps to the same simulated n shares the
+	// cached profile, but the trace is named after the request's own n.
+	relabelled := base
+	relabelled.N = 32 << 10
+	tr2 := postJSON(t, ts.URL+"/v1/profile", ProfileRequest{RunRequest: relabelled, Format: "perfetto"})
+	tbody2, _ := io.ReadAll(tr2.Body)
+	tr2.Body.Close()
+	if src := tr2.Header.Get(SourceHeader); src != "cache" {
+		t.Errorf("clamped profile request source %q, want cache", src)
+	}
+	if !strings.Contains(string(tbody), "n=64K") || !strings.Contains(string(tbody2), "n=32K") ||
+		strings.Contains(string(tbody2), "n=64K") {
+		t.Error("perfetto traces not named after each request's own paper size")
+	}
+
 	bad := postJSON(t, ts.URL+"/v1/profile", ProfileRequest{RunRequest: base, Format: "flamegraph"})
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -288,12 +289,26 @@ func (r *replicator) push(t pushTask) {
 		r.pushErrors.Inc()
 		return
 	}
-	defer res.Body.Close()
+	defer drainClose(res.Body)
 	if res.StatusCode >= 300 {
 		r.pushErrors.Inc()
 		return
 	}
 	r.pushes.Inc()
+}
+
+// drainLimit bounds how much of a response body drainClose reads. Peer
+// replies that are not read to the end (a 404 fill miss, a push's
+// {"stored":...}, the newline after a decoded envelope) are a few
+// bytes; draining them lets the connection return to the pool.
+const drainLimit = 64 << 10
+
+// drainClose reads what is left of a peer's response body, up to
+// drainLimit, and closes it, so the transport can reuse the connection.
+func drainClose(body io.ReadCloser) {
+	// A failed drain only costs the connection its reuse.
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainLimit))
+	body.Close()
 }
 
 // fill is the scheduler's Fill hook: on a cache miss, ask the other
@@ -339,7 +354,7 @@ func (r *replicator) fetch(ctx context.Context, node, key string, body []byte) *
 	if err != nil {
 		return nil
 	}
-	defer res.Body.Close()
+	defer drainClose(res.Body)
 	if res.StatusCode != http.StatusOK {
 		return nil
 	}

@@ -3,12 +3,18 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"emx/internal/metrics"
+	"emx/internal/sim"
 )
 
 // newReplicatedPair builds two servers with R=2 replication wired to
@@ -202,6 +208,141 @@ func TestCachePutDigestVerification(t *testing.T) {
 	}
 	if run, ok := srv.Scheduler().CacheGet("the-key"); !ok || run.Label != "stub" {
 		t.Fatalf("stored entry wrong: %v, %v", run, ok)
+	}
+}
+
+// widestRun is the largest run a node can cache: MaxP PEs with every
+// counter at its largest value.
+func widestRun() *metrics.Run {
+	const m, u = sim.Time(math.MaxInt64), uint64(math.MaxUint64)
+	pe := metrics.PE{
+		Times:       metrics.Breakdown{Compute: m, Overhead: m, Switch: m, Comm: m},
+		RemoteReads: u, RemoteWrites: u, Invokes: u, SyncsSent: u,
+		Spills: u, Dispatches: u, ServicedDMA: u, ServicedEXU: u,
+	}
+	for k := range pe.Switches {
+		pe.Switches[k] = u
+	}
+	run := &metrics.Run{
+		Label: "bitonic", P: MaxP, H: MaxH, N: math.MaxInt, PaperN: math.MaxInt,
+		Makespan: m, PacketsSent: u, PacketsHops: u, NetQueueDelay: m,
+		SimEvents: u, HostElapsedSecs: math.MaxFloat64,
+	}
+	for i := 0; i < MaxP; i++ {
+		run.PEs = append(run.PEs, pe)
+	}
+	return run
+}
+
+// TestCacheEndpointsBoundBodies: /v1/cache/put accepts the widest real
+// envelope, indented as writeJSON would relay it, but refuses a larger
+// one with 413 and stores nothing; /v1/cache/get bodies are capped at
+// MaxBodyBytes like the other request bodies.
+func TestCacheEndpointsBoundBodies(t *testing.T) {
+	srv, ts := newTestServer(t)
+	put := func(key string, run *metrics.Run) *http.Response {
+		t.Helper()
+		env, err := envelope(key, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.MarshalIndent(env, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/cache/put", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	if resp := put("widest", widestRun()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("widest envelope at MaxP: status %d, want 200", resp.StatusCode)
+	}
+	if _, ok := srv.Scheduler().CacheGet("widest"); !ok {
+		t.Fatal("widest envelope was not stored")
+	}
+
+	huge := &metrics.Run{Label: strings.Repeat("x", MaxEnvelopeBytes), P: 4, H: 2}
+	if resp := put("huge", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized envelope: status %d, want 413", resp.StatusCode)
+	}
+	if _, ok := srv.Scheduler().CacheGet("huge"); ok {
+		t.Fatal("oversized envelope reached the cache")
+	}
+
+	body := `{"key":"` + strings.Repeat("k", MaxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/cache/get", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized cache/get body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestReplicationReusesPeerConnections: sequential peer fills that miss
+// (404) and sequential pushes all ride one kept-alive connection, so a
+// cold cluster does not open a connection per replication request.
+func TestReplicationReusesPeerConnections(t *testing.T) {
+	peer := New(Options{Scale: hugeScale, Seed: 1})
+	ts := httptest.NewUnstartedServer(peer.Handler())
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); peer.Close() })
+
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	r := newReplicator(ReplicationOptions{
+		Replicas:   2,
+		Self:       "http://self.invalid",
+		Peers:      []string{"http://self.invalid", ts.URL},
+		HTTPClient: &http.Client{Transport: tr},
+	}, metrics.NewRegistry())
+	t.Cleanup(r.close)
+
+	for i := 0; i < 50; i++ {
+		if run := r.fill(fmt.Sprintf("missing-%d", i), time.Time{}); run != nil {
+			t.Fatalf("fill %d found a run on an empty peer", i)
+		}
+	}
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("50 missed fills opened %d connections, want 1", got)
+	}
+	env, err := envelope("pushed", &metrics.Run{Label: "stub", P: 4, H: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		r.push(pushTask{key: env.Key, node: ts.URL, body: body})
+	}
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("50 fills and 50 pushes opened %d connections, want 1", got)
+	}
+	if got := r.pushErrors.Value(); got != 0 {
+		t.Fatalf("push errors = %v, want 0", got)
 	}
 }
 

@@ -41,9 +41,14 @@ const (
 	MaxN     = 1 << 30
 	MaxScale = 1 << 30
 
-	// MaxBodyBytes caps a /v1/run, /v1/figure or /v1/profile request
-	// body; real bodies are a few hundred bytes.
+	// MaxBodyBytes caps a /v1/run, /v1/figure, /v1/profile or
+	// /v1/cache/get request body; real bodies are a few hundred bytes.
 	MaxBodyBytes = 64 << 10
+
+	// MaxEnvelopeBytes caps a /v1/cache/put body. The widest envelope —
+	// a run at MaxP with every counter at its largest value, indented
+	// the way writeJSON indents it — is about 720 KiB.
+	MaxEnvelopeBytes = 1 << 20
 )
 
 // ForwardedByHeader marks a request as relayed by the cluster layer
@@ -203,7 +208,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env CacheEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxEnvelopeBytes)).Decode(&env); err != nil {
 		s.writeError(w, fmt.Errorf("bad envelope: %w", err))
 		return
 	}
@@ -230,7 +235,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cacheGetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -498,7 +503,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	run, src, err := s.sched.DoDeadline(ps.Key(scale), RequestDeadline(r), func() (*metrics.Run, error) {
+	key := ps.Key(scale)
+	run, src, err := s.sched.DoDeadline(key, RequestDeadline(r), func() (*metrics.Run, error) {
 		return harness.RunPoint(ps)
 	})
 	if err != nil {
@@ -508,13 +514,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	b := run.TotalBreakdown()
 	c, o, m, sw := b.Fractions()
 	writeJSON(w, http.StatusOK, RunResponse{
-		Key:             ps.Key(scale),
+		Key:             key,
 		Source:          src.String(),
 		Workload:        ps.Workload.String(),
 		P:               run.P,
 		H:               run.H,
 		SimN:            run.N,
-		PaperN:          run.PaperN,
+		PaperN:          ps.PaperN, // the cached run may stand for another paper size
 		MakespanCycles:  uint64(run.Makespan),
 		MakespanSeconds: float64(run.Makespan) * 50e-9,
 		CommMeanCycles:  run.MeanCommTime(),

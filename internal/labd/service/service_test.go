@@ -80,6 +80,18 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatalf("cached response differs: %+v vs %+v", second, first)
 	}
 
+	// Another paper size that clamps to the same simulated n is the same
+	// simulation: cached under the same key, reported with its own n.
+	relabelled := req
+	relabelled.N = 32 << 10
+	same := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", relabelled))
+	if same.Source != "cached" || same.Key != first.Key || same.SimN != first.SimN {
+		t.Fatalf("clamped request not served from the shared entry: %+v vs %+v", same, first)
+	}
+	if first.PaperN != req.N || same.PaperN != relabelled.N {
+		t.Fatalf("paper_n = %d and %d, want each request's own %d and %d", first.PaperN, same.PaperN, req.N, relabelled.N)
+	}
+
 	// A different seed is a different run.
 	req.Seed = 7
 	third := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", req))
