@@ -2,7 +2,8 @@
 // EM-X: it runs a workload with the obs tracer attached and renders
 // where every processor's cycles went — run, switch, spill, service,
 // idle — with switch counts decomposed by cause, the same accounting
-// behind the paper's Figures 8-11.
+// behind the paper's Figures 8-11. For one point it also draws the
+// per-thread execution timelines of the paper's Figures 4 and 5.
 //
 // Profiling is observation-only: a profiled run is cycle-identical to an
 // unprofiled one, and every output is byte-identical across -workers
@@ -11,6 +12,8 @@
 // Usage:
 //
 //	emxprof -workload bitonic -p 2 -n 8 -h 2 -seed 7   # one point, text report
+//	emxprof -format timeline                            # Figure 4: bitonic, P=2, h=2, 8 elements
+//	emxprof -workload fft -p 4 -n 16 -format timeline   # Figure 5: FFT iteration structure
 //	emxprof -fig 6a -workers 8                          # a whole panel, merged
 //	emxprof -fig 6a -format perfetto -o 6a.trace.json   # open in ui.perfetto.dev
 //	emxprof -workload fft -p 16 -n 4096 -h 8 -format json -o fft.prof
@@ -47,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig      = fs.String("fig", "", "profile a whole figure panel instead of one point (see emxbench)")
 		scale    = fs.Int("scale", harness.DefaultScale, "panel mode: divide the paper's problem sizes by this factor")
 		workers  = fs.Int("workers", 0, "panel mode: parallel simulations (0 = GOMAXPROCS)")
-		format   = fs.String("format", "report", "output: report, json, or perfetto")
+		format   = fs.String("format", "report", "output: report, json, perfetto, or timeline (point mode only)")
 		out      = fs.String("o", "", "write output to this file (default stdout)")
 		slice    = fs.Int64("slice", 0, "add whole-machine time slices of this many cycles to the profile")
 		capacity = fs.Int("capacity", 0, "per-point event ring capacity (0 = default)")
@@ -82,9 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	*format = strings.ToLower(*format)
 	switch *format {
-	case "report", "json", "perfetto":
+	case "report", "json", "perfetto", "timeline":
 	default:
-		fmt.Fprintf(stderr, "emxprof: unknown format %q (want report, json, or perfetto)\n", *format)
+		fmt.Fprintf(stderr, "emxprof: unknown format %q (want report, json, perfetto, or timeline)\n", *format)
+		return 2
+	}
+	if *format == "timeline" && *fig != "" {
+		fmt.Fprintln(stderr, "emxprof: -format timeline draws one point; it cannot be combined with -fig")
 		return 2
 	}
 	if *slice < 0 {
@@ -120,11 +127,26 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, opts harnes
 		fmt.Fprintf(stderr, "emxprof: unknown service mode %q (want bypass or exu)\n", mode)
 		return 2
 	}
+	if format == "timeline" {
+		// Keep only thread events, so the whole ring holds lifecycle
+		// transitions instead of sharing it with switch, packet and
+		// network events.
+		opts.Retain = obs.MaskOf(obs.CatThread)
+	}
 	pc := harness.NewProfileCollector(opts)
 	ps := harness.PointSpec{Workload: w, P: p, SimN: n, H: h, Mode: svc, Seed: seed}
 	if _, err := pc.RunPointObserved(ps); err != nil {
 		fmt.Fprintln(stderr, "emxprof:", err)
 		return 1
+	}
+	if format == "timeline" {
+		fmt.Fprintf(dst, "%s: P=%d, n=%d, h=%d — thread timelines (cf. paper Figures 4/5)\n\n", w, p, n, h)
+		pt := pc.Points()[0]
+		if err := obs.WriteTimeline(dst, pt.Profile, pt.Events, pt.Names); err != nil {
+			fmt.Fprintln(stderr, "emxprof:", err)
+			return 1
+		}
+		return 0
 	}
 	return render(pc, format, dst, stderr)
 }

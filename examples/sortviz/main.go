@@ -9,10 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"emx/internal/apps/bitonic"
 	"emx/internal/core"
-	"emx/internal/trace"
+	"emx/internal/obs"
 )
 
 func main() {
@@ -21,14 +22,13 @@ func main() {
 	fmt.Println("thread 1 the second half; merging must follow thread order.")
 	fmt.Println()
 
-	cfg := core.DefaultConfig(2)
-	rec := &trace.Recorder{}
-	if err := bitonic.RunTraced(cfg, bitonic.Params{N: 8, H: 2, Seed: 42}, rec.Record); err != nil {
+	tr := obs.New(obs.Options{P: 2, Retain: obs.MaskOf(obs.CatThread)})
+	if _, err := bitonic.Run(core.DefaultConfig(2), bitonic.Params{N: 8, H: 2, Seed: 42, Obs: tr}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(rec.Gantt(96))
-	fmt.Println()
-	fmt.Print(rec.Summary())
+	if err := obs.WriteTimeline(os.Stdout, tr.Profile(), tr.Events(), tr.Names()); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
 
 	// A larger run with the irregularity visible: count how many reads

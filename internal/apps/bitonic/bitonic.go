@@ -69,9 +69,6 @@ type Params struct {
 	UseBlockRead bool
 	// Seed drives the deterministic input generator.
 	Seed int64
-	// Tracer, when non-nil, receives every thread lifecycle event
-	// (see core.TraceEvent); used by emxtrace for Figure 4/5 timelines.
-	Tracer func(core.TraceEvent)
 	// Obs, when non-nil, is attached to the machine for cycle-accounting
 	// profiles and structured traces (emxprof). Must be sized for cfg.P.
 	Obs *obs.Tracer
@@ -139,9 +136,6 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 	mach, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if p.Tracer != nil {
-		mach.SetTracer(p.Tracer)
 	}
 	if p.Obs != nil {
 		mach.SetObs(p.Obs)
@@ -469,12 +463,4 @@ func writeBlock(tc *core.TC, block []uint32, base uint32) {
 	for i, v := range block {
 		tc.PokeLocal(base+uint32(i), packet.Word(v))
 	}
-}
-
-// RunTraced runs the workload with a tracer attached, discarding the
-// measurements: the caller wants the event stream.
-func RunTraced(cfg core.Config, p Params, tracer func(core.TraceEvent)) error {
-	p.Tracer = tracer
-	_, err := Run(cfg, p)
-	return err
 }

@@ -62,9 +62,6 @@ type Params struct {
 	AllStages bool
 	// Seed drives the deterministic input generator.
 	Seed int64
-	// Tracer, when non-nil, receives every thread lifecycle event
-	// (see core.TraceEvent); used by emxtrace for Figure 4/5 timelines.
-	Tracer func(core.TraceEvent)
 	// Obs, when non-nil, is attached to the machine for cycle-accounting
 	// profiles and structured traces (emxprof). Must be sized for cfg.P.
 	Obs *obs.Tracer
@@ -110,9 +107,6 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 	mach, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if p.Tracer != nil {
-		mach.SetTracer(p.Tracer)
 	}
 	if p.Obs != nil {
 		mach.SetObs(p.Obs)
@@ -275,12 +269,4 @@ func peekC(tc *core.TC, bl int, off uint32) complex128 {
 func pokeC(tc *core.TC, bl int, off uint32, v complex128) {
 	tc.PokeLocal(realBase()+off, packet.Word(math.Float32bits(float32(real(v)))))
 	tc.PokeLocal(imagBase(bl)+off, packet.Word(math.Float32bits(float32(imag(v)))))
-}
-
-// RunTraced runs the workload with a tracer attached, discarding the
-// measurements: the caller wants the event stream.
-func RunTraced(cfg core.Config, p Params, tracer func(core.TraceEvent)) error {
-	p.Tracer = tracer
-	_, err := Run(cfg, p)
-	return err
 }

@@ -58,8 +58,6 @@ type Params struct {
 	Seed int64
 	// SkipVerify disables the check against a direct computation.
 	SkipVerify bool
-	// Tracer, when non-nil, receives thread lifecycle events.
-	Tracer func(core.TraceEvent)
 	// Obs, when non-nil, is attached to the machine for cycle-accounting
 	// profiles and structured traces (emxprof). Must be sized for cfg.P.
 	Obs *obs.Tracer
@@ -145,9 +143,6 @@ func Run(cfg core.Config, p Params) (*metrics.Run, error) {
 	mach, err := core.NewMachine(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if p.Tracer != nil {
-		mach.SetTracer(p.Tracer)
 	}
 	if p.Obs != nil {
 		mach.SetObs(p.Obs)
@@ -256,12 +251,4 @@ func reference(A *matrix, x []float32, iters int) []float32 {
 		cur = next
 	}
 	return cur
-}
-
-// RunTraced runs the workload with a tracer attached, discarding the
-// measurements: the caller wants the event stream.
-func RunTraced(cfg core.Config, p Params, tracer func(core.TraceEvent)) error {
-	p.Tracer = tracer
-	_, err := Run(cfg, p)
-	return err
 }

@@ -99,7 +99,7 @@ type startH struct{ x *exu }
 
 func (h startH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
-	h.x.m.trace(TraceStart, t)
+	h.x.m.trace(obs.ThreadStart, t)
 	h.x.execResume(t)
 }
 
@@ -108,7 +108,7 @@ type runH struct{ x *exu }
 
 func (h runH) OnEvent(arg sim.EventArg) {
 	t := arg.Ptr.(*thr)
-	h.x.m.trace(TraceRun, t)
+	h.x.m.trace(obs.ThreadRun, t)
 	h.x.execResume(t)
 }
 
@@ -403,7 +403,7 @@ func (x *exu) finish(t *thr, op any) {
 		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stBlocked
-		x.m.trace(TraceYield, t)
+		x.m.trace(obs.ThreadYield, t)
 		op.ws.waiters = append(op.ws.waiters, waiter{t: t, cond: op.cond})
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
 
@@ -413,7 +413,7 @@ func (x *exu) finish(t *thr, op any) {
 		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(op.kind), t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
-		x.m.trace(TraceYield, t)
+		x.m.trace(obs.ThreadYield, t)
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, sim.EventArg{Ptr: &packet.Packet{
 			Kind: packet.KindResume,
 			Src:  x.pe,
@@ -429,7 +429,7 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opDone:
 		t.state = stDone
-		x.m.trace(TraceEnd, t)
+		x.m.trace(obs.ThreadEnd, t)
 		x.m.live--
 		x.p.Frames.Free(t.frame)
 		x.dispatch()
@@ -459,7 +459,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, n int) {
 	x.m.obs.Switch(int64(x.m.Eng.Now()), int32(x.pe), obs.CauseRemoteRead, t.frame)
 	t.rw = &readWait{base: addr.Off, buf: make([]packet.Word, n), remaining: n}
 	t.state = stSuspendedRead
-	x.m.trace(TraceReadIssue, t)
+	x.m.trace(obs.ThreadRead, t)
 	kind := packet.KindReadReq
 	var block uint32
 	if n > 1 {

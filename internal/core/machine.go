@@ -34,7 +34,6 @@ type Machine struct {
 	spawnSeq   uint64
 	spawns     map[uint64]spawnInfo
 	barriers   []*Barrier
-	tracer     func(TraceEvent)
 	obs        *obs.Tracer
 	live       int // threads created and not yet finished
 	allThreads []*thr
@@ -108,6 +107,11 @@ func (m *Machine) SetObs(t *obs.Tracer) {
 	if m.Net != nil {
 		m.Net.SetObs(t)
 	}
+}
+
+// trace records a thread lifecycle transition on the obs tracer.
+func (m *Machine) trace(k obs.ThreadKind, t *thr) {
+	m.obs.Thread(int64(m.Eng.Now()), int32(t.pe), k, t.frame)
 }
 
 // deliverLocalH completes a 1-PE loopback send.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"emx/internal/metrics"
@@ -161,4 +163,106 @@ func TestThreadNamesRecorded(t *testing.T) {
 	if len(names) != 1 || names[0].Name != "alpha" || names[0].PE != 1 {
 		t.Fatalf("names = %+v", names)
 	}
+}
+
+// runFigure4Machine reproduces the paper's Figure 4 setup with the obs
+// tracer keeping only thread events: two PEs, two threads each, every
+// thread reading four words from the mate PE and computing on each.
+func runFigure4Machine(t *testing.T) *obs.Tracer {
+	t.Helper()
+	m := newTestMachine(t, 2)
+	tr := obs.New(obs.Options{P: 2, Retain: obs.MaskOf(obs.CatThread)})
+	m.SetObs(tr)
+	for pe := packet.PE(0); pe < 2; pe++ {
+		pe := pe
+		for th := 0; th < 2; th++ {
+			th := th
+			m.SpawnAt(pe, "thd", packet.Word(th), func(tc *TC) {
+				for k := 0; k < 4; k++ {
+					tc.Read(packet.GlobalAddr{PE: 1 - pe, Off: uint32(th*4 + k)})
+					tc.Compute(15)
+				}
+			})
+		}
+	}
+	mustRun(t, m)
+	return tr
+}
+
+func TestThreadLifecycleEvents(t *testing.T) {
+	tr := runFigure4Machine(t)
+	var n [obs.NumThreadKinds]int
+	evs := tr.Events()
+	for i, ev := range evs {
+		if ev.Cat != obs.CatThread {
+			t.Fatalf("retained a %s event under a thread-only mask", ev.Cat)
+		}
+		if i > 0 && ev.At < evs[i-1].At {
+			t.Fatal("events out of time order")
+		}
+		n[ev.Code]++
+	}
+	if n[obs.ThreadStart] != 4 || n[obs.ThreadEnd] != 4 {
+		t.Fatalf("starts=%d ends=%d, want 4,4", n[obs.ThreadStart], n[obs.ThreadEnd])
+	}
+	if n[obs.ThreadRead] != 16 {
+		t.Fatalf("read issues = %d, want 16", n[obs.ThreadRead])
+	}
+	if n[obs.ThreadRun] != n[obs.ThreadRead] {
+		t.Fatalf("resumes = %d, want %d (one per read)", n[obs.ThreadRun], n[obs.ThreadRead])
+	}
+	if d := tr.Profile().Dropped[obs.CatThread]; d != 0 {
+		t.Fatalf("dropped %d thread events at the default capacity", d)
+	}
+}
+
+// TestThreadBandsAlternateRunSuspend: each thread runs from its start
+// to its first read and from each resume to the next read or its end,
+// so 1 start + 4 reads give 5 ordered, disjoint running spans.
+func TestThreadBandsAlternateRunSuspend(t *testing.T) {
+	tr := runFigure4Machine(t)
+	bands := obs.Bands(tr.Events(), tr.Names())
+	if len(bands) != 4 {
+		t.Fatalf("bands = %d, want 4", len(bands))
+	}
+	for _, b := range bands {
+		if b.Name != "thd" || len(b.Runs) != 5 {
+			t.Fatalf("PE%d %q: %d running spans, want 5", b.PE, b.Name, len(b.Runs))
+		}
+		for i, s := range b.Runs {
+			if s.To < s.From || (i > 0 && s.From < b.Runs[i-1].To) {
+				t.Fatalf("PE%d frame %d: span %d %+v inverted or overlapping", b.PE, b.Frame, i, s)
+			}
+		}
+	}
+}
+
+func TestNoTwoThreadsRunAtOnceOnOnePE(t *testing.T) {
+	tr := runFigure4Machine(t)
+	if err := concurrentRuns(obs.Bands(tr.Events(), tr.Names())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// concurrentRuns reports two running spans on one PE that overlap: the
+// EXU runs one thread at a time.
+func concurrentRuns(bands []obs.Band) error {
+	byPE := map[int32][]obs.Span{}
+	for _, b := range bands {
+		byPE[b.PE] = append(byPE[b.PE], b.Runs...)
+	}
+	for pe, runs := range byPE {
+		sort.Slice(runs, func(i, j int) bool {
+			if runs[i].From != runs[j].From {
+				return runs[i].From < runs[j].From
+			}
+			return runs[i].To < runs[j].To
+		})
+		for i := 1; i < len(runs); i++ {
+			if runs[i].From < runs[i-1].To {
+				return fmt.Errorf("PE%d: spans %+v and %+v run at once", pe, runs[i-1], runs[i])
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -122,5 +123,48 @@ func TestPointLabel(t *testing.T) {
 	direct := PointSpec{Workload: SpMV, P: 4, SimN: 256, H: 2}
 	if got := direct.Label(); got != "spmv P=4 n=256 h=2 bypass" {
 		t.Errorf("direct Label = %q", got)
+	}
+}
+
+// TestNoTwoThreadsRunAtOncePerPE is the EXU's one-thread-at-a-time
+// invariant as a property: over every workload and a grid of machine
+// sizes, thread counts and problem sizes, the running spans replayed
+// from the thread events never overlap on one PE.
+func TestNoTwoThreadsRunAtOncePerPE(t *testing.T) {
+	pc := NewProfileCollector(ObsOptions{Retain: obs.MaskOf(obs.CatThread)})
+	for _, w := range []Workload{Bitonic, FFT, SpMV} {
+		for _, pt := range []struct{ p, h, n int }{
+			{2, 1, 16}, {2, 4, 64}, {4, 2, 32}, {4, 8, 256}, {8, 2, 128}, {16, 4, 1024},
+		} {
+			ps := PointSpec{Workload: w, P: pt.p, H: pt.h, SimN: pt.n, Seed: int64(pt.n)}
+			if _, err := pc.RunPointObserved(ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, pt := range pc.Points() {
+		if d := pt.Profile.Dropped[obs.CatThread]; d != 0 {
+			t.Fatalf("%s: ring dropped %d thread events; spans would be incomplete", pt.Label, d)
+		}
+		byPE := map[int32][]obs.Span{}
+		for _, b := range obs.Bands(pt.Events, pt.Names) {
+			byPE[b.PE] = append(byPE[b.PE], b.Runs...)
+		}
+		if len(byPE) != pt.Profile.P {
+			t.Fatalf("%s: thread spans on %d PEs, want %d", pt.Label, len(byPE), pt.Profile.P)
+		}
+		for pe, runs := range byPE {
+			sort.Slice(runs, func(i, j int) bool {
+				if runs[i].From != runs[j].From {
+					return runs[i].From < runs[j].From
+				}
+				return runs[i].To < runs[j].To
+			})
+			for i := 1; i < len(runs); i++ {
+				if runs[i].From < runs[i-1].To {
+					t.Fatalf("%s PE%d: spans %+v and %+v run at once", pt.Label, pe, runs[i-1], runs[i])
+				}
+			}
+		}
 	}
 }

@@ -76,12 +76,12 @@ func TestProfileFormats(t *testing.T) {
 	tbody, _ := io.ReadAll(tr.Body)
 	tr.Body.Close()
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(tbody, &doc); err != nil {
 		t.Fatalf("perfetto body is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) == 0 {
+	if len(doc.Events) == 0 {
 		t.Fatal("perfetto trace has no events")
 	}
 

@@ -31,7 +31,6 @@ var (
 		"emx/internal/apps",
 		"emx/internal/harness",
 		"emx/internal/metrics",
-		"emx/internal/trace",
 		"emx/internal/obs",
 		"emx/internal/dist",
 		"emx/internal/analytic",

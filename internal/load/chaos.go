@@ -40,18 +40,28 @@ func (s Step) String() string {
 	return out
 }
 
+// maxDelay bounds a delay step; no load run outlasts it.
+const maxDelay = time.Hour
+
+// validStep accepts exactly the steps String renders without loss.
 func validStep(s Step) error {
 	switch s.Action {
 	case "kill", "restart", "reject", "clear":
+		if s.DelayMS != 0 {
+			return fmt.Errorf("load: chaos step %s takes no duration, got %dms (only delay does)", s, s.DelayMS)
+		}
 	case "delay":
-		if s.DelayMS <= 0 {
-			return fmt.Errorf("load: delay step %s needs a positive duration", s)
+		if s.DelayMS <= 0 || s.DelayMS > int(maxDelay/time.Millisecond) {
+			return fmt.Errorf("load: delay step %s needs a duration in (0, %v]", s, maxDelay)
 		}
 	default:
 		return fmt.Errorf("load: unknown chaos action %q (want kill, restart, delay, reject, or clear)", s.Action)
 	}
 	if s.Node < 0 {
 		return fmt.Errorf("load: chaos step %s has negative node", s)
+	}
+	if s.Owner && s.Node != 0 {
+		return fmt.Errorf("load: chaos step %s names both the owner and node %d", s, s.Node)
 	}
 	return nil
 }

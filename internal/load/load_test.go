@@ -157,7 +157,8 @@ func TestParseSchedule(t *testing.T) {
 	if steps, err := ParseSchedule(""); err != nil || steps != nil {
 		t.Fatalf("empty schedule: got %v, %v", steps, err)
 	}
-	for _, bad := range []string{"kill", "kill:x@1", "kill:1@x", "explode:1@1", "delay:1@1", "delay:1@1:xs", "kill:-1@1"} {
+	for _, bad := range []string{"kill", "kill:x@1", "kill:1@x", "explode:1@1", "delay:1@1", "delay:1@1:xs", "kill:-1@1",
+		"kill:1@5:1ms", `[{"action":"kill","delay_ms":7}]`, `[{"action":"kill","node":3,"owner":true}]`, "delay:1@1:2h"} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)
 		}

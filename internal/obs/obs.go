@@ -114,7 +114,7 @@ func (c SwitchCause) String() string {
 	return "cause(?)"
 }
 
-// ThreadKind is a thread lifecycle transition, mirroring core.TraceKind.
+// ThreadKind is a thread lifecycle transition.
 type ThreadKind uint8
 
 const (

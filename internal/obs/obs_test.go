@@ -310,15 +310,15 @@ func TestTraceWriterValidJSON(t *testing.T) {
 	}
 	var doc struct {
 		DisplayTimeUnit string           `json:"displayTimeUnit"`
-		TraceEvents     []map[string]any `json:"traceEvents"`
+		Events          []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 4 {
-		t.Fatalf("%d events, want 4", len(doc.TraceEvents))
+	if len(doc.Events) != 4 {
+		t.Fatalf("%d events, want 4", len(doc.Events))
 	}
-	if ph := doc.TraceEvents[1]["ph"]; ph != "X" {
+	if ph := doc.Events[1]["ph"]; ph != "X" {
 		t.Errorf("slice ph = %v, want X", ph)
 	}
 }
@@ -341,7 +341,7 @@ func TestAppendTraceReconstructsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []struct {
+		Events []struct {
 			Ph   string `json:"ph"`
 			Name string `json:"name"`
 			Pid  int64  `json:"pid"`
@@ -356,7 +356,7 @@ func TestAppendTraceReconstructsRuns(t *testing.T) {
 	type span struct{ ts, dur int64 }
 	var runs []span
 	named := false
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		if ev.Ph == "X" && ev.Name == "run" && ev.Tid == 7 {
 			runs = append(runs, span{ev.Ts, ev.Dur})
 			if ev.Pid != 10 {

@@ -2,8 +2,7 @@ package obs
 
 // Ring is a bounded FIFO over a preallocated buffer: pushing beyond
 // capacity overwrites the oldest element (flight-recorder semantics —
-// the newest events are the ones a post-mortem wants). The generic form
-// also backs internal/trace's lifecycle recorder.
+// the newest events are the ones a post-mortem wants).
 //
 // A Ring is not safe for concurrent use; a simulation is single-threaded
 // and each concurrent run owns its own tracer.
