@@ -3,13 +3,14 @@ package core
 import (
 	"testing"
 
+	"emx/internal/metrics"
 	"emx/internal/packet"
 )
 
 // BenchmarkOpBufferThroughput drives the non-suspending operation fast
 // path: threads that compute, write remotely, and store locally in a
 // tight loop, so nearly every simulated operation travels through the
-// per-thread operation buffer instead of a goroutine round-trip. The
+// per-thread operation buffer instead of a coroutine switch. The
 // simCycles/s and events/s metrics are the host-throughput numbers
 // BENCH_*.json tracks at the machine level.
 func BenchmarkOpBufferThroughput(b *testing.B) {
@@ -85,4 +86,31 @@ func BenchmarkRemoteReadPath(b *testing.B) {
 	}
 	b.ReportMetric(cycles/b.Elapsed().Seconds(), "simCycles/s")
 	b.ReportMetric(events/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSuspendResume measures the host cost of one simulated thread
+// switch: two threads on one PE alternate explicit yields, so each
+// operation suspends one coroutine and resumes the other. ns/switch
+// includes the engine events of the yield and the redispatch.
+func BenchmarkSuspendResume(b *testing.B) {
+	cfg := DefaultConfig(1)
+	cfg.MemWords = 1 << 10
+	m, err := NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := b.N/2 + 1
+	for h := 0; h < 2; h++ {
+		m.SpawnAt(0, "yielder", 0, func(tc *TC) {
+			for k := 0; k < n; k++ {
+				tc.Yield(metrics.SwitchExplicit)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*n), "ns/switch")
 }

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package core
 
 import (
 	"fmt"
+	"iter"
 
 	"emx/internal/metrics"
 	"emx/internal/packet"
@@ -14,22 +17,14 @@ import (
 // it owns the EXU exclusively between two such operations.
 type ThreadFn func(tc *TC)
 
-// errKilled is panicked inside coroutines that are torn down after a run
+// killSentinel is panicked inside coroutines that are stopped after a run
 // aborts; it must never escape Machine.
 type killSentinel struct{}
 
-// resumeMsg is what the engine hands a coroutine when scheduling it.
+// resumeMsg is what the engine hands a coroutine when resuming it.
 type resumeMsg struct {
-	val    packet.Word   // single-read result or spawn argument
-	vals   []packet.Word // block-read result
-	killed bool
-}
-
-// yieldMsg is what a coroutine hands back: the operation it wants the
-// machine to perform.
-type yieldMsg struct {
-	t  *thr
-	op any
+	val  packet.Word   // single-read result or spawn argument
+	vals []packet.Word // block-read result
 }
 
 // Operations a thread can yield — the true suspension points. Each
@@ -71,8 +66,8 @@ type (
 )
 
 // Buffered non-suspending operations. TC appends these to the thread's
-// operation buffer instead of yielding, so the two goroutine handoffs
-// per operation happen only at true suspension points. The engine
+// operation buffer instead of yielding, so the coroutine switch to the
+// engine and back happens only at true suspension points. The engine
 // replays the buffer one event per op at the next yield, reproducing
 // the exact event sequence the unbuffered path would have produced —
 // that replay is what keeps results bit-identical.
@@ -129,14 +124,21 @@ type readWait struct {
 
 // thr is the engine-side handle of one simulated thread.
 type thr struct {
-	m      *Machine
-	pe     packet.PE
-	frame  uint32
-	name   string
-	fn     ThreadFn
-	resume chan resumeMsg
-	state  thrState
-	rw     *readWait
+	m     *Machine
+	pe    packet.PE
+	frame uint32
+	name  string
+	fn    ThreadFn
+	state thrState
+	rw    *readWait
+
+	// The coroutine: next resumes the body until its next yield, stop
+	// ends it, yield is the body's side of next, and in is the message
+	// the engine hands over on resume.
+	next  func() (any, bool)
+	stop  func()
+	yield func(any) bool
+	in    resumeMsg
 
 	// Operation buffer: non-suspending ops appended by TC between two
 	// yields. bufIdx is the engine's replay position; final is the
@@ -158,55 +160,60 @@ func (t *thr) String() string {
 	return fmt.Sprintf("PE%d:%s(frame %d, %s)", t.pe, t.name, t.frame, t.state)
 }
 
-// main is the coroutine body running on its own goroutine.
-func (t *thr) main() {
-	defer t.m.wg.Done()
-	first := <-t.resume
-	if first.killed {
-		return
-	}
+// newThr creates a thread's handle and its coroutine, which starts
+// running fn when the engine first steps it. It lives in this file
+// because iter.Pull needs the go1.23 language version that the file's
+// build tag grants; go.mod stays at go 1.22.
+func newThr(m *Machine, pe packet.PE, frame uint32, name string, fn ThreadFn) *thr {
+	t := &thr{m: m, pe: pe, frame: frame, name: name, fn: fn}
+	t.next, t.stop = iter.Pull(t.main)
+	return t
+}
+
+// main is the coroutine body, run through iter.Pull: each value it
+// yields is an operation for the engine.
+func (t *thr) main(yield func(any) bool) {
+	t.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); ok {
 				return
 			}
-			// Forward workload panics to the machine, which is blocked in
-			// step() waiting for this thread's yield.
-			t.m.yieldCh <- yieldMsg{t: t, op: opPanic{reason: r}}
+			// Forward workload panics to the machine, which is waiting
+			// in step() for this thread's next operation.
+			yield(opPanic{reason: r})
 		}
 	}()
-	tc := &TC{t: t, arg: first.val}
-	t.fn(tc)
-	t.m.yieldCh <- yieldMsg{t: t, op: opDone{}}
+	t.fn(&TC{t: t, arg: t.in.val})
+	yield(opDone{})
 }
 
-// yieldOp hands an operation to the engine and blocks until resumed.
-// Called only from the coroutine goroutine.
+// yieldOp hands an operation to the engine and suspends until resumed.
+// Called only from the coroutine. A false yield means the machine
+// stopped the coroutine; the body unwinds with killSentinel.
 func (t *thr) yieldOp(op any) resumeMsg {
-	t.m.yieldCh <- yieldMsg{t: t, op: op}
-	msg := <-t.resume
-	if msg.killed {
+	if !t.yield(op) {
 		panic(killSentinel{})
 	}
-	return msg
+	return t.in
 }
 
-// step resumes thread t with msg and waits for its next operation.
+// step resumes thread t with msg and returns its next operation.
 // Called only from the engine side; exactly one coroutine runs at a time,
 // so workload code never races with the simulator.
 //
 // m.cur marks the running coroutine for the duration of the step: it is
-// non-nil exactly while workload code executes (the channel handoffs
-// order the writes), letting runtime primitives called from workload
+// non-nil exactly while workload code executes (the coroutine switch
+// orders the writes), letting runtime primitives called from workload
 // code (WaitSet.Notify) flush the thread's operation buffer first.
 func (m *Machine) step(t *thr, msg resumeMsg) any {
 	m.cur = t
 	t.state = stRunning
-	t.resume <- msg
-	y := <-m.yieldCh
+	t.in = msg
+	op, ok := t.next()
 	m.cur = nil
-	if y.t != t {
-		panic(fmt.Sprintf("core: yield from %v while stepping %v", y.t, t)) //emx:coldpath
+	if !ok {
+		panic(fmt.Sprintf("core: %v ended without yielding an operation", t)) //emx:coldpath
 	}
-	return y.op
+	return op
 }

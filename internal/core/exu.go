@@ -197,19 +197,10 @@ func (x *exu) handle(pkt *packet.Packet) {
 	case packet.KindInvoke:
 		info := x.m.takeSpawn(pkt.Seq)
 		f := x.p.Frames.Alloc(thread.NoFrame, info.name)
-		t := &thr{
-			m:      x.m,
-			pe:     x.pe,
-			frame:  f.ID,
-			name:   info.name,
-			fn:     info.fn,
-			resume: make(chan resumeMsg),
-		}
+		t := newThr(x.m, x.pe, f.ID, info.name, info.fn)
 		f.State = t
 		x.m.allThreads = append(x.m.allThreads, t)
 		x.m.live++
-		x.m.wg.Add(1)
-		go t.main()
 		// Frame allocation and argument deposit.
 		x.st.Times.Switch += x.m.Cfg.SpawnCycles
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
@@ -429,6 +420,7 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opDone:
 		t.state = stDone
+		t.stop()
 		x.m.trace(obs.ThreadEnd, t)
 		x.m.live--
 		x.p.Frames.Free(t.frame)
@@ -436,6 +428,7 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opPanic:
 		t.state = stDone
+		t.stop()
 		x.m.live--
 		x.m.fail(fmt.Errorf("core: thread %v panicked: %v", t, op.reason))
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"emx/internal/memory"
 	"emx/internal/metrics"
@@ -26,10 +25,8 @@ type Machine struct {
 	Net   *network.Network // nil when P == 1
 	Procs []*proc.Proc
 
-	exus    []*exu
-	stats   []metrics.PE
-	yieldCh chan yieldMsg
-	wg      sync.WaitGroup
+	exus  []*exu
+	stats []metrics.PE
 
 	spawnSeq   uint64
 	spawns     map[uint64]spawnInfo
@@ -58,10 +55,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		Eng:     sim.NewEngine(),
-		Cfg:     cfg,
-		yieldCh: make(chan yieldMsg),
-		spawns:  make(map[uint64]spawnInfo),
+		Eng:    sim.NewEngine(),
+		Cfg:    cfg,
+		spawns: make(map[uint64]spawnInfo),
 	}
 	m.hDeliverLocal = deliverLocalH{m}
 	if cfg.P > 1 {
@@ -210,20 +206,19 @@ func (m *Machine) stuckThreads() []string {
 	return out
 }
 
-// teardown kills any coroutines still blocked (after a failure or
-// deadlock) so their goroutines exit.
+// teardown stops the coroutines of threads that never finished (after a
+// failure, a deadlock or the cycle budget) so their stacks are released.
+// Threads that finished were stopped at opDone or opPanic.
 func (m *Machine) teardown() {
-	// Once the engine has drained (or stopped), every unfinished coroutine
-	// is blocked receiving on its resume channel: yields are consumed
-	// synchronously by step(), so none can be mid-yield here. Sending the
-	// kill message unblocks each one; it panics with killSentinel and
-	// exits without touching yieldCh.
+	// Once the engine has drained (or stopped), no coroutine is running:
+	// each unfinished one is suspended in yield or was never started.
+	// stop makes a pending yield return false, so the body unwinds with
+	// killSentinel; a coroutine never started ends without running.
 	for _, t := range m.allThreads {
 		if t.state != stDone {
-			t.resume <- resumeMsg{killed: true}
+			t.stop()
 		}
 	}
-	m.wg.Wait()
 }
 
 // collect assembles the metrics.Run from per-PE state.
