@@ -20,7 +20,7 @@ func TestExitCodes(t *testing.T) {
 		{"clean package", []string{"emx/internal/sim"}, 0},
 		{"fixture has findings", []string{"-only", "detsource", "emx/internal/lint/testdata/src/detsource_crit"}, 1},
 		{"findings as json", []string{"-json", "-only", "detsource", "emx/internal/lint/testdata/src/detsource_crit"}, 1},
-		{"interprocedural fixture has findings", []string{"-only", "fingerprintpurity", "emx/internal/lint/testdata/src/fingerprint"}, 1},
+		{"interprocedural fixture has findings", []string{"-only", "obspurity", "emx/internal/lint/testdata/src/obs"}, 1},
 		{"unknown analyzer", []string{"-only", "nosuch", "emx/internal/sim"}, 2},
 		{"unloadable pattern", []string{"emx/no/such/package"}, 2},
 		{"missing baseline file", []string{"-baseline", "no/such/baseline.json", "emx/internal/sim"}, 2},

@@ -92,10 +92,6 @@ func (m *Machine) barrierToken(pe packet.PE, pkt *packet.Packet) {
 // switches; the EXU idle time while every local thread waits surfaces as
 // communication time.
 func (tc *TC) Barrier(b *Barrier) {
-	// Apply buffered operations first: the arrival counter and episode
-	// snapshot below must reflect sync tokens delivered up to the
-	// simulated time the preceding work completed.
-	tc.sync()
 	pe := tc.t.pe
 	l := &b.local[pe]
 	myEp := l.episodes

@@ -7,13 +7,13 @@ import (
 	"emx/internal/packet"
 )
 
-// BenchmarkOpBufferThroughput drives the non-suspending operation fast
-// path: threads that compute, write remotely, and store locally in a
-// tight loop, so nearly every simulated operation travels through the
-// per-thread operation buffer instead of a coroutine switch. The
-// simCycles/s and events/s metrics are the host-throughput numbers
-// BENCH_*.json tracks at the machine level.
-func BenchmarkOpBufferThroughput(b *testing.B) {
+// BenchmarkNonSuspendingOps drives the operations that do not suspend
+// the thread: threads that compute, write remotely, and store locally
+// in a tight loop, so nearly every simulated operation is a coroutine
+// switch to the engine and straight back. The simCycles/s and events/s
+// metrics are the host-throughput numbers BENCH_*.json tracks at the
+// machine level.
+func BenchmarkNonSuspendingOps(b *testing.B) {
 	const (
 		p       = 4
 		threads = 4

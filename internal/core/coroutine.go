@@ -27,12 +27,18 @@ type resumeMsg struct {
 	vals []packet.Word // block-read result
 }
 
-// Operations a thread can yield — the true suspension points. Each
-// corresponds to one or more EMC-Y instructions; the exu translates
-// them into cycle charges and packets. Non-suspending operations
-// (compute, remote write, local store) travel in the thread's
-// operation buffer instead (see bufOp).
+// Operations a thread can yield. Each corresponds to one or more
+// EMC-Y instructions; the exu translates them into cycle charges and
+// packets. Only reads, waits, yields and completion suspend the thread;
+// after the others the exu resumes it once the operation's cycles have
+// been charged.
 type (
+	// opCompute charges t.opCycles of user computation.
+	opCompute struct{}
+	// opWrite sends a remote write of t.opData to t.opAddr.
+	opWrite struct{}
+	// opLocalStore writes t.opData to local offset t.opOff.
+	opLocalStore struct{}
 	// opRead issues a split-phase remote read and suspends.
 	opRead struct{ addr packet.GlobalAddr }
 	// opReadBlock issues a block read request and suspends until all
@@ -57,33 +63,7 @@ type (
 	opDone struct{}
 	// opPanic forwards a workload panic to the machine.
 	opPanic struct{ reason any }
-	// opFlush carries no operation of its own: it hands control to the
-	// engine so the thread's buffered non-suspending operations are
-	// applied, then resumes the coroutine at the resulting time. TC
-	// yields it before anything that must observe up-to-date state
-	// (Now, PeekLocal, PokeLocal) while the buffer is non-empty.
-	opFlush struct{}
 )
-
-// Buffered non-suspending operations. TC appends these to the thread's
-// operation buffer instead of yielding, so the coroutine switch to the
-// engine and back happens only at true suspension points. The engine
-// replays the buffer one event per op at the next yield, reproducing
-// the exact event sequence the unbuffered path would have produced —
-// that replay is what keeps results bit-identical.
-const (
-	bufCompute uint8 = iota
-	bufWrite
-	bufLocalStore
-)
-
-type bufOp struct {
-	kind   uint8
-	off    uint32            // bufLocalStore
-	addr   packet.GlobalAddr // bufWrite
-	data   packet.Word       // bufWrite, bufLocalStore
-	cycles sim.Time          // bufCompute
-}
 
 // thrState tracks where a thread is in its lifecycle, for diagnostics.
 type thrState uint8
@@ -140,13 +120,13 @@ type thr struct {
 	yield func(any) bool
 	in    resumeMsg
 
-	// Operation buffer: non-suspending ops appended by TC between two
-	// yields. bufIdx is the engine's replay position; final is the
-	// yielded (suspending) op replayed after the buffer drains. The
-	// backing array is reused across yields.
-	buf    []bufOp
-	bufIdx int
-	final  any
+	// Operands of the most common ops (compute, remote write, local
+	// store), staged here so those ops yield zero-size values and the
+	// switch does not allocate.
+	opCycles sim.Time
+	opAddr   packet.GlobalAddr
+	opOff    uint32
+	opData   packet.Word
 
 	// Continuation context for the exu's allocation-free event
 	// handlers: the resume payload and the packet to inject, staged
@@ -201,17 +181,10 @@ func (t *thr) yieldOp(op any) resumeMsg {
 // step resumes thread t with msg and returns its next operation.
 // Called only from the engine side; exactly one coroutine runs at a time,
 // so workload code never races with the simulator.
-//
-// m.cur marks the running coroutine for the duration of the step: it is
-// non-nil exactly while workload code executes (the coroutine switch
-// orders the writes), letting runtime primitives called from workload
-// code (WaitSet.Notify) flush the thread's operation buffer first.
 func (m *Machine) step(t *thr, msg resumeMsg) any {
-	m.cur = t
 	t.state = stRunning
 	t.in = msg
 	op, ok := t.next()
-	m.cur = nil
 	if !ok {
 		panic(fmt.Sprintf("core: %v ended without yielding an operation", t)) //emx:coldpath
 	}

@@ -31,8 +31,6 @@ type exu struct {
 	idleSince    sim.Time // valid when !busy
 	restoredSeen uint64   // spill restores already charged
 
-	hApply         sim.Handler
-	hInjectApply   sim.Handler
 	hInjectResume  sim.Handler
 	hResume        sim.Handler
 	hStart         sim.Handler
@@ -46,8 +44,6 @@ type exu struct {
 
 func newEXU(m *Machine, pe packet.PE) *exu {
 	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0}
-	x.hApply = applyH{x}
-	x.hInjectApply = injectApplyH{x}
 	x.hInjectResume = injectResumeH{x}
 	x.hResume = resumeH{x}
 	x.hStart = startH{x}
@@ -60,25 +56,8 @@ func newEXU(m *Machine, pe packet.PE) *exu {
 	return x
 }
 
-// applyH continues replaying a thread's operation buffer.
-type applyH struct{ x *exu }
-
-func (h applyH) OnEvent(arg sim.EventArg) { h.x.apply(arg.Ptr.(*thr)) }
-
-// injectApplyH injects the thread's staged packet, then continues the
-// buffer replay (remote writes: the thread does not suspend).
-type injectApplyH struct{ x *exu }
-
-func (h injectApplyH) OnEvent(arg sim.EventArg) {
-	t := arg.Ptr.(*thr)
-	pkt := t.pendingPkt
-	t.pendingPkt = nil
-	h.x.p.Inject(pkt)
-	h.x.apply(t)
-}
-
 // injectResumeH injects the thread's staged packet, then resumes the
-// coroutine (spawn and sync sends do not suspend).
+// coroutine (remote writes, spawn and sync sends do not suspend).
 type injectResumeH struct{ x *exu }
 
 func (h injectResumeH) OnEvent(arg sim.EventArg) {
@@ -89,7 +68,8 @@ func (h injectResumeH) OnEvent(arg sim.EventArg) {
 	h.x.execResume(t)
 }
 
-// resumeH resumes the coroutine with its staged payload (local loads).
+// resumeH resumes the coroutine with its staged payload (compute and
+// local memory access).
 type resumeH struct{ x *exu }
 
 func (h resumeH) OnEvent(arg sim.EventArg) { h.x.execResume(arg.Ptr.(*thr)) }
@@ -279,78 +259,46 @@ func (x *exu) execResume(t *thr) {
 	x.exec(t, msg)
 }
 
-// exec resumes the coroutine, collects the operations it buffered plus
-// the op it yielded on, and starts the engine-side replay.
+// exec resumes the coroutine and performs the operation it yields.
 //
 //emx:hotpath
 func (x *exu) exec(t *thr, msg resumeMsg) {
-	t.final = x.m.step(t, msg)
-	if len(t.buf) > 0 {
-		x.m.obs.Flush(int64(x.m.Eng.Now()), int32(x.pe), int64(len(t.buf)))
-	}
-	t.bufIdx = 0
-	x.apply(t)
+	x.finish(t, x.m.step(t, msg))
 }
 
-// apply replays one buffered operation as one engine event — exactly the
-// event the unbuffered path would have scheduled — and chains itself
-// until the buffer drains, then performs the yielded op.
-//
-//emx:hotpath
-func (x *exu) apply(t *thr) {
-	cfg := &x.m.Cfg
-	eng := x.m.Eng
-	if t.bufIdx < len(t.buf) {
-		op := &t.buf[t.bufIdx]
-		t.bufIdx++
-		switch op.kind {
-		case bufCompute:
-			if op.cycles < 0 {
-				x.m.fail(fmt.Errorf("core: %v computed negative cycles", t))
-				return
-			}
-			x.st.Times.Compute += op.cycles
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(op.cycles))
-			eng.AfterHandler(op.cycles, x.hApply, sim.EventArg{Ptr: t})
-
-		case bufWrite:
-			x.st.Times.Overhead += cfg.PacketGenCycles
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
-			x.st.RemoteWrites++
-			t.pendingPkt = &packet.Packet{
-				Kind: packet.KindWrite,
-				Src:  x.pe,
-				Addr: op.addr,
-				Data: op.data,
-			}
-			eng.AfterHandler(cfg.PacketGenCycles, x.hInjectApply, sim.EventArg{Ptr: t})
-
-		case bufLocalStore:
-			done := x.p.Mem.Write(eng.Now(), memory.PortEXU, op.off, op.data)
-			x.st.Times.Compute += done - eng.Now()
-			x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
-			eng.AtHandler(done, x.hApply, sim.EventArg{Ptr: t})
-		}
-		return
-	}
-
-	op := t.final
-	t.final = nil
-	t.buf = t.buf[:0]
-	t.bufIdx = 0
-	x.finish(t, op)
-}
-
-// finish performs the operation the coroutine suspended on.
+// finish performs the operation the coroutine yielded.
 //
 //emx:hotpath
 func (x *exu) finish(t *thr, op any) {
 	cfg := &x.m.Cfg
 	eng := x.m.Eng
 	switch op := op.(type) {
-	case opFlush:
-		// Buffered ops are applied; resume the coroutine at this time.
-		x.exec(t, resumeMsg{})
+	case opCompute:
+		if t.opCycles < 0 {
+			x.m.fail(fmt.Errorf("core: %v computed negative cycles", t))
+			return
+		}
+		x.st.Times.Compute += t.opCycles
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(t.opCycles))
+		eng.AfterHandler(t.opCycles, x.hResume, sim.EventArg{Ptr: t})
+
+	case opWrite:
+		x.st.Times.Overhead += cfg.PacketGenCycles
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
+		x.st.RemoteWrites++
+		t.pendingPkt = &packet.Packet{
+			Kind: packet.KindWrite,
+			Src:  x.pe,
+			Addr: t.opAddr,
+			Data: t.opData,
+		}
+		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
+
+	case opLocalStore:
+		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, t.opOff, t.opData)
+		x.st.Times.Compute += done - eng.Now()
+		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
+		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
 
 	case opRead:
 		x.issueRead(t, op.addr, 1)

@@ -37,10 +37,6 @@ type Machine struct {
 	failure    error
 	ran        bool
 
-	// cur is the coroutine currently executing workload code (non-nil
-	// only while the engine is blocked in step).
-	cur *thr
-
 	hDeliverLocal sim.Handler
 }
 

@@ -30,29 +30,18 @@ func (tc *TC) P() int { return tc.t.m.Cfg.P }
 // Name returns the thread's name.
 func (tc *TC) Name() string { return tc.t.name }
 
-// sync applies any buffered operations before an observation of machine
-// state (clock, memory). When the buffer is empty the engine is already
-// blocked in step() at the correct time, so no round-trip is needed —
-// the common case stays free.
-func (tc *TC) sync() {
-	if len(tc.t.buf) > 0 {
-		tc.t.yieldOp(opFlush{})
-	}
-}
-
 // Now returns the current simulated time. The paper's measurements use a
 // global clock; so does the simulator.
 func (tc *TC) Now() sim.Time {
 	// The engine is blocked in step() while workload code runs, so
-	// reading the clock is race-free once buffered ops are applied.
-	tc.sync()
+	// reading the clock is race-free.
 	return tc.t.m.Eng.Now()
 }
 
 // Compute charges cycles of user computation (the thread's run length).
-// Buffered: the charge is applied at the next suspension point.
 func (tc *TC) Compute(cycles sim.Time) {
-	tc.t.buf = append(tc.t.buf, bufOp{kind: bufCompute, cycles: cycles})
+	tc.t.opCycles = cycles
+	tc.t.yieldOp(opCompute{})
 }
 
 // Read performs a split-phase remote read of one word. The thread is
@@ -70,9 +59,10 @@ func (tc *TC) ReadBlock(addr packet.GlobalAddr, n int) []packet.Word {
 }
 
 // Write sends a remote write packet. The thread continues immediately:
-// remote writes do not suspend the issuing thread. Buffered.
+// remote writes do not suspend the issuing thread.
 func (tc *TC) Write(addr packet.GlobalAddr, data packet.Word) {
-	tc.t.buf = append(tc.t.buf, bufOp{kind: bufWrite, addr: addr, data: data})
+	tc.t.opAddr, tc.t.opData = addr, data
+	tc.t.yieldOp(opWrite{})
 }
 
 // Spawn sends an invoke packet that starts fn as a new thread on pe (which
@@ -105,9 +95,9 @@ func (tc *TC) LocalLoad(off uint32) packet.Word {
 }
 
 // LocalStore writes this PE's own memory through the EXU/MCU port.
-// Buffered.
 func (tc *TC) LocalStore(off uint32, data packet.Word) {
-	tc.t.buf = append(tc.t.buf, bufOp{kind: bufLocalStore, off: off, data: data})
+	tc.t.opOff, tc.t.opData = off, data
+	tc.t.yieldOp(opLocalStore{})
 }
 
 // PeekLocal reads local memory at zero simulated cost. Workloads use it
@@ -115,13 +105,11 @@ func (tc *TC) LocalStore(off uint32, data packet.Word) {
 // with the paper's calibrated run lengths (e.g. 12 cycles per merge-loop
 // iteration), so per-word charging would double-count.
 func (tc *TC) PeekLocal(off uint32) packet.Word {
-	tc.sync()
 	return tc.t.m.Mem(tc.t.pe).Peek(off)
 }
 
 // PokeLocal writes local memory at zero simulated cost (see PeekLocal).
 func (tc *TC) PokeLocal(off uint32, w packet.Word) {
-	tc.sync()
 	tc.t.m.Mem(tc.t.pe).Poke(off, w)
 }
 

@@ -31,13 +31,8 @@ func (m *Machine) NewWaitSet() *WaitSet { return &WaitSet{m: m} }
 // by pushing their continuation into the owning PE's packet queue (FIFO,
 // zero-cost locally — the cost is paid at dispatch/restore, as on the
 // hardware). Safe to call from workload code and from packet handlers:
-// both run in engine context. When called from workload code the calling
-// thread's buffered operations are applied first, so the wake-ups happen
-// at the simulated time they would have without buffering.
+// both run in engine context.
 func (ws *WaitSet) Notify() {
-	if cur := ws.m.cur; cur != nil && len(cur.buf) > 0 {
-		cur.yieldOp(opFlush{})
-	}
 	kept := ws.waiters[:0]
 	for _, w := range ws.waiters {
 		if w.t.state == stBlocked && w.cond() {
@@ -59,9 +54,6 @@ func (ws *WaitSet) Waiting() int { return len(ws.waiters) }
 // in engine context (workload code or packet handlers), and every change
 // must be followed by ws.Notify().
 func (tc *TC) WaitUntil(kind metrics.SwitchKind, ws *WaitSet, cond func() bool) {
-	// Apply buffered operations before the first check: cond must see the
-	// machine state at the simulated time the preceding work completed.
-	tc.sync()
 	for !cond() {
 		tc.t.yieldOp(opWait{kind: kind, ws: ws, cond: cond})
 	}

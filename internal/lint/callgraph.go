@@ -10,8 +10,9 @@ import (
 )
 
 // The call graph is the interprocedural backbone of the v2 analyzers:
-// obspurity, fingerprintpurity, and hotpropagate all reason about what
-// is reachable from a set of entry points. The graph is built once per Program from the loaded ASTs — stdlib-only, no SSA:
+// obspurity and hotpropagate both reason about what is reachable from
+// a set of entry points. The graph is built once per Program from the
+// loaded ASTs — stdlib-only, no SSA:
 // nodes are named functions (including methods) and function literals,
 // and edges come in four kinds:
 //

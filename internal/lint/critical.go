@@ -10,9 +10,9 @@ import "strings"
 //     detsource and maporder apply here.
 //
 //   - simCore: the simulation proper, where *all* time is cycle
-//     counts. The strict simtime mixing rule and flushbefore apply
-//     here; host-observability fields (Run.HostElapsedSecs) legally
-//     mix with cycle counts one level up, in the critical tier.
+//     counts. The strict simtime mixing rule applies here;
+//     host-observability fields (Run.HostElapsedSecs) legally mix with
+//     cycle counts one level up, in the critical tier.
 //
 // A package outside these lists opts in by carrying //emx:determinism
 // in its package doc comment (that grants both tiers). To grow the
@@ -65,7 +65,7 @@ func isCritical(pkg *Package) bool {
 }
 
 // isSimCore reports whether the package is part of the simulation
-// proper (strict simtime and flushbefore scope).
+// proper (strict simtime scope).
 func isSimCore(pkg *Package) bool {
 	return hasPrefix(pkg.ImportPath, simCorePrefixes) ||
 		pkg.Directives.HasPackageDirective(DirDeterminism)

@@ -27,13 +27,8 @@ const (
 	DirColdPath = "coldpath"
 	// DirDeterminism, in a package doc comment, opts the package into
 	// the determinism-critical set (detsource, maporder, and the
-	// strict simtime/flushbefore rules). Consumed by the package
-	// classifier.
+	// strict simtime rule). Consumed by the package classifier.
 	DirDeterminism = "determinism"
-	// DirNoFingerprint, on a Config field declaration, attests that the
-	// field is host-side only: excluded from Fingerprint AND proven not
-	// to change simulation results. Consumed by fingerprintpurity.
-	DirNoFingerprint = "nofingerprint"
 	// DirObsHook marks a function declaration as an observability entry
 	// point in addition to the built-in emx/internal/obs exports.
 	// Consumed by obspurity.
@@ -49,7 +44,6 @@ var knownDirectives = map[string]bool{
 	DirHotPath:        true,
 	DirColdPath:       true,
 	DirDeterminism:    true,
-	DirNoFingerprint:  true,
 	DirObsHook:        true,
 	DirObsExempt:      true,
 }
@@ -289,6 +283,6 @@ func runEmxDirective(pass *Pass) {
 func knownNames() string {
 	return strings.Join([]string{
 		DirColdPath, DirDeterminism, DirHostClock, DirHotPath,
-		DirNoFingerprint, DirObsExempt, DirObsHook, DirOrderInvariant,
+		DirObsExempt, DirObsHook, DirOrderInvariant,
 	}, ", ")
 }

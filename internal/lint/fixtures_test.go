@@ -22,11 +22,7 @@ func TestHotAlloc(t *testing.T) { linttest.Run(t, "hotalloc", lint.HotAlloc) }
 
 func TestSimTime(t *testing.T) { linttest.Run(t, "simtime", lint.SimTime) }
 
-func TestFlushBefore(t *testing.T) { linttest.Run(t, "flushbefore", lint.FlushBefore) }
-
 func TestDirective(t *testing.T) { linttest.Run(t, "directive", lint.EmxDirective) }
-
-func TestFingerprintPurity(t *testing.T) { linttest.Run(t, "fingerprint", lint.FingerprintPurity) }
 
 func TestObsPurity(t *testing.T) { linttest.Run(t, "obs", lint.ObsPurity) }
 

@@ -7,7 +7,7 @@ import (
 
 // HotAlloc enforces the 0 allocs/op property of functions marked
 // //emx:hotpath — the calendar-queue ring/heap operations, handler
-// dispatch, and the per-thread op-buffer replay. bench_test.go can
+// dispatch, and the EXU's thread-operation handling. bench_test.go can
 // only measure the property on the inputs it runs; this analyzer
 // enforces it structurally on every path:
 //

@@ -20,18 +20,12 @@
 //   - simtime: no negative or host-derived values flowing into the
 //     simulated clock (sim.After and friends), and no arithmetic that
 //     mixes host time with simulated cycle counts
-//   - flushbefore: coroutine-side code must flush the thread's
-//     operation buffer before observing engine or machine state, so
-//     observations happen at true simulated time
 //   - emxdirective: every //emx: directive is well-formed, known, and
 //     not a silently-shadowed duplicate
 //
-// Interprocedural suite (v2), built on a whole-program call graph and
-// a forward taint engine (callgraph.go, dataflow.go):
+// Interprocedural suite (v2), built on a whole-program call graph
+// (callgraph.go):
 //
-//   - fingerprintpurity: a Config field excluded from Fingerprint must
-//     not be read on a result-affecting path unless the field carries
-//     //emx:nofingerprint
 //   - obspurity: code reachable from obs hook entry points must not
 //     write engine/machine state or charge cycles (//emx:obsexempt)
 //   - hotpropagate: //emx:hotpath propagates through static calls, so
@@ -175,9 +169,7 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		HotAlloc,
 		SimTime,
-		FlushBefore,
 		EmxDirective,
-		FingerprintPurity,
 		ObsPurity,
 		HotPropagate,
 	}

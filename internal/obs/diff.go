@@ -40,7 +40,6 @@ func WriteDiff(w io.Writer, a, b *Profile) error {
 	fmt.Fprintf(&sb, "  %-12s %14s %14s %14s %9s\n", "counter", "A", "B", "delta", "change")
 	writeDiffRow(&sb, "threads", int64(ma.Threads), int64(mb.Threads))
 	writeDiffRow(&sb, "dispatches", int64(ma.Dispatches), int64(mb.Dispatches))
-	writeDiffRow(&sb, "flushed-ops", int64(ma.FlushedOps), int64(mb.FlushedOps))
 	writeDiffRow(&sb, "dma-serviced", int64(ma.ServicedDMA), int64(mb.ServicedDMA))
 	writeDiffRow(&sb, "exu-serviced", int64(ma.ServicedEXU), int64(mb.ServicedEXU))
 	writeDiffRow(&sb, "spills", int64(ma.Spills), int64(mb.Spills))

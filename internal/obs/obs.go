@@ -33,8 +33,6 @@ const (
 	CatSwitch
 	// CatCycle: an EXU cycle-accounting charge to one phase.
 	CatCycle
-	// CatFlush: an operation-buffer replay at a thread yield.
-	CatFlush
 	// CatPacket: packet servicing (by-passing DMA, EXU service, spill).
 	CatPacket
 	// CatNet: a network link hop or ejection, with its contention stall.
@@ -46,7 +44,7 @@ const (
 )
 
 var categoryNames = [NumCategories]string{
-	"thread", "switch", "cycle", "flush", "packet", "net", "sched",
+	"thread", "switch", "cycle", "packet", "net", "sched",
 }
 
 func (c Category) String() string {
@@ -189,7 +187,6 @@ func (k NetKind) String() string {
 //	CatThread: Code=ThreadKind, A=frame
 //	CatSwitch: Code=SwitchCause, A=frame
 //	CatCycle:  Code=Phase, A=cycles charged
-//	CatFlush:  A=buffered ops replayed
 //	CatPacket: Code=PacketKind, A=service cycles
 //	CatNet:    Code=NetKind, A=contention stall cycles
 //	CatSched:  (none)
@@ -226,5 +223,5 @@ func (m CategoryMask) Has(c Category) bool { return m&(1<<c) != 0 }
 // the two high-volume firehoses (per-dispatch scheduler events and
 // per-charge cycle events), which are aggregated into the profile but
 // not kept as individual events unless asked for.
-const DefaultRetain = CategoryMask(1<<CatThread | 1<<CatSwitch | 1<<CatFlush |
-	1<<CatPacket | 1<<CatNet)
+const DefaultRetain = CategoryMask(1<<CatThread | 1<<CatSwitch | 1<<CatPacket |
+	1<<CatNet)

@@ -65,7 +65,6 @@ func TestNilTracerNoAllocs(t *testing.T) {
 		tr.Cycle(10, 0, PhaseRun, 4)
 		tr.Switch(10, 0, CauseRemoteRead, 7)
 		tr.Thread(10, 0, ThreadStart, 7)
-		tr.Flush(10, 0, 3)
 		tr.Packet(10, 0, PktBypassDMA, 8)
 		tr.Hop(10, 0, NetHop, 0)
 		tr.MUDispatch(10, 0)
@@ -101,7 +100,6 @@ func TestTracerAggregation(t *testing.T) {
 	tr.Switch(55, 0, CauseIterSync, 3)
 	tr.Thread(0, 0, ThreadStart, 3)
 	tr.Thread(90, 0, ThreadEnd, 3)
-	tr.Flush(70, 1, 5)
 	tr.Packet(75, 1, PktBypassDMA, 8)
 	tr.Packet(76, 1, PktEXUService, 9)
 	tr.Packet(77, 1, PktSpill, 0)
@@ -127,7 +125,7 @@ func TestTracerAggregation(t *testing.T) {
 		t.Errorf("PE0 threads = %d, want 1", p.PEs[0].Threads)
 	}
 	m := p.Machine()
-	if m.Flushes != 1 || m.FlushedOps != 5 || m.ServicedDMA != 1 || m.ServicedEXU != 1 ||
+	if m.ServicedDMA != 1 || m.ServicedEXU != 1 ||
 		m.Spills != 1 || m.NetHops != 1 || m.NetStall != 2 || m.Dispatches != 1 {
 		t.Errorf("machine counters = %+v", m)
 	}

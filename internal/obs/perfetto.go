@@ -192,8 +192,6 @@ func AppendTrace(tw *TraceWriter, pidBase int64, label string, prof *Profile, ev
 			}
 		case CatSwitch:
 			tw.Instant(pid, int64(uint32(ev.A)), "switch:"+SwitchCause(ev.Code).String(), ev.At)
-		case CatFlush:
-			tw.Instant(pid, unitTID, "flush("+strconv.FormatInt(ev.A, 10)+" ops)", ev.At)
 		case CatPacket:
 			if ev.A > 0 {
 				tw.Slice(pid, unitTID, PacketKind(ev.Code).String(), ev.At, ev.A)

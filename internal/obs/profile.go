@@ -23,10 +23,6 @@ type PEProfile struct {
 	Dispatches uint64 `json:"dispatches"`
 	// Threads counts threads started on this PE.
 	Threads uint64 `json:"threads"`
-	// Flushes and FlushedOps count operation-buffer replays and the
-	// buffered operations they applied.
-	Flushes    uint64 `json:"flushes"`
-	FlushedOps uint64 `json:"flushed_ops"`
 	// Spills counts queue packets spilled to the on-memory buffer.
 	Spills uint64 `json:"spills"`
 	// ServicedDMA / ServicedEXU count remote requests serviced by the
@@ -67,8 +63,6 @@ func (p *PEProfile) add(other *PEProfile) {
 	}
 	p.Dispatches += other.Dispatches
 	p.Threads += other.Threads
-	p.Flushes += other.Flushes
-	p.FlushedOps += other.FlushedOps
 	p.Spills += other.Spills
 	p.ServicedDMA += other.ServicedDMA
 	p.ServicedEXU += other.ServicedEXU

@@ -64,8 +64,7 @@ func (p *Profile) WriteReport(w io.Writer) error {
 	}
 	fmt.Fprintf(&b, "  %-12s %10d\n", "total", m.TotalSwitches())
 
-	fmt.Fprintf(&b, "\nactivity: threads=%d dispatches=%d flushes=%d flushed-ops=%d\n",
-		m.Threads, m.Dispatches, m.Flushes, m.FlushedOps)
+	fmt.Fprintf(&b, "\nactivity: threads=%d dispatches=%d\n", m.Threads, m.Dispatches)
 	fmt.Fprintf(&b, "packets: dma-serviced=%d exu-serviced=%d spills=%d\n",
 		m.ServicedDMA, m.ServicedEXU, m.Spills)
 	fmt.Fprintf(&b, "network: hops=%d stall=%d cycles\n", m.NetHops, m.NetStall)

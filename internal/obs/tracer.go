@@ -145,18 +145,6 @@ func (t *Tracer) ThreadName(pe int32, frame uint32, name string) {
 	t.names = append(t.names, NameEntry{PE: pe, Frame: frame, Name: name})
 }
 
-// Flush records one operation-buffer replay of ops buffered operations.
-//
-//emx:hotpath
-func (t *Tracer) Flush(at int64, pe int32, ops int64) {
-	if t == nil {
-		return
-	}
-	t.prof.PEs[pe].Flushes++
-	t.prof.PEs[pe].FlushedOps += uint64(ops)
-	t.record(Event{At: at, PE: pe, Cat: CatFlush, A: ops})
-}
-
 // Packet records a packet-service event taking cycles.
 //
 //emx:hotpath
