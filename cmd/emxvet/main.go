@@ -1,21 +1,18 @@
 // Command emxvet runs the repository's determinism, hot-path, and
-// observability analyzers (internal/lint) over Go packages, go-vet
-// style.
+// directive analyzers (internal/lint) over Go packages, go-vet style.
 //
 // Usage:
 //
-//	emxvet [-only name,name] [-json] [-list] [-graph] [-explain] [-baseline file] [packages]
+//	emxvet [-only name,name] [-json] [-list] [-explain] [-baseline file] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit
 // status is 0 when the checked packages are clean, 1 when findings
 // were reported, and 2 when the packages could not be loaded (which
 // includes packages that do not compile).
 //
-// -graph dumps the interprocedural call graph the v2 analyzers reason
-// over, one "caller -> callee [kind] @ pos" line per edge, and exits.
-// -explain attaches each finding's related positions (propagation
-// chains, first conflicting access) to the text output; JSON output
-// always carries them. -baseline loads a saved `emxvet -json` run and
+// -explain attaches each finding's related positions (such as the
+// first copy of a duplicated directive) to the text output; JSON
+// output always carries them. -baseline loads a saved `emxvet -json` run and
 // suppresses the findings recorded in it, failing only on new ones.
 package main
 
@@ -38,11 +35,10 @@ func run(args []string) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	graph := fs.Bool("graph", false, "dump the call graph of the loaded packages and exit")
-	explain := fs.Bool("explain", false, "print each finding's related positions (chains) in text output")
+	explain := fs.Bool("explain", false, "print each finding's related positions in text output")
 	baselinePath := fs.String("baseline", "", "suppress findings recorded in this saved `emxvet -json` output")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: emxvet [-only name,name] [-json] [-list] [-graph] [-explain] [-baseline file] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: emxvet [-only name,name] [-json] [-list] [-explain] [-baseline file] [packages]\n\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(fs.Output(), "\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -93,18 +89,8 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "emxvet: %v\n", err)
 		return 2
 	}
-	prog := lint.NewProgram(pkgs)
 
-	if *graph {
-		if len(pkgs) > 0 {
-			for _, line := range prog.Graph().DumpLines(pkgs[0].Fset) {
-				fmt.Println(line)
-			}
-		}
-		return 0
-	}
-
-	diags := lint.RunProgram(prog, analyzers)
+	diags := lint.Run(pkgs, analyzers)
 	suppressed := 0
 	if baseline != nil {
 		diags, suppressed = baseline.Filter(diags)

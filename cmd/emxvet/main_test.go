@@ -20,12 +20,12 @@ func TestExitCodes(t *testing.T) {
 		{"clean package", []string{"emx/internal/sim"}, 0},
 		{"fixture has findings", []string{"-only", "detsource", "emx/internal/lint/testdata/src/detsource_crit"}, 1},
 		{"findings as json", []string{"-json", "-only", "detsource", "emx/internal/lint/testdata/src/detsource_crit"}, 1},
-		{"interprocedural fixture has findings", []string{"-only", "obspurity", "emx/internal/lint/testdata/src/obs"}, 1},
+		{"hotalloc fixture has findings", []string{"-only", "hotalloc", "emx/internal/lint/testdata/src/hotalloc"}, 1},
 		{"unknown analyzer", []string{"-only", "nosuch", "emx/internal/sim"}, 2},
 		{"unloadable pattern", []string{"emx/no/such/package"}, 2},
 		{"missing baseline file", []string{"-baseline", "no/such/baseline.json", "emx/internal/sim"}, 2},
 		{"list analyzers", []string{"-list"}, 0},
-		{"graph dump", []string{"-graph", "emx/internal/lint/testdata/src/callgraph"}, 0},
+		{"removed graph flag", []string{"-graph", "emx/internal/sim"}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -56,30 +56,17 @@ func capture(t *testing.T, fn func()) string {
 	return <-done
 }
 
-func TestGraphDumpOutput(t *testing.T) {
-	out := capture(t, func() {
-		if got := run([]string{"-graph", "emx/internal/lint/testdata/src/callgraph"}); got != 0 {
-			t.Errorf("-graph exit = %d, want 0", got)
-		}
-	})
-	for _, frag := range []string{"[direct]", "[iface]", "[closure]", "[ref]", ".direct -> "} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("-graph output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
+// TestExplainPrintsChains checks that -explain prints a finding's
+// related positions, indented under it: a duplicated directive points
+// back at its first copy.
 func TestExplainPrintsChains(t *testing.T) {
 	out := capture(t, func() {
-		if got := run([]string{"-explain", "-only", "hotpropagate", "emx/internal/lint/testdata/src/hotpropagate"}); got != 1 {
+		if got := run([]string{"-explain", "-only", "emxdirective", "emx/internal/lint/testdata/src/directive"}); got != 1 {
 			t.Errorf("-explain exit = %d, want 1", got)
 		}
 	})
-	if !strings.Contains(out, "hot via") {
-		t.Errorf("expected a propagation-chain suffix in output:\n%s", out)
-	}
-	if !strings.Contains(out, "\t") {
-		t.Errorf("-explain should print indented related positions:\n%s", out)
+	if !strings.Contains(out, "\t") || !strings.Contains(out, ": first //emx:hotpath here") {
+		t.Errorf("-explain should print the indented note \"first //emx:hotpath here\":\n%s", out)
 	}
 }
 
@@ -87,9 +74,9 @@ func TestExplainPrintsChains(t *testing.T) {
 // suppresses exactly those findings: same run exits 0, an empty
 // baseline leaves them fatal.
 func TestBaselineRoundTrip(t *testing.T) {
-	target := "emx/internal/lint/testdata/src/hotpropagate"
+	target := "emx/internal/lint/testdata/src/hotalloc"
 	saved := capture(t, func() {
-		if got := run([]string{"-json", "-only", "hotpropagate", target}); got != 1 {
+		if got := run([]string{"-json", "-only", "hotalloc", target}); got != 1 {
 			t.Fatalf("seed run exit = %d, want 1", got)
 		}
 	})
@@ -99,7 +86,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := os.WriteFile(baseline, []byte(saved), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := run([]string{"-only", "hotpropagate", "-baseline", baseline, target}); got != 0 {
+	if got := run([]string{"-only", "hotalloc", "-baseline", baseline, target}); got != 0 {
 		t.Errorf("baselined run exit = %d, want 0", got)
 	}
 
@@ -107,7 +94,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := os.WriteFile(empty, []byte("[]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := run([]string{"-only", "hotpropagate", "-baseline", empty, target}); got != 1 {
+	if got := run([]string{"-only", "hotalloc", "-baseline", empty, target}); got != 1 {
 		t.Errorf("empty-baseline run exit = %d, want 1", got)
 	}
 
@@ -115,7 +102,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := run([]string{"-only", "hotpropagate", "-baseline", bad, target}); got != 2 {
+	if got := run([]string{"-only", "hotalloc", "-baseline", bad, target}); got != 2 {
 		t.Errorf("malformed-baseline run exit = %d, want 2", got)
 	}
 }
@@ -180,9 +167,9 @@ func TestBaselinePackageKey(t *testing.T) {
 // (analyzer, file basename, message), not position — a baselined
 // finding survives unrelated edits above it.
 func TestBaselineIsLineIndependent(t *testing.T) {
-	target := "emx/internal/lint/testdata/src/hotpropagate"
+	target := "emx/internal/lint/testdata/src/hotalloc"
 	saved := capture(t, func() {
-		run([]string{"-json", "-only", "hotpropagate", target})
+		run([]string{"-json", "-only", "hotalloc", target})
 	})
 	if !strings.Contains(saved, `"Line": `) {
 		t.Fatalf("saved run carries no Line fields:\n%s", saved)
@@ -193,7 +180,7 @@ func TestBaselineIsLineIndependent(t *testing.T) {
 	if err := os.WriteFile(baseline, []byte(shifted), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := run([]string{"-only", "hotpropagate", "-baseline", baseline, target}); got != 0 {
+	if got := run([]string{"-only", "hotalloc", "-baseline", baseline, target}); got != 0 {
 		t.Errorf("line-shifted baseline should still suppress, exit = %d", got)
 	}
 }

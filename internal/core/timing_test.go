@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"emx/internal/metrics"
+	"emx/internal/obs"
 	"emx/internal/packet"
 	"emx/internal/sim"
 )
@@ -104,24 +105,46 @@ func TestObservationTiming(t *testing.T) {
 	})
 }
 
+// allocsPerIter returns the host allocations one loop iteration adds:
+// run(1000) minus run(100), over the 900 extra iterations. The
+// per-machine setup cancels out, so a hot path that allocates shows up
+// as a positive per-iteration count.
+func allocsPerIter(run func(iters int) func()) float64 {
+	long := testing.AllocsPerRun(5, run(1000))
+	short := testing.AllocsPerRun(5, run(100))
+	return (long - short) / 900
+}
+
+// newAllocMachine builds the one-PE machine the allocation guards run
+// on, traced when tr is non-nil.
+func newAllocMachine(t *testing.T, tr *obs.Tracer) *Machine {
+	cfg := DefaultConfig(1)
+	cfg.MemWords = 1 << 10
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetObs(tr)
+	return m
+}
+
+// warmRing steps the clock one cycle at a time past the engine's
+// near-future ring, whose buckets allocate on first use.
+func warmRing(tc *TC) {
+	for k := 0; k < 1024; k++ {
+		tc.Compute(1)
+	}
+}
+
 // TestNonSuspendingOpsDoNotAllocate pins zero host allocations per
 // Compute and LocalStore: a run of 1000 iterations allocates no more
-// than a run of 100, so the per-machine setup is the only cost. Both
-// runs first step the clock one cycle at a time past the engine's
-// near-future ring, whose buckets allocate on first use.
+// than a run of 100, so the per-machine setup is the only cost.
 func TestNonSuspendingOpsDoNotAllocate(t *testing.T) {
-	run := func(iters int) func() {
+	perIter := allocsPerIter(func(iters int) func() {
 		return func() {
-			cfg := DefaultConfig(1)
-			cfg.MemWords = 1 << 10
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := newAllocMachine(t, nil)
 			m.SpawnAt(0, "ops", 0, func(tc *TC) {
-				for k := 0; k < 1024; k++ {
-					tc.Compute(1)
-				}
+				warmRing(tc)
 				for k := 0; k < iters; k++ {
 					tc.Compute(300) // above 255: boxing it would allocate
 					tc.LocalStore(uint32(k%64), packet.Word(k))
@@ -131,11 +154,71 @@ func TestNonSuspendingOpsDoNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	})
+	if perOp := perIter / 2; perOp > 0.01 {
+		t.Fatalf("%.3f allocs per non-suspending op, want ~0", perOp)
 	}
-	long := testing.AllocsPerRun(5, run(1000))
-	short := testing.AllocsPerRun(5, run(100))
-	if perOp := (long - short) / (2 * 900); perOp > 0.01 {
-		t.Fatalf("%.3f allocs per non-suspending op (%.0f allocs for 1000 iterations, %.0f for 100), want ~0",
-			perOp, long, short)
+}
+
+// TestTracedComputeDoesNotAllocate extends the pin to a run under an
+// enabled tracer that aggregates time slices: every Compute charges
+// Tracer.Cycle, which looks up its slice, and neither may allocate.
+// The slice is wider than the run, so the slice list never grows.
+func TestTracedComputeDoesNotAllocate(t *testing.T) {
+	perIter := allocsPerIter(func(iters int) func() {
+		return func() {
+			m := newAllocMachine(t, obs.New(obs.Options{P: 1, Capacity: 64, SliceCycles: 1 << 30}))
+			m.SpawnAt(0, "ops", 0, func(tc *TC) {
+				warmRing(tc)
+				for k := 0; k < iters; k++ {
+					tc.Compute(300)
+				}
+			})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perIter > 0.01 {
+		t.Fatalf("%.3f allocs per traced Compute, want ~0", perIter)
+	}
+}
+
+// suspendAllocsPerRound bounds one round of TestTracedSuspendResumeAllocs,
+// traced or not: each of its two suspensions boxes its opWait,
+// allocates the resume packet and regrows the FIFO's on-chip slice,
+// which Pop has sliced down to zero capacity. A change that removes
+// one of those allocations lowers the bound.
+const suspendAllocsPerRound = 6
+
+// TestTracedSuspendResumeAllocs pins the host allocations of a
+// suspension under an enabled tracer. Two threads on one PE take turns
+// through a WaitSet, so every round blocks and resumes each thread
+// once, recording a thread event on the way out (ThreadYield) and on
+// the way back in (ThreadRun).
+func TestTracedSuspendResumeAllocs(t *testing.T) {
+	perRound := allocsPerIter(func(rounds int) func() {
+		return func() {
+			m := newAllocMachine(t, obs.New(obs.Options{P: 1, Capacity: 64}))
+			ws := m.NewWaitSet()
+			turn := 0
+			for me := 0; me < 2; me++ {
+				me := me
+				m.SpawnAt(0, "pingpong", 0, func(tc *TC) {
+					myTurn := func() bool { return turn == me }
+					for k := 0; k < rounds; k++ {
+						tc.WaitUntil(metrics.SwitchThreadSync, ws, myTurn)
+						turn = 1 - me
+						ws.Notify()
+					}
+				})
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perRound > suspendAllocsPerRound+0.01 {
+		t.Fatalf("%.3f allocs per suspend/resume round, want at most %d", perRound, suspendAllocsPerRound)
 	}
 }

@@ -29,13 +29,6 @@ const (
 	// the determinism-critical set (detsource, maporder, and the
 	// strict simtime rule). Consumed by the package classifier.
 	DirDeterminism = "determinism"
-	// DirObsHook marks a function declaration as an observability entry
-	// point in addition to the built-in emx/internal/obs exports.
-	// Consumed by obspurity.
-	DirObsHook = "obshook"
-	// DirObsExempt marks an audited line inside obs-reachable code that
-	// intentionally touches machine state. Consumed by obspurity.
-	DirObsExempt = "obsexempt"
 )
 
 var knownDirectives = map[string]bool{
@@ -44,8 +37,6 @@ var knownDirectives = map[string]bool{
 	DirHotPath:        true,
 	DirColdPath:       true,
 	DirDeterminism:    true,
-	DirObsHook:        true,
-	DirObsExempt:      true,
 }
 
 // Directive is one parsed //emx: comment.
@@ -282,7 +273,6 @@ func runEmxDirective(pass *Pass) {
 
 func knownNames() string {
 	return strings.Join([]string{
-		DirColdPath, DirDeterminism, DirHostClock, DirHotPath,
-		DirObsExempt, DirObsHook, DirOrderInvariant,
+		DirColdPath, DirDeterminism, DirHostClock, DirHotPath, DirOrderInvariant,
 	}, ", ")
 }

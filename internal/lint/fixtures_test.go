@@ -24,10 +24,6 @@ func TestSimTime(t *testing.T) { linttest.Run(t, "simtime", lint.SimTime) }
 
 func TestDirective(t *testing.T) { linttest.Run(t, "directive", lint.EmxDirective) }
 
-func TestObsPurity(t *testing.T) { linttest.Run(t, "obs", lint.ObsPurity) }
-
-func TestHotPropagate(t *testing.T) { linttest.Run(t, "hotpropagate", lint.HotPropagate) }
-
 func TestByName(t *testing.T) {
 	for _, a := range lint.Analyzers() {
 		if lint.ByName(a.Name) != a {

@@ -19,7 +19,13 @@ import (
 //     parameters are assumed to be reused buffers)
 //
 // Cold error/diagnostic lines inside a hot function are exempted with
-// //emx:coldpath.
+// //emx:coldpath. A //emx:hotpath not attached to a function and a
+// //emx:coldpath that suppressed nothing are findings too.
+//
+// The check is per function: a marked function's unmarked callees are
+// not checked. Helpers that run per event carry their own
+// //emx:hotpath, and testing.AllocsPerRun tests in core and sim catch
+// an allocation laundered through an unmarked one.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid closures, interface boxing, and unpreallocated appends in //emx:hotpath functions",
@@ -40,9 +46,12 @@ func runHotAlloc(pass *Pass) {
 			checkHotFunc(pass, fd)
 		}
 	}
-	// Unused //emx:hotpath and //emx:coldpath hygiene is reported by
-	// hotpropagate, which runs after every consumer of those directives
-	// (including its own propagation pass) has claimed its sites.
+	for _, d := range pkg.Directives.Unused(DirHotPath) {
+		pass.Reportf(d.Pos, "unused //emx:hotpath directive: not attached to a function declaration")
+	}
+	for _, d := range pkg.Directives.Unused(DirColdPath) {
+		pass.Reportf(d.Pos, "unused //emx:coldpath directive: no hot-path finding suppressed on line %d", d.EffectiveLine)
+	}
 }
 
 // hotPathMarked reports whether fd carries //emx:hotpath, either in

@@ -4,9 +4,8 @@
 // (the content-addressed run cache and the golden panel hashes both
 // assume bit-for-bit determinism) and the scheduler fast lane stays
 // allocation-free. The analyzers here enforce those invariants
-// structurally, at compile time.
-//
-// Intraprocedural suite (v1):
+// structurally, at compile time. No analyzer follows a call into
+// another function:
 //
 //   - detsource: no host clocks, global randomness, or environment
 //     reads in determinism-critical packages (//emx:hostclock marks
@@ -23,14 +22,10 @@
 //   - emxdirective: every //emx: directive is well-formed, known, and
 //     not a silently-shadowed duplicate
 //
-// Interprocedural suite (v2), built on a whole-program call graph
-// (callgraph.go):
-//
-//   - obspurity: code reachable from obs hook entry points must not
-//     write engine/machine state or charge cycles (//emx:obsexempt)
-//   - hotpropagate: //emx:hotpath propagates through static calls, so
-//     hot-path findings fire in helpers, with the propagation chain
-//     attached to each diagnostic
+// What a static check cannot see across calls is guarded at run time:
+// testing.AllocsPerRun tests pin the hot paths' allocations, and the
+// observed-versus-unobserved sweep tests pin that tracing never changes
+// a result.
 //
 // The suite is built directly on go/ast and go/types — the module is
 // dependency-free, so there is no golang.org/x/tools here. Packages
@@ -46,8 +41,8 @@ import (
 	"sort"
 )
 
-// Related is a secondary position attached to a diagnostic: a
-// propagation-chain step or a result-affecting read site.
+// Related is a secondary position attached to a diagnostic, such as
+// the first copy of a duplicated directive.
 type Related struct {
 	Pos     token.Position `json:"pos"`
 	Message string         `json:"message"`
@@ -74,12 +69,10 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Pass carries one analyzer's view of one package, plus the shared
-// whole-program context for the interprocedural analyzers.
+// Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Prog     *Program
 	report   func(Diagnostic)
 }
 
@@ -124,45 +117,7 @@ type Package struct {
 	Directives *Directives
 }
 
-// Program is the whole set of packages one Run analyzes, with the
-// lazily built interprocedural artifacts shared across analyzers (the
-// call graph is built once, not per analyzer per package).
-type Program struct {
-	Pkgs []*Package
-
-	graph *Graph
-	cache map[string]any
-}
-
-// NewProgram wraps loaded packages for analysis.
-func NewProgram(pkgs []*Package) *Program {
-	return &Program{Pkgs: pkgs, cache: map[string]any{}}
-}
-
-// Graph returns the call graph, building it on first use.
-func (prog *Program) Graph() *Graph {
-	if prog.graph == nil {
-		prog.graph = BuildGraph(prog.Pkgs)
-	}
-	return prog.graph
-}
-
-// cached memoizes an analyzer-level artifact (a reachability set, a
-// summary table) under key for the lifetime of the Program. Run is
-// single-threaded, so a plain map suffices.
-func (prog *Program) cached(key string, build func() any) any {
-	if v, ok := prog.cache[key]; ok {
-		return v
-	}
-	v := build()
-	prog.cache[key] = v
-	return v
-}
-
-// Analyzers returns the full emxvet suite in reporting order. The
-// interprocedural analyzers run after the intraprocedural ones so that
-// directive consumption (hotalloc uses //emx:coldpath before
-// hotpropagate audits leftovers) happens in a fixed order.
+// Analyzers returns the full emxvet suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetSource,
@@ -170,8 +125,6 @@ func Analyzers() []*Analyzer {
 		HotAlloc,
 		SimTime,
 		EmxDirective,
-		ObsPurity,
-		HotPropagate,
 	}
 }
 
@@ -188,19 +141,12 @@ func ByName(name string) *Analyzer {
 // Run applies each analyzer to each package and returns the combined
 // findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(NewProgram(pkgs), analyzers)
-}
-
-// RunProgram is Run over an explicit Program (lets callers build the
-// program once and also dump its call graph).
-func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range prog.Pkgs {
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
 				Pkg:      pkg,
-				Prog:     prog,
 				report:   func(d Diagnostic) { diags = append(diags, d) },
 			}
 			a.Run(pass)

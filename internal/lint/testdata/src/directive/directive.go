@@ -11,6 +11,12 @@ func B() {}
 //emx:determinism // want "must appear in the package doc comment"
 func C() {}
 
+// C2 carries a directive that no analyzer consumes any more: a stale
+// annotation is reported, not silently accepted.
+//
+//emx:obsexempt // want "unknown emx directive //emx:obsexempt"
+func C2() {}
+
 // D carries a well-formed, known directive; whether it is USED is the
 // owning analyzer's business (detsource), not emxdirective's, so no
 // finding is expected here.

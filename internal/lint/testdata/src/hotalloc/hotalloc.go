@@ -46,9 +46,15 @@ func (s *q) coldError(n int) {
 	}
 }
 
-// coldAlloc is unmarked: it may allocate freely. (Unused-directive
-// hygiene for //emx:hotpath and //emx:coldpath is owned by the
-// hotpropagate analyzer — see the hotpropagate fixture.)
+// coldAlloc is unmarked: it may allocate freely.
 func (s *q) coldAlloc(n int) {
 	s.sink = n
 }
+
+// Directives that govern nothing are reported, never silently kept.
+
+//emx:hotpath // want "unused //emx:hotpath directive"
+var depth int
+
+//emx:coldpath // want "unused //emx:coldpath directive"
+func neverHot() int { return depth }

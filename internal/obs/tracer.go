@@ -103,6 +103,8 @@ func (t *Tracer) Cycle(at int64, pe int32, ph Phase, cycles int64) {
 
 // slice returns the whole-machine slice covering time at, growing the
 // slice list as simulated time advances.
+//
+//emx:hotpath
 func (t *Tracer) slice(at int64) *Slice {
 	idx := int(at / t.sliceCycles)
 	for len(t.prof.Slices) <= idx {

@@ -299,6 +299,7 @@ func (e *Engine) pop() event {
 // binary min-heap ordered by (at, seq); seq breaks ties so that events
 // scheduled earlier run earlier within a cycle.
 
+//emx:hotpath
 func (a event) less(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at

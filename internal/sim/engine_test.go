@@ -476,6 +476,39 @@ func TestWindowedDriverZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFarFutureEventsDoNotAllocate pins zero host allocations per event
+// on the heap path: eight handler chains each reschedule themselves
+// past the near-future ring, so every event goes through pushHeap and
+// popHeap and their (at, seq) comparisons. A run of 1000 events per
+// chain allocates no more than a run of 100.
+func TestFarFutureEventsDoNotAllocate(t *testing.T) {
+	run := func(events int64) func() {
+		return func() {
+			e := NewEngine()
+			h := &farTickH{e: e}
+			for i := 0; i < 8; i++ {
+				e.AtHandler(ringSize+Time(i), h, EventArg{N: events})
+			}
+			e.Run()
+		}
+	}
+	long := testing.AllocsPerRun(5, run(1000))
+	short := testing.AllocsPerRun(5, run(100))
+	if perEvent := (long - short) / (8 * 900); perEvent > 0.01 {
+		t.Fatalf("%.3f allocs per far-future event (%.0f allocs for 1000 per chain, %.0f for 100), want ~0",
+			perEvent, long, short)
+	}
+}
+
+// farTickH reschedules itself arg.N more times, each beyond the ring.
+type farTickH struct{ e *Engine }
+
+func (h *farTickH) OnEvent(arg EventArg) {
+	if arg.N > 0 {
+		h.e.AfterHandler(ringSize+Time(arg.N%7), h, EventArg{N: arg.N - 1})
+	}
+}
+
 type selfTickH struct{ e *Engine }
 
 func (h *selfTickH) OnEvent(arg EventArg) {
