@@ -99,9 +99,7 @@ func (tc *TC) Barrier(b *Barrier) {
 	if l.arrived < b.expect {
 		// Follower: block until the last local thread completes the
 		// episode. One iteration-sync switch per block.
-		tc.WaitUntil(metrics.SwitchIterSync, b.waits[pe], func() bool {
-			return b.local[pe].episodes > myEp
-		})
+		tc.waitCount(metrics.SwitchIterSync, b.waits[pe], &l.episodes, myEp+1)
 		return
 	}
 	// Last local thread: run the global dissemination rounds.
@@ -110,10 +108,7 @@ func (tc *TC) Barrier(b *Barrier) {
 	for r := range l.recv {
 		partner := (pe + 1<<uint(r)) % p
 		tc.sendSync(b, partner, r)
-		r := r
-		tc.WaitUntil(metrics.SwitchIterSync, b.waits[pe], func() bool {
-			return b.local[pe].recv[r] >= myEp+1
-		})
+		tc.waitCount(metrics.SwitchIterSync, b.waits[pe], &l.recv[r], myEp+1)
 	}
 	l.episodes++
 	b.waits[pe].Notify()
@@ -122,14 +117,7 @@ func (tc *TC) Barrier(b *Barrier) {
 
 // sendSync emits one barrier round token.
 func (tc *TC) sendSync(b *Barrier, partner packet.PE, round int) {
-	tc.t.yieldOp(opWriteSync{
-		addr: packet.GlobalAddr{PE: partner, Off: b.id},
-		data: packet.Word(round),
-	})
-}
-
-// opWriteSync is like opWrite but emits a KindSync packet.
-type opWriteSync struct {
-	addr packet.GlobalAddr
-	data packet.Word
+	tc.t.opAddr = packet.GlobalAddr{PE: partner, Off: b.id}
+	tc.t.opData = packet.Word(round)
+	tc.t.yieldOp(opWriteSync{})
 }

@@ -39,14 +39,16 @@ type (
 	opWrite struct{}
 	// opLocalStore writes t.opData to local offset t.opOff.
 	opLocalStore struct{}
-	// opRead issues a split-phase remote read and suspends.
-	opRead struct{ addr packet.GlobalAddr }
-	// opReadBlock issues a block read request and suspends until all
-	// words arrive.
-	opReadBlock struct {
-		addr packet.GlobalAddr
-		n    int
-	}
+	// opRead issues a split-phase remote read of t.opAddr and suspends.
+	opRead struct{}
+	// opReadBlock issues a block read request of t.opN words at t.opAddr
+	// and suspends until all of them arrive.
+	opReadBlock struct{}
+	// opWriteSync sends a barrier token (a KindSync packet) carrying
+	// t.opData to t.opAddr.
+	opWriteSync struct{}
+	// opWait suspends the thread on t.opWS until t.opWaiter is ready.
+	opWait struct{}
 	// opSpawn sends an invoke packet enabling fn on a (possibly remote) PE.
 	opSpawn struct {
 		pe   packet.PE
@@ -57,8 +59,8 @@ type (
 	// opYield re-queues the thread at the tail of the FIFO (explicit
 	// context switch); kind classifies why, for Figure 9.
 	opYield struct{ kind metrics.SwitchKind }
-	// opLocalLoad reads the PE's own memory through the EXU/MCU port.
-	opLocalLoad struct{ off uint32 }
+	// opLocalLoad reads local offset t.opOff through the EXU/MCU port.
+	opLocalLoad struct{}
 	// opDone signals normal completion of the thread body.
 	opDone struct{}
 	// opPanic forwards a workload panic to the machine.
@@ -95,11 +97,12 @@ func (s thrState) String() string {
 	return "?"
 }
 
-// readWait tracks an outstanding read (single or block) for a thread.
+// readWait tracks a thread's outstanding read. A single-word read has
+// no buffer: its reply goes straight to the thread's resumeVal.
 type readWait struct {
 	base      uint32
-	buf       []packet.Word
-	remaining int
+	buf       []packet.Word // block reads only
+	remaining int           // replies still in flight; 0 when no read is
 }
 
 // thr is the engine-side handle of one simulated thread.
@@ -110,7 +113,9 @@ type thr struct {
 	name  string
 	fn    ThreadFn
 	state thrState
-	rw    *readWait
+	// rw is the outstanding read. A read suspends the thread until its
+	// last reply arrives, so a thread has at most one.
+	rw readWait
 
 	// The coroutine: next resumes the body until its next yield, stop
 	// ends it, yield is the body's side of next, and in is the message
@@ -120,13 +125,17 @@ type thr struct {
 	yield func(any) bool
 	in    resumeMsg
 
-	// Operands of the most common ops (compute, remote write, local
-	// store), staged here so those ops yield zero-size values and the
-	// switch does not allocate.
+	// Operands of the yielded ops, staged here so that every op but
+	// opSpawn and opPanic is a zero-size value (opYield's one byte
+	// boxes without allocating) and the switch does not allocate.
 	opCycles sim.Time
 	opAddr   packet.GlobalAddr
 	opOff    uint32
 	opData   packet.Word
+	opN      int
+	opKind   metrics.SwitchKind
+	opWS     *WaitSet
+	opWaiter waiter
 
 	// Continuation context for the exu's allocation-free event
 	// handlers: the resume payload and the packet to inject, staged

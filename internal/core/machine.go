@@ -27,6 +27,10 @@ type Machine struct {
 
 	exus  []*exu
 	stats []metrics.PE
+	// free is the machine's packet free list. Every packet comes from
+	// it and goes back where it is consumed (see exu.handle and
+	// proc.serviceDMA), so a drained run has all of them back.
+	free packet.Free
 
 	spawnSeq   uint64
 	spawns     map[uint64]spawnInfo
@@ -69,7 +73,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	for pe := 0; pe < cfg.P; pe++ {
 		pe := packet.PE(pe)
 		send := func(pkt *packet.Packet) { m.route(pkt) }
-		m.Procs[pe] = proc.New(m.Eng, pe, cfg.MemWords, cfg.Proc, &m.stats[pe], send)
+		m.Procs[pe] = proc.New(m.Eng, pe, cfg.MemWords, cfg.Proc, &m.stats[pe], &m.free, send)
 		m.exus[pe] = newEXU(m, pe)
 		m.Procs[pe].SetWake(m.exus[pe].wake)
 		if m.Net != nil {
@@ -138,14 +142,15 @@ func (m *Machine) SpawnAt(pe packet.PE, name string, arg packet.Word, fn ThreadF
 	if m.ran {
 		panic("core: SpawnAt after Run")
 	}
-	seq := m.registerSpawn(name, fn)
-	m.Procs[pe].PushLocal(thread.Low, &packet.Packet{
+	pkt := m.free.Get()
+	*pkt = packet.Packet{
 		Kind: packet.KindInvoke,
 		Src:  pe,
 		Addr: packet.GlobalAddr{PE: pe},
 		Data: arg,
-		Seq:  seq,
-	})
+		Seq:  m.registerSpawn(name, fn),
+	}
+	m.Procs[pe].PushLocal(thread.Low, pkt)
 }
 
 func (m *Machine) registerSpawn(name string, fn ThreadFn) uint64 {
@@ -242,11 +247,18 @@ func (m *Machine) collect(end sim.Time) *metrics.Run {
 
 // wakeBlocked requeues a thread whose wait condition was satisfied.
 func (m *Machine) wakeBlocked(t *thr) {
-	m.Procs[t.pe].PushLocal(thread.Low, &packet.Packet{
+	m.Procs[t.pe].PushLocal(thread.Low, m.resumePacket(t))
+}
+
+// resumePacket returns a KindResume packet for t from the free list.
+func (m *Machine) resumePacket(t *thr) *packet.Packet {
+	pkt := m.free.Get()
+	*pkt = packet.Packet{
 		Kind: packet.KindResume,
 		Src:  t.pe,
 		Cont: packet.Continuation{PE: t.pe, Frame: t.frame},
-	})
+	}
+	return pkt
 }
 
 // fail records the first failure and stops the engine.

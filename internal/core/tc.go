@@ -48,14 +48,16 @@ func (tc *TC) Compute(cycles sim.Time) {
 // suspended after the request packet is generated; the EXU switches to
 // the next ready thread; the reply resumes this thread FIFO-fashion.
 func (tc *TC) Read(addr packet.GlobalAddr) packet.Word {
-	return tc.t.yieldOp(opRead{addr: addr}).val
+	tc.t.opAddr = addr
+	return tc.t.yieldOp(opRead{}).val
 }
 
 // ReadBlock reads n consecutive words from a remote PE with a single
 // block-read request (one of the EMC-Y's four send instructions). The
 // thread suspends until all n reply packets have arrived.
 func (tc *TC) ReadBlock(addr packet.GlobalAddr, n int) []packet.Word {
-	return tc.t.yieldOp(opReadBlock{addr: addr, n: n}).vals
+	tc.t.opAddr, tc.t.opN = addr, n
+	return tc.t.yieldOp(opReadBlock{}).vals
 }
 
 // Write sends a remote write packet. The thread continues immediately:
@@ -91,7 +93,8 @@ func (tc *TC) SpinUntil(kind metrics.SwitchKind, cond func() bool) {
 // LocalLoad reads this PE's own memory through the EXU/MCU port,
 // contending with the by-passing DMA.
 func (tc *TC) LocalLoad(off uint32) packet.Word {
-	return tc.t.yieldOp(opLocalLoad{off: off}).val
+	tc.t.opOff = off
+	return tc.t.yieldOp(opLocalLoad{}).val
 }
 
 // LocalStore writes this PE's own memory through the EXU/MCU port.

@@ -128,14 +128,6 @@ func newAllocMachine(t *testing.T, tr *obs.Tracer) *Machine {
 	return m
 }
 
-// warmRing steps the clock one cycle at a time past the engine's
-// near-future ring, whose buckets allocate on first use.
-func warmRing(tc *TC) {
-	for k := 0; k < 1024; k++ {
-		tc.Compute(1)
-	}
-}
-
 // TestNonSuspendingOpsDoNotAllocate pins zero host allocations per
 // Compute and LocalStore: a run of 1000 iterations allocates no more
 // than a run of 100, so the per-machine setup is the only cost.
@@ -144,7 +136,6 @@ func TestNonSuspendingOpsDoNotAllocate(t *testing.T) {
 		return func() {
 			m := newAllocMachine(t, nil)
 			m.SpawnAt(0, "ops", 0, func(tc *TC) {
-				warmRing(tc)
 				for k := 0; k < iters; k++ {
 					tc.Compute(300) // above 255: boxing it would allocate
 					tc.LocalStore(uint32(k%64), packet.Word(k))
@@ -169,7 +160,6 @@ func TestTracedComputeDoesNotAllocate(t *testing.T) {
 		return func() {
 			m := newAllocMachine(t, obs.New(obs.Options{P: 1, Capacity: 64, SliceCycles: 1 << 30}))
 			m.SpawnAt(0, "ops", 0, func(tc *TC) {
-				warmRing(tc)
 				for k := 0; k < iters; k++ {
 					tc.Compute(300)
 				}
@@ -185,11 +175,10 @@ func TestTracedComputeDoesNotAllocate(t *testing.T) {
 }
 
 // suspendAllocsPerRound bounds one round of TestTracedSuspendResumeAllocs,
-// traced or not: each of its two suspensions boxes its opWait,
-// allocates the resume packet and regrows the FIFO's on-chip slice,
-// which Pop has sliced down to zero capacity. A change that removes
-// one of those allocations lowers the bound.
-const suspendAllocsPerRound = 6
+// traced or not. A suspension allocates nothing: opWait is zero-size
+// (its operands are staged on the thread), the resume packet comes from
+// the machine's free list, and the on-chip FIFO is a fixed ring.
+const suspendAllocsPerRound = 0
 
 // TestTracedSuspendResumeAllocs pins the host allocations of a
 // suspension under an enabled tracer. Two threads on one PE take turns
@@ -220,5 +209,68 @@ func TestTracedSuspendResumeAllocs(t *testing.T) {
 	})
 	if perRound > suspendAllocsPerRound+0.01 {
 		t.Fatalf("%.3f allocs per suspend/resume round, want at most %d", perRound, suspendAllocsPerRound)
+	}
+}
+
+// TestRemoteReadDoesNotAllocate pins zero host allocations per
+// split-phase remote read: the request packet comes from the free list,
+// becomes its own reply at the remote PE, goes back to the list when
+// the reply is consumed, and the value lands in the thread's resume
+// slot without a per-read wait record.
+func TestRemoteReadDoesNotAllocate(t *testing.T) {
+	perRead := allocsPerIter(func(reads int) func() {
+		return func() {
+			cfg := DefaultConfig(2)
+			cfg.MemWords = 1 << 10
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SpawnAt(0, "reader", 0, func(tc *TC) {
+				for k := 0; k < reads; k++ {
+					tc.Read(packet.GlobalAddr{PE: 1, Off: uint32(k % 64)})
+				}
+			})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perRead > 0.01 {
+		t.Fatalf("%.3f allocs per remote read, want ~0", perRead)
+	}
+}
+
+// TestBarrierDoesNotAllocate pins zero host allocations per barrier
+// episode: followers and the dissemination rounds wait on counters, not
+// on per-call closures, and their sync tokens and resumes come from the
+// packet free list.
+func TestBarrierDoesNotAllocate(t *testing.T) {
+	perEpisode := allocsPerIter(func(episodes int) func() {
+		return func() {
+			cfg := DefaultConfig(4)
+			cfg.MemWords = 1 << 10
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := m.NewBarrier("b", 2)
+			for pe := packet.PE(0); pe < 4; pe++ {
+				for h := 0; h < 2; h++ {
+					m.SpawnAt(pe, "member", 0, func(tc *TC) {
+						for k := 0; k < episodes; k++ {
+							tc.Compute(sim.Time(1 + h))
+							tc.Barrier(b)
+						}
+					})
+				}
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perEpisode > 0.01 {
+		t.Fatalf("%.3f allocs per barrier episode, want ~0", perEpisode)
 	}
 }

@@ -19,9 +19,21 @@ type WaitSet struct {
 	waiters []waiter
 }
 
+// waiter is one blocked thread and what it waits for: cond, or, when
+// cond is nil, *ctr reaching want (Barrier's closure-free form).
 type waiter struct {
 	t    *thr
 	cond func() bool
+	ctr  *uint64
+	want uint64
+}
+
+// ready reports whether the waiter's condition holds.
+func (w *waiter) ready() bool {
+	if w.cond != nil {
+		return w.cond()
+	}
+	return *w.ctr >= w.want
 }
 
 // NewWaitSet creates a wait set bound to the machine.
@@ -35,7 +47,7 @@ func (m *Machine) NewWaitSet() *WaitSet { return &WaitSet{m: m} }
 func (ws *WaitSet) Notify() {
 	kept := ws.waiters[:0]
 	for _, w := range ws.waiters {
-		if w.t.state == stBlocked && w.cond() {
+		if w.t.state == stBlocked && w.ready() {
 			w.t.state = stQueued
 			ws.m.wakeBlocked(w.t)
 		} else {
@@ -55,13 +67,20 @@ func (ws *WaitSet) Waiting() int { return len(ws.waiters) }
 // must be followed by ws.Notify().
 func (tc *TC) WaitUntil(kind metrics.SwitchKind, ws *WaitSet, cond func() bool) {
 	for !cond() {
-		tc.t.yieldOp(opWait{kind: kind, ws: ws, cond: cond})
+		tc.t.wait(kind, ws, waiter{cond: cond})
 	}
 }
 
-// opWait suspends the thread on a wait set.
-type opWait struct {
-	kind metrics.SwitchKind
-	ws   *WaitSet
-	cond func() bool
+// waitCount is WaitUntil for the condition *ctr >= want, without a
+// closure: Barrier blocks through it on every episode.
+func (tc *TC) waitCount(kind metrics.SwitchKind, ws *WaitSet, ctr *uint64, want uint64) {
+	for *ctr < want {
+		tc.t.wait(kind, ws, waiter{ctr: ctr, want: want})
+	}
+}
+
+// wait stages w and suspends the thread on ws once.
+func (t *thr) wait(kind metrics.SwitchKind, ws *WaitSet, w waiter) {
+	t.opKind, t.opWS, t.opWaiter = kind, ws, w
+	t.yieldOp(opWait{})
 }

@@ -151,3 +151,38 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%s src=%d dst=%d addr=%v data=%#x cont=%v",
 		p.Kind, p.Src, p.Dst(), p.Addr, uint32(p.Data), p.Cont)
 }
+
+// Free is a free list of packets. A machine owns one and every unit
+// that creates a packet takes it from the list; the unit that consumes
+// the packet puts it back, so a run allocates only as many packets as
+// are ever in flight at once. The zero value is an empty list.
+type Free struct {
+	pkts []*Packet
+	// Allocated counts packets Get had to allocate because the list
+	// was empty. After a run that drained, every one of them is back
+	// on the list: Allocated == Len().
+	Allocated uint64
+}
+
+// Get returns a zeroed packet, reusing a released one when it can.
+func (f *Free) Get() *Packet {
+	n := len(f.pkts)
+	if n == 0 {
+		f.Allocated++
+		return new(Packet)
+	}
+	p := f.pkts[n-1]
+	f.pkts[n-1] = nil
+	f.pkts = f.pkts[:n-1]
+	return p
+}
+
+// Put zeroes a consumed packet and returns it to the list. The caller
+// must hold no other reference to it.
+func (f *Free) Put(p *Packet) {
+	*p = Packet{}
+	f.pkts = append(f.pkts, p)
+}
+
+// Len returns the number of packets on the list.
+func (f *Free) Len() int { return len(f.pkts) }

@@ -88,6 +88,9 @@ type Proc struct {
 
 	sendNet func(*packet.Packet)
 	wake    func()
+	// free is the machine's packet free list: replies come from it, and
+	// serviced writes and block-read requests go back to it.
+	free *packet.Free
 
 	// Prepared handlers for the engine's allocation-free event lane.
 	hSend   sim.Handler
@@ -122,10 +125,11 @@ type dmaH struct{ p *Proc }
 
 func (h dmaH) OnEvent(arg sim.EventArg) { h.p.serviceDMA(arg.Ptr.(*packet.Packet)) }
 
-// New creates the packet units for one PE. sendNet injects a packet into
-// the network at the current engine time.
+// New creates the packet units for one PE. free is the machine's packet
+// free list; sendNet injects a packet into the network at the current
+// engine time.
 func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
-	stats *metrics.PE, sendNet func(*packet.Packet)) *Proc {
+	stats *metrics.PE, free *packet.Free, sendNet func(*packet.Packet)) *Proc {
 	p := &Proc{
 		eng:     eng,
 		pe:      pe,
@@ -133,6 +137,7 @@ func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
 		Mem:     memory.New(pe, memWords),
 		Frames:  thread.NewFrames(),
 		sendNet: sendNet,
+		free:    free,
 		Stats:   stats,
 	}
 	p.hSend = sendH{p}
@@ -205,63 +210,70 @@ func (p *Proc) serviceBypass(pkt *packet.Packet) {
 }
 
 // serviceDMA runs at the IBU grant time: the memory side of a by-passed
-// request.
+// request. A write or block-read request is consumed here; a single-word
+// read request becomes its own reply.
 func (p *Proc) serviceDMA(pkt *packet.Packet) {
 	switch pkt.Kind {
 	case packet.KindWrite:
 		p.Mem.Write(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, pkt.Data)
+		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortDMA, pkt.Addr.Off)
-		reply := &packet.Packet{
-			Kind: packet.KindReadReply,
-			Src:  p.pe,
-			Addr: pkt.Addr,
-			Data: v,
-			Cont: pkt.Cont,
-			Seq:  pkt.Seq,
-		}
-		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: reply})
+		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.toReply(pkt, v)})
 	case packet.KindBlockReadReq:
 		words, _ := p.Mem.ReadBlock(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, int(pkt.Block))
 		// Stream one reply per word; the OBU pipelines them at its
 		// port rate, which models the block-transfer burst.
 		for i, w := range words {
 			rd := p.eng.Now() + memory.AccessCycles*sim.Time(i+1)
-			p.eng.AtHandler(rd, p.hInject, sim.EventArg{Ptr: &packet.Packet{
-				Kind: packet.KindReadReply,
-				Src:  p.pe,
-				Addr: pkt.Addr.Add(uint32(i)),
-				Data: w,
-				Cont: pkt.Cont,
-				Seq:  pkt.Seq,
-			}})
+			p.eng.AtHandler(rd, p.hInject, sim.EventArg{Ptr: p.blockReply(pkt, i, w)})
 		}
+		p.free.Put(pkt)
 	}
+}
+
+// toReply turns a single-word read request into its reply in place: the
+// continuation and the trace tag stay, the kind, source and data change.
+func (p *Proc) toReply(pkt *packet.Packet, v packet.Word) *packet.Packet {
+	pkt.Kind = packet.KindReadReply
+	pkt.Src = p.pe
+	pkt.Data = v
+	return pkt
+}
+
+// blockReply builds the reply carrying word i of a block read request.
+func (p *Proc) blockReply(req *packet.Packet, i int, w packet.Word) *packet.Packet {
+	reply := p.free.Get()
+	*reply = packet.Packet{
+		Kind: packet.KindReadReply,
+		Src:  p.pe,
+		Addr: req.Addr.Add(uint32(i)),
+		Data: w,
+		Cont: req.Cont,
+		Seq:  req.Seq,
+	}
+	return reply
 }
 
 // ServiceOnEXU performs the memory side of a request that was queued in
 // ServiceEXU mode; the core EXU calls it after charging the stolen cycles.
+// It consumes the request the way serviceDMA does.
 func (p *Proc) ServiceOnEXU(pkt *packet.Packet) {
 	p.Stats.ServicedEXU++
 	p.obs.Packet(int64(p.eng.Now()), int32(p.pe), obs.PktEXUService, 0)
 	switch pkt.Kind {
 	case packet.KindWrite:
 		p.Mem.Write(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, pkt.Data)
+		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortEXU, pkt.Addr.Off)
-		reply := &packet.Packet{
-			Kind: packet.KindReadReply, Src: p.pe,
-			Addr: pkt.Addr, Data: v, Cont: pkt.Cont, Seq: pkt.Seq,
-		}
-		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: reply})
+		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.toReply(pkt, v)})
 	case packet.KindBlockReadReq:
 		words, done := p.Mem.ReadBlock(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, int(pkt.Block))
 		for i, w := range words {
-			p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: &packet.Packet{
-				Kind: packet.KindReadReply, Src: p.pe,
-				Addr: pkt.Addr.Add(uint32(i)), Data: w, Cont: pkt.Cont, Seq: pkt.Seq,
-			}})
+			p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.blockReply(pkt, i, w)})
 		}
+		p.free.Put(pkt)
 	default:
 		panic(fmt.Sprintf("proc: ServiceOnEXU got %v", pkt))
 	}

@@ -11,8 +11,10 @@
 // ahead (port hops, dispatch latencies, memory accesses), so the engine
 // keeps a calendar-queue-style ring of one-cycle buckets for the near
 // future and falls back to a binary heap only for far-future events
-// (deadlines, long busy-until reservations). Bucket slices are reused
-// across laps, so steady-state scheduling does not allocate.
+// (deadlines, long busy-until reservations). A bucket is a linked list
+// threaded through one node slab with a free list: the slab grows only
+// to the peak number of pending near events, and once it has, scheduling
+// does not allocate.
 //
 // # Handler fast lane
 //
@@ -81,12 +83,19 @@ const (
 	ringMask = ringSize - 1
 )
 
-// bucket holds the events of one cycle. head indexes the next event to
-// dispatch, so events appended mid-drain (After(0) chains) keep FIFO
-// order; the backing slice is reused once drained.
+// node is one slab slot: a near-future event and the slab index of the
+// next event in its bucket (or of the next free slot). Index 0 is a
+// sentinel meaning "none".
+type node struct {
+	ev   event
+	next int32
+}
+
+// bucket holds the events of one cycle as a FIFO list of slab indices:
+// events appended mid-drain (After(0) chains) go behind the tail and
+// keep insertion order. head == 0 means empty.
 type bucket struct {
-	head int
-	evs  []event
+	head, tail int32
 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -104,6 +113,11 @@ type Engine struct {
 	// push window is [now, now+ringSize).
 	ring      [ringSize]bucket
 	nearCount int
+	// slab stores the ring's events; free heads the list of released
+	// slots. slab[0] is the sentinel, appended on the first push, so the
+	// zero Engine needs no constructor.
+	slab []node
+	free int32
 	// cursor is the scan position for the next non-empty bucket. It is
 	// lowered by pushes below it and never advanced past the earliest
 	// live ring event, so the scan cannot skip the minimum.
@@ -165,8 +179,15 @@ func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
 	e.seq++
 	ev := event{at: t, seq: e.seq, h: h, arg: arg}
 	if t-e.now < ringSize {
+		n := e.alloc()
+		e.slab[n].ev = ev
 		b := &e.ring[t&ringMask]
-		b.evs = append(b.evs, ev)
+		if b.tail == 0 {
+			b.head = n
+		} else {
+			e.slab[b.tail].next = n
+		}
+		b.tail = n
 		if e.nearCount == 0 || t < e.cursor {
 			e.cursor = t
 		}
@@ -174,6 +195,23 @@ func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
 		return
 	}
 	e.pushHeap(ev)
+}
+
+// alloc returns a free slab slot, growing the slab only when none is
+// free.
+//
+//emx:hotpath
+func (e *Engine) alloc() int32 {
+	if n := e.free; n != 0 {
+		e.free = e.slab[n].next
+		e.slab[n].next = 0
+		return n
+	}
+	if len(e.slab) == 0 {
+		e.slab = append(e.slab, node{}) // the sentinel
+	}
+	e.slab = append(e.slab, node{})
+	return int32(len(e.slab) - 1)
 }
 
 // AfterHandler schedules h.OnEvent(arg) d cycles from now without
@@ -244,15 +282,10 @@ func (e *Engine) Step() bool {
 //
 //emx:hotpath
 func (e *Engine) nextNear() Time {
-	for {
-		b := &e.ring[e.cursor&ringMask]
-		if b.head < len(b.evs) {
-			return e.cursor
-		}
-		b.evs = b.evs[:0]
-		b.head = 0
+	for e.ring[e.cursor&ringMask].head == 0 {
 		e.cursor++
 	}
+	return e.cursor
 }
 
 // peekTime returns the time of the next event. Caller guarantees
@@ -285,13 +318,16 @@ func (e *Engine) pop() event {
 		return e.popHeap()
 	}
 	b := &e.ring[t&ringMask]
-	ev := b.evs[b.head]
-	b.evs[b.head] = event{} // release handler and arg for GC
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	n := b.head
+	nd := &e.slab[n]
+	ev := nd.ev
+	b.head = nd.next
+	if b.head == 0 {
+		b.tail = 0
 	}
+	// Release handler and arg for GC and put the slot on the free list.
+	*nd = node{next: e.free}
+	e.free = n
 	e.nearCount--
 	return ev
 }

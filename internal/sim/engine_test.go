@@ -359,35 +359,51 @@ func TestEngineRingHeapBoundary(t *testing.T) {
 
 func TestEngineRingHeapRandomized(t *testing.T) {
 	// Property: with schedule times spanning the ring window and the heap
-	// overflow, on both lanes, dispatch order is sorted by time with
-	// same-time ties in insertion order.
+	// overflow, on both lanes, and with handlers that schedule more
+	// events while the engine drains (After(0) chains and delays that
+	// cross ring laps), dispatch order is sorted by time with same-time
+	// ties in insertion order, and the node slab never holds more than
+	// the peak number of pending near events plus its sentinel.
 	type stamp struct {
 		at  Time
 		seq int
 	}
-	check := func(delaysRaw []uint16, lanes []bool) bool {
+	childDelays := [...]Time{0, 0, 1, 7, ringSize - 1, ringSize, ringSize + 1, 2*ringSize + 3}
+	check := func(delaysRaw []uint16, lanes []bool, spawns []uint8) bool {
 		if len(delaysRaw) == 0 {
 			return true
 		}
 		e := NewEngine()
-		var got []stamp
-		rec := func(i int) { got = append(got, stamp{e.Now(), i}) }
-		for i, d := range delaysRaw {
-			at := Time(d) % (3 * ringSize)
-			if i < len(lanes) && lanes[i] {
-				i := i
-				e.AtHandler(at, runFunc, EventArg{Ptr: func() { rec(i) }})
-			} else {
-				i := i
-				e.At(at, func() { rec(i) })
+		var got, want []stamp
+		peak := 0
+		var push func(at Time, depth int)
+		push = func(at Time, depth int) {
+			seq := len(want)
+			want = append(want, stamp{at, seq})
+			fire := func() {
+				got = append(got, stamp{e.Now(), seq})
+				if depth == 0 || seq >= len(spawns) {
+					return
+				}
+				// Up to three children, the first often an After(0).
+				for k := 0; k < int(spawns[seq]%4); k++ {
+					push(e.Now()+childDelays[(int(spawns[seq]>>2)+k)%len(childDelays)], depth-1)
+				}
 			}
+			if seq < len(lanes) && lanes[seq] {
+				e.AtHandler(at, runFunc, EventArg{Ptr: fire})
+			} else {
+				e.At(at, fire)
+			}
+			peak = max(peak, e.nearCount)
+		}
+		for _, d := range delaysRaw {
+			push(Time(d)%(3*ringSize), 2)
 		}
 		e.Run()
-		if len(got) != len(delaysRaw) {
+		if len(got) != len(want) || len(e.slab) > peak+1 {
 			return false
 		}
-		want := make([]stamp, len(got))
-		copy(want, got)
 		sort.SliceStable(want, func(a, b int) bool {
 			if want[a].at != want[b].at {
 				return want[a].at < want[b].at
@@ -464,7 +480,7 @@ func TestWindowedDriverZeroAlloc(t *testing.T) {
 		e.AtHandler(Time(i), h, EventArg{N: 1 << 40})
 	}
 	deadline := Time(0)
-	// Warm up ring buckets.
+	// Let the node slab reach its peak.
 	deadline += 4096
 	e.RunUntil(deadline)
 	allocs := testing.AllocsPerRun(16, func() {

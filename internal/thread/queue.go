@@ -26,9 +26,13 @@ const (
 // are dispatched in FIFO order within a priority level, High before Low.
 // Pushes beyond the on-chip capacity overflow to an on-memory buffer and
 // are restored to the on-chip FIFO as it drains, preserving order.
+//
+// Each on-chip FIFO is a fixed ring of OnChipCap slots and the spill
+// buffer reuses its backing array once it drains, so a queue in steady
+// state does not allocate.
 type Queue struct {
-	onchip [nPrio][]*packet.Packet
-	spill  [nPrio][]*packet.Packet
+	onchip [nPrio]fifo
+	spill  [nPrio]spillBuf
 
 	// Spilled and Restored count overflow round-trips through memory;
 	// each costs extra MCU traffic that the processor model charges.
@@ -38,11 +42,63 @@ type Queue struct {
 	MaxDepth int
 }
 
+// fifo is one on-chip FIFO: a ring of OnChipCap slots.
+type fifo struct {
+	slots   [OnChipCap]*packet.Packet
+	head, n int
+}
+
+func (f *fifo) push(pkt *packet.Packet) {
+	f.slots[(f.head+f.n)%OnChipCap] = pkt
+	f.n++
+}
+
+func (f *fifo) pop() *packet.Packet {
+	pkt := f.slots[f.head]
+	f.slots[f.head] = nil
+	f.head = (f.head + 1) % OnChipCap
+	f.n--
+	return pkt
+}
+
+// spillBuf is the on-memory overflow buffer of one priority level:
+// pkts[head:] are queued, and the backing array is reused once it
+// drains.
+type spillBuf struct {
+	pkts []*packet.Packet
+	head int
+}
+
+func (s *spillBuf) len() int { return len(s.pkts) - s.head }
+
+func (s *spillBuf) push(pkt *packet.Packet) {
+	if len(s.pkts) == cap(s.pkts) && s.head > 0 {
+		// Full behind a popped prefix: slide the queued packets down
+		// instead of growing the array.
+		n := copy(s.pkts, s.pkts[s.head:])
+		clear(s.pkts[n:])
+		s.pkts = s.pkts[:n]
+		s.head = 0
+	}
+	s.pkts = append(s.pkts, pkt)
+}
+
+func (s *spillBuf) pop() *packet.Packet {
+	pkt := s.pkts[s.head]
+	s.pkts[s.head] = nil
+	s.head++
+	if s.head == len(s.pkts) {
+		s.pkts = s.pkts[:0]
+		s.head = 0
+	}
+	return pkt
+}
+
 // Len returns the number of queued packets across both priorities.
 func (q *Queue) Len() int {
 	n := 0
 	for p := Prio(0); p < nPrio; p++ {
-		n += len(q.onchip[p]) + len(q.spill[p])
+		n += q.onchip[p].n + q.spill[p].len()
 	}
 	return n
 }
@@ -53,10 +109,10 @@ func (q *Queue) Empty() bool { return q.Len() == 0 }
 // Push enqueues a packet at the given priority, returning true if it had
 // to spill to the on-memory buffer.
 func (q *Queue) Push(p Prio, pkt *packet.Packet) (spilled bool) {
-	if len(q.onchip[p]) < OnChipCap && len(q.spill[p]) == 0 {
-		q.onchip[p] = append(q.onchip[p], pkt)
+	if q.onchip[p].n < OnChipCap && q.spill[p].len() == 0 {
+		q.onchip[p].push(pkt)
 	} else {
-		q.spill[p] = append(q.spill[p], pkt)
+		q.spill[p].push(pkt)
 		q.Spilled++
 		spilled = true
 	}
@@ -71,21 +127,16 @@ func (q *Queue) Push(p Prio, pkt *packet.Packet) (spilled bool) {
 // memory (the caller charges the restore cost). ok is false when empty.
 func (q *Queue) Pop() (pkt *packet.Packet, prio Prio, fromSpill bool, ok bool) {
 	for p := Prio(0); p < nPrio; p++ {
-		if len(q.onchip[p]) > 0 {
-			pkt = q.onchip[p][0]
-			q.onchip[p][0] = nil
-			q.onchip[p] = q.onchip[p][1:]
+		if q.onchip[p].n > 0 {
+			pkt = q.onchip[p].pop()
 			q.refill(p)
 			return pkt, p, false, true
 		}
 		// On-chip FIFO empty but spill holds packets (can happen only
 		// transiently between refills); serve the spill head directly.
-		if len(q.spill[p]) > 0 {
-			pkt = q.spill[p][0]
-			q.spill[p][0] = nil
-			q.spill[p] = q.spill[p][1:]
+		if q.spill[p].len() > 0 {
 			q.Restored++
-			return pkt, p, true, true
+			return q.spill[p].pop(), p, true, true
 		}
 	}
 	return nil, 0, false, false
@@ -94,10 +145,8 @@ func (q *Queue) Pop() (pkt *packet.Packet, prio Prio, fromSpill bool, ok bool) {
 // refill moves spilled packets back into freed on-chip slots, as the IBU
 // does automatically when the FIFO drains.
 func (q *Queue) refill(p Prio) {
-	for len(q.onchip[p]) < OnChipCap && len(q.spill[p]) > 0 {
-		q.onchip[p] = append(q.onchip[p], q.spill[p][0])
-		q.spill[p][0] = nil
-		q.spill[p] = q.spill[p][1:]
+	for q.onchip[p].n < OnChipCap && q.spill[p].len() > 0 {
+		q.onchip[p].push(q.spill[p].pop())
 		q.Restored++
 	}
 }

@@ -142,51 +142,114 @@ func TestQueueSpillBothPriorities(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOProperty(t *testing.T) {
-	// Property: for arbitrary push/pop interleavings, pops within a
-	// priority observe push order.
-	check := func(ops []bool, prios []bool) bool {
-		var q Queue
-		next := map[Prio]uint64{}
-		expect := map[Prio]uint64{}
-		var seq uint64
-		for i, isPush := range ops {
-			if isPush {
-				p := Low
-				if i < len(prios) && prios[i] {
-					p = High
-				}
-				// Encode priority in the sequence's low bit.
-				q.Push(p, pkt(seq<<1|uint64(p)))
-				next[p]++
-				seq++
-			} else if pkt, prio, _, ok := q.Pop(); ok {
-				if Prio(pkt.Seq&1) != prio {
-					return false
-				}
-				_ = expect
-				if pkt.Seq>>1 < 0 { // unreachable; keep structure simple
-					return false
-				}
-			}
+// checkQueueModel runs push and pop bursts against a Queue and a model
+// of one FIFO per priority. Each op is a burst of up to 15 pushes (even
+// op) or pops (odd op), long enough to wrap the on-chip rings and to
+// spill and drain repeatedly; prios picks the priority of each push.
+// Every pop must return the model's next packet (High before Low), Len
+// must match the model, and a final drain must restore every spill.
+func checkQueueModel(ops []uint8, prios []bool) bool {
+	var q Queue
+	var model [nPrio][]uint64
+	var seq uint64
+	pop := func() bool {
+		want := Low
+		if len(model[High]) > 0 {
+			want = High
 		}
-		// Drain and verify per-priority monotone order.
-		last := map[Prio]int64{High: -1, Low: -1}
-		for {
-			pkt, prio, _, ok := q.Pop()
-			if !ok {
-				break
-			}
-			v := int64(pkt.Seq >> 1)
-			if v <= last[prio] {
-				return false
-			}
-			last[prio] = v
+		got, prio, _, ok := q.Pop()
+		if len(model[want]) == 0 {
+			return !ok
 		}
-		return q.Empty()
+		if !ok || prio != want || got.Seq != model[want][0] {
+			return false
+		}
+		model[want] = model[want][1:]
+		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	for _, op := range ops {
+		for k := 0; k < int(op>>1)%16; k++ {
+			if op&1 == 1 {
+				if !pop() {
+					return false
+				}
+				continue
+			}
+			p := Low
+			if seq < uint64(len(prios)) && prios[seq] {
+				p = High
+			}
+			q.Push(p, pkt(seq))
+			model[p] = append(model[p], seq)
+			seq++
+		}
+		if q.Len() != len(model[High])+len(model[Low]) {
+			return false
+		}
+	}
+	for q.Len() > 0 {
+		if !pop() {
+			return false
+		}
+	}
+	return len(model[High])+len(model[Low]) == 0 && q.Restored == q.Spilled
+}
+
+func TestQueueFIFOProperty(t *testing.T) {
+	// Deterministic spill/drain cycles past on-chip wraparound: push 15,
+	// pop 5, push 7, pop everything, five times over.
+	var cycles []uint8
+	for i := 0; i < 5; i++ {
+		cycles = append(cycles, 15<<1, 5<<1|1, 7<<1, 15<<1|1, 15<<1|1)
+	}
+	if !checkQueueModel(cycles, nil) {
+		t.Fatal("spill/drain cycles broke FIFO order")
+	}
+	// Property: for arbitrary push/pop interleavings over both
+	// priorities, pops observe push order within a priority.
+	if err := quick.Check(checkQueueModel, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueuePushPopDoesNotAllocate pins a steady-state queue at zero
+// allocations: the on-chip rings are fixed arrays, and the spill buffer
+// reuses its array once it has grown to the peak backlog.
+func TestQueuePushPopDoesNotAllocate(t *testing.T) {
+	var q Queue
+	pkts := make([]*packet.Packet, 3*OnChipCap)
+	for i := range pkts {
+		pkts[i] = pkt(uint64(i))
+	}
+	cycle := func() {
+		for i, p := range pkts {
+			q.Push(Prio(i%2), p)
+			if i%3 == 0 {
+				q.Pop()
+			}
+		}
+		for !q.Empty() {
+			q.Pop()
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocs per push/pop cycle, want 0", allocs)
+	}
+}
+
+// BenchmarkQueuePushPop measures one push and one pop on a queue
+// holding a spilled backlog.
+func BenchmarkQueuePushPop(b *testing.B) {
+	var q Queue
+	p := pkt(0)
+	for i := 0; i < 2*OnChipCap; i++ {
+		q.Push(Low, p)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.Push(Low, p)
+		q.Pop()
 	}
 }
 
