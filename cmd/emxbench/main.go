@@ -32,6 +32,7 @@ import (
 	"emx/internal/cluster"
 	"emx/internal/harness"
 	"emx/internal/labd"
+	"emx/internal/ring"
 )
 
 func main() {
@@ -319,14 +320,7 @@ func localPanels(scale int, seed int64, workers int, observe *harness.ProfileCol
 // rendezvous hashing and a dead node's panels fail over to its peers —
 // byte-identically, since runs are deterministic.
 func remotePanels(remotes string, scale int, seed int64) func(string) ([]harness.Figure, error) {
-	var urls []string
-	for _, u := range strings.Split(remotes, ",") {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u != "" {
-			urls = append(urls, u)
-		}
-	}
-	m := cluster.NewMembership(urls, cluster.MembershipOptions{})
+	m := cluster.NewMembership(ring.ParseMembers(remotes), cluster.MembershipOptions{})
 	c := cluster.NewClient(m, cluster.ClientOptions{})
 	return func(name string) ([]harness.Figure, error) {
 		figs, err := c.Figure(name, scale, seed)

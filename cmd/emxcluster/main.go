@@ -41,6 +41,7 @@ import (
 	"emx/internal/cluster"
 	"emx/internal/harness"
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 func main() {
@@ -74,7 +75,7 @@ func run(args []string, stderr io.Writer, start func(addr string, h http.Handler
 		return 2
 	}
 
-	urls := splitNodes(*nodes)
+	urls := ring.ParseMembers(*nodes)
 	if len(urls) == 0 {
 		fmt.Fprintln(stderr, "emxcluster: -nodes is required (comma-separated emxd base URLs)")
 		fs.Usage()
@@ -129,19 +130,6 @@ func run(args []string, stderr io.Writer, start func(addr string, h http.Handler
 	defer m.Close()
 
 	return start(*addr, g.Handler(), g, m)
-}
-
-// splitNodes parses the -nodes list, trimming blanks and trailing
-// slashes so "a, b," and "a,b" mean the same cluster.
-func splitNodes(s string) []string {
-	var urls []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			urls = append(urls, p)
-		}
-	}
-	return urls
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -57,10 +59,24 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// TestSplitNodes: -nodes goes through ring.ParseMembers, so blanks,
+// empty entries and trailing slashes do not change the member set.
 func TestSplitNodes(t *testing.T) {
-	got := splitNodes(" http://a:1/, ,http://b:2 ,")
-	if len(got) != 2 || got[0] != "http://a:1" || got[1] != "http://b:2" {
-		t.Fatalf("splitNodes = %v", got)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		dead := httptest.NewServer(nil)
+		dead.Close()
+		urls = append(urls, dead.URL)
+	}
+	var got []string
+	code := run([]string{"-probe", "0", "-nodes", " " + urls[1] + "/, ," + urls[0] + " ,"}, io.Discard,
+		func(_ string, _ http.Handler, _ *cluster.Gateway, m *cluster.Membership) int {
+			got = m.Members()
+			return 0
+		})
+	sort.Strings(urls)
+	if code != 0 || !reflect.DeepEqual(got, urls) {
+		t.Fatalf("exit %d, members %v, want %v", code, got, urls)
 	}
 }
 

@@ -25,10 +25,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -36,69 +38,101 @@ import (
 	"emx/internal/harness"
 	"emx/internal/labd"
 	"emx/internal/labd/service"
+	"emx/internal/ring"
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", ":8484", "listen address")
-		workers = flag.Int("workers", 0, "simulator worker pool size (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 1024, "pending-run queue bound (full queue rejects with 503)")
-		cache   = flag.Int("cache", 512, "LRU result cache bound in entries")
-		scale   = flag.Int("scale", harness.DefaultScale, "default scale-down factor for requests that omit one")
-		seed    = flag.Int64("seed", 1, "default input generator seed")
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-		replicas = flag.Int("replicas", 1, "run-cache replication factor across the peer set (1 = off)")
-		self     = flag.String("self", "", "this node's base URL as peers address it (required with -replicas > 1)")
-		peersStr = flag.String("peers", "", "comma-separated peer base URLs, including -self (required with -replicas > 1)")
+// run parses flags, then serves until SIGINT/SIGTERM. It returns 2 for
+// a bad flag, 1 when the listener fails and 0 after a clean shutdown.
+func run(args []string, stderr io.Writer) int {
+	addr, opts, ok := parseFlags(args, stderr)
+	if !ok {
+		return 2
+	}
+	return serve(addr, opts, log.New(stderr, "", log.LstdFlags))
+}
+
+// parseFlags turns emxd's flags into a listen address and server
+// options. The -peers and -self URLs go through ring.ParseMembers, the
+// parser emxcluster applies to -nodes, so this node's replica ring and
+// the gateway's ring rank every key identically.
+func parseFlags(args []string, stderr io.Writer) (string, service.Options, bool) {
+	fs := flag.NewFlagSet("emxd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr    = fs.String("addr", ":8484", "listen address")
+		workers = fs.Int("workers", 0, "simulator worker pool size (0 = GOMAXPROCS)")
+		queue   = fs.Int("queue", 1024, "pending-run queue bound (full queue rejects with 503)")
+		cache   = fs.Int("cache", 512, "LRU result cache bound in entries")
+		scale   = fs.Int("scale", harness.DefaultScale, "default scale-down factor for requests that omit one")
+		seed    = fs.Int64("seed", 1, "default input generator seed")
+
+		replicas = fs.Int("replicas", 1, "run-cache replication factor across the peer set (1 = off)")
+		selfStr  = fs.String("self", "", "this node's base URL as peers address it (required with -replicas > 1)")
+		peersStr = fs.String("peers", "", "comma-separated peer base URLs, including -self (required with -replicas > 1)")
 	)
-	flag.Parse()
+	fail := func(msg string) (string, service.Options, bool) {
+		fmt.Fprintln(stderr, "emxd: "+msg)
+		return "", service.Options{}, false
+	}
+	if err := fs.Parse(args); err != nil {
+		return "", service.Options{}, false
+	}
 	if *queue < 1 || *cache < 1 || *scale < 1 {
-		fmt.Fprintln(os.Stderr, "emxd: -queue, -cache, and -scale must be >= 1")
-		os.Exit(2)
+		return fail("-queue, -cache, and -scale must be >= 1")
 	}
 	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "emxd: -workers must be >= 0")
-		os.Exit(2)
+		return fail("-workers must be >= 0")
 	}
-	var peers []string
-	if *peersStr != "" {
-		peers = strings.Split(*peersStr, ",")
+	peers := ring.ParseMembers(*peersStr)
+	// A -self naming two URLs stays a list, which no peer equals.
+	self := strings.Join(ring.ParseMembers(*selfStr), ",")
+	if *replicas > 1 && (self == "" || len(peers) < 2) {
+		return fail("-replicas > 1 needs -self and at least two -peers")
 	}
-	if *replicas > 1 && (*self == "" || len(peers) < 2) {
-		fmt.Fprintln(os.Stderr, "emxd: -replicas > 1 needs -self and at least two -peers")
-		os.Exit(2)
+	if self != "" && len(peers) > 0 && !slices.Contains(peers, self) {
+		return fail(fmt.Sprintf("-self %s is not among -peers %s", self, *peersStr))
 	}
-
-	srv := service.New(service.Options{
+	return *addr, service.Options{
 		Scale: *scale,
 		Seed:  *seed,
 		Sched: labd.Options{Workers: *workers, QueueSize: *queue, CacheSize: *cache},
 		Replication: service.ReplicationOptions{
 			Replicas: *replicas,
-			Self:     *self,
+			Self:     self,
 			Peers:    peers,
 		},
-	})
+	}, true
+}
+
+// serve runs the daemon on addr until SIGINT/SIGTERM.
+func serve(addr string, opts service.Options, logger *log.Logger) int {
+	srv := service.New(opts)
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("emxd: serving on %s (workers=%d queue=%d cache=%d scale=%d)",
-		*addr, srv.Scheduler().Stats().Workers, *queue, *cache, *scale)
+	logger.Printf("emxd: serving on %s (workers=%d queue=%d cache=%d scale=%d)",
+		addr, srv.Scheduler().Stats().Workers, opts.Sched.QueueSize, opts.Sched.CacheSize, opts.Scale)
 
 	select {
 	case err := <-errc:
-		log.Fatalf("emxd: %v", err)
+		logger.Printf("emxd: %v", err)
+		return 1
 	case <-ctx.Done():
-		log.Print("emxd: shutting down")
+		logger.Print("emxd: shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("emxd: shutdown: %v", err)
+			logger.Printf("emxd: shutdown: %v", err)
 		}
 	}
+	return 0
 }

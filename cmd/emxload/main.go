@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"emx/internal/cluster"
 	"emx/internal/labd"
 	"emx/internal/labd/service"
 	"emx/internal/load"
+	"emx/internal/ring"
 )
 
 func main() {
@@ -95,7 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "emxload: -replicas requires the in-process lab (drop -nodes)")
 			return 2
 		}
-		urls = strings.Split(*nodesStr, ",")
+		if urls = ring.ParseMembers(*nodesStr); len(urls) == 0 {
+			fmt.Fprintf(stderr, "emxload: -nodes %q names no node\n", *nodesStr)
+			return 2
+		}
 	} else {
 		lab, err = load.NewLab(*local, service.Options{
 			Sched:       labd.Options{Workers: 2, QueueSize: 256},

@@ -59,10 +59,6 @@ type ClientOptions struct {
 	// next-ranked node if the owner has not answered within it. 0
 	// disables time-based hedging.
 	HedgeDelay time.Duration
-	// HedgeQueueFraction hedges immediately (no delay) when the owner's
-	// last probed queue fullness is at or above it (default 0.9; only
-	// effective when HedgeDelay > 0).
-	HedgeQueueFraction float64
 	// Local, when set, serves requests in-process (an emxd
 	// service.Server handler) after every remote candidate has failed —
 	// graceful degradation to local execution. Results are byte-identical
@@ -74,6 +70,10 @@ type ClientOptions struct {
 	// Registry receives the client's operational counters (nil: private).
 	Registry *metrics.Registry
 }
+
+// hedgeQueueFraction is the owner's last probed queue fullness at or
+// above which a hedge launches immediately instead of after HedgeDelay.
+const hedgeQueueFraction = 0.9
 
 // LocalNode is the Node name reported for responses served by the
 // in-process fallback handler.
@@ -169,9 +169,6 @@ func NewClient(m *Membership, opts ClientOptions) *Client {
 	}
 	if opts.MaxRetryWait <= 0 {
 		opts.MaxRetryWait = 2 * time.Second
-	}
-	if opts.HedgeQueueFraction <= 0 {
-		opts.HedgeQueueFraction = 0.9
 	}
 	hc := opts.HTTPClient
 	if hc == nil {
@@ -299,7 +296,7 @@ func expired(deadline time.Time) bool {
 // ranked unhealthy ones as a last resort (health data may be stale and
 // a "down" node is still better than no node).
 func (c *Client) candidates(key string) []string {
-	ranked := ring.New(c.members.Members()).Ranked(key)
+	ranked := c.members.ring.Ranked(key)
 	healthy := make([]string, 0, len(ranked))
 	down := make([]string, 0, len(ranked))
 	for _, n := range ranked {
@@ -352,11 +349,11 @@ func (e errBusy) Error() string {
 
 // hedged races the owner against the next-ranked node: the backup
 // launches after HedgeDelay — or immediately when the owner's probed
-// queue is nearly full — and the first success wins. The loser's
-// attempt is cancelled via its context.
+// queue is at least hedgeQueueFraction full — and the first success
+// wins. The loser's attempt is cancelled via its context.
 func (c *Client) hedged(key, path string, body []byte, owner, backup string, deadline time.Time) (*Result, error) {
 	delay := c.opts.HedgeDelay
-	if full, _, ok := c.members.Load(owner); ok && full >= c.opts.HedgeQueueFraction {
+	if full, _, ok := c.members.Load(owner); ok && full >= hedgeQueueFraction {
 		delay = 0
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -152,27 +153,30 @@ func TestGatewayFailoverSweep(t *testing.T) {
 	}
 }
 
-// newReplicatedCluster is newTestCluster with R-way cache replication:
-// peer URLs only exist once every backend listens, so the replica ring
-// reaches each node via SetPeers after construction.
+// newReplicatedCluster is newTestCluster with R-way cache replication.
+// Every backend listener is bound before any node is built, so each
+// node's replica ring holds the whole member set from construction.
 func newReplicatedCluster(t *testing.T, n, replicas int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	urls := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range urls {
+		ts := httptest.NewUnstartedServer(nil)
+		tc.backends = append(tc.backends, ts)
+		urls[i] = "http://" + ts.Listener.Addr().String()
+	}
+	for i, ts := range tc.backends {
 		srv := service.New(service.Options{
-			Scale:       hugeScale,
-			Seed:        1,
-			Replication: service.ReplicationOptions{Replicas: replicas},
+			Scale: hugeScale,
+			Seed:  1,
+			Replication: service.ReplicationOptions{
+				Replicas: replicas, Self: urls[i], Peers: urls,
+			},
 		})
-		ts := httptest.NewServer(srv.Handler())
+		ts.Config.Handler = srv.Handler()
+		ts.Start()
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		tc.servers = append(tc.servers, srv)
-		tc.backends = append(tc.backends, ts)
-		urls[i] = ts.URL
-	}
-	for i, srv := range tc.servers {
-		srv.SetPeers(urls[i], urls)
 	}
 	tc.members = NewMembership(urls, MembershipOptions{})
 	tc.members.ProbeAll()
@@ -528,5 +532,88 @@ func TestGatewayRelaysDeadlineHeader(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway && resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline through gateway: status %d", resp.StatusCode)
+	}
+}
+
+// TestReplicaPushesFollowClientCandidates is DESIGN §14's agreement
+// contract with member lists spelled the way flags are typed: blanks,
+// empty entries, trailing slashes, and a different order on the nodes
+// and on the gateway. After a run executes on its owner, the nodes that
+// hold it are exactly the first R candidates the client ranks for its
+// key, so the node the client fails over to is the node the owner
+// pushed to — and no push is addressed to the owner itself.
+func TestReplicaPushesFollowClientCandidates(t *testing.T) {
+	const n, replicas, points = 3, 2, 24
+	var backends []*httptest.Server
+	var urls []string
+	for i := 0; i < n; i++ {
+		ts := httptest.NewUnstartedServer(nil)
+		backends = append(backends, ts)
+		urls = append(urls, "http://"+ts.Listener.Addr().String())
+	}
+	peersFlag := " " + urls[0] + "/, ," + urls[1] + " ," + urls[2] + "/"
+	nodesFlag := urls[2] + "," + urls[0] + "/ , " + urls[1] + "/,"
+	var servers []*service.Server
+	for i, ts := range backends {
+		srv := service.New(service.Options{
+			Scale: hugeScale,
+			Seed:  1,
+			Replication: service.ReplicationOptions{
+				Replicas: replicas,
+				Self:     ring.ParseMembers(urls[i] + "/ ")[0],
+				Peers:    ring.ParseMembers(peersFlag),
+			},
+		})
+		ts.Config.Handler = srv.Handler()
+		ts.Start()
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		servers = append(servers, srv)
+	}
+	members := NewMembership(ring.ParseMembers(nodesFlag), MembershipOptions{})
+	client := NewClient(members, ClientOptions{Replicas: replicas})
+
+	var keys []string
+	for i := 0; i < points; i++ {
+		req := service.RunRequest{Workload: "fft", P: 2 << (i % 3), H: 1 + i/3, N: 64 << 10}
+		ps, scale, err := service.ResolveRun(req, hugeScale, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := ps.Key(scale)
+		res, err := client.Do(key, "/v1/run", body)
+		if err != nil || res.Status != http.StatusOK {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		keys = append(keys, key)
+	}
+	for i, srv := range servers {
+		if !srv.FlushReplication(5 * time.Second) {
+			t.Fatalf("node %d: pushes did not drain", i)
+		}
+	}
+	var pushes, pushErrors float64
+	for _, srv := range servers {
+		snap := srv.Registry().Snapshot()
+		pushes += snap["emxd_cache_replica_pushes_total"]
+		pushErrors += snap["emxd_cache_replica_push_errors_total"]
+	}
+	if pushes != points || pushErrors != 0 {
+		t.Fatalf("pushes %v (errors %v), want %d (0)", pushes, pushErrors, points)
+	}
+	for _, key := range keys {
+		want := client.candidates(key)[:replicas]
+		var holders []string
+		for _, u := range want {
+			if _, ok := servers[slices.Index(urls, u)].Scheduler().CacheGet(key); ok {
+				holders = append(holders, u)
+			}
+		}
+		if len(holders) != replicas {
+			t.Fatalf("key %s: candidates %v, holders among them %v", key, want, holders)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,15 +18,14 @@ type MembershipOptions struct {
 	// ProbeAll calls and from the client's passive failure marking,
 	// which is what the CLI and the deterministic tests use.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /v1/status probe (default 2s).
-	ProbeTimeout time.Duration
-	// MaxBackoff caps the down-node probe backoff (default 30s).
-	MaxBackoff time.Duration
-	// HTTPClient overrides the probe client (tests inject in-process
-	// transports; default http.DefaultClient with ProbeTimeout applied
-	// per request).
-	HTTPClient *http.Client
 }
+
+const (
+	// probeTimeout bounds one /v1/status probe.
+	probeTimeout = 2 * time.Second
+	// maxProbeBackoff caps the down-node probe backoff.
+	maxProbeBackoff = 30 * time.Second
+)
 
 // NodeStatus is one member's observed state.
 type NodeStatus struct {
@@ -49,7 +47,8 @@ type member struct {
 }
 
 // Membership tracks the health and load of a fixed set of emxd nodes.
-// Nodes start healthy (optimistically: the first request finds out) and
+// The member set and its rendezvous ring are built once, in
+// NewMembership. Nodes start healthy (optimistically: the first request finds out) and
 // move down/up from probe results and the client's passive marking.
 // Down nodes are probed with exponential backoff so a dead node costs
 // ProbeInterval work only logarithmically often, and recover the moment
@@ -57,6 +56,8 @@ type member struct {
 type Membership struct {
 	opts MembershipOptions
 	http *http.Client
+	ring *ring.Ring
+	urls []string // ring members: sorted, deduplicated
 
 	mu    sync.Mutex
 	nodes map[string]*member
@@ -69,23 +70,16 @@ type Membership struct {
 // NewMembership tracks the given node base URLs. Call Start to launch
 // the background prober (when ProbeInterval > 0) and Close to stop it.
 func NewMembership(urls []string, opts MembershipOptions) *Membership {
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
-	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: opts.ProbeTimeout}
-	}
+	rg := ring.New(urls)
 	m := &Membership{
 		opts:  opts,
-		http:  hc,
-		nodes: map[string]*member{},
+		http:  &http.Client{Timeout: probeTimeout},
+		ring:  rg,
+		urls:  rg.Members(),
+		nodes: make(map[string]*member, rg.Len()),
 		stop:  make(chan struct{}),
 	}
-	for _, u := range ring.New(urls).Members() { // normalized: sorted, deduplicated
+	for _, u := range m.urls {
 		m.nodes[u] = &member{url: u, healthy: true}
 	}
 	return m
@@ -93,29 +87,14 @@ func NewMembership(urls []string, opts MembershipOptions) *Membership {
 
 // Members returns every tracked node URL in sorted order — the ring's
 // member set.
-func (m *Membership) Members() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sortedNodeURLs(m.nodes)
-}
-
-// sortedNodeURLs collects map keys and sorts them, so no caller ever
-// observes Go's randomized map order.
-func sortedNodeURLs(nodes map[string]*member) []string {
-	out := make([]string, 0, len(nodes))
-	for u := range nodes {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
+func (m *Membership) Members() []string { return append([]string(nil), m.urls...) }
 
 // Healthy returns the currently-healthy node URLs in sorted order.
 func (m *Membership) Healthy() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.nodes))
-	for _, u := range sortedNodeURLs(m.nodes) {
+	out := make([]string, 0, len(m.urls))
+	for _, u := range m.urls {
 		if m.nodes[u].healthy {
 			out = append(out, u)
 		}
@@ -135,8 +114,8 @@ func (m *Membership) IsHealthy(url string) bool {
 func (m *Membership) Snapshot() []NodeStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]NodeStatus, 0, len(m.nodes))
-	for _, u := range sortedNodeURLs(m.nodes) {
+	out := make([]NodeStatus, 0, len(m.urls))
+	for _, u := range m.urls {
 		n := m.nodes[u]
 		st := n.load
 		st.URL = u
@@ -224,7 +203,7 @@ func (m *Membership) Probe(url string) error {
 // ProbeAll probes every node once, synchronously, in sorted order.
 // Returns the number of healthy nodes after the round.
 func (m *Membership) ProbeAll() int {
-	for _, u := range m.Members() {
+	for _, u := range m.urls {
 		m.Probe(u)
 	}
 	return len(m.Healthy())
@@ -233,14 +212,13 @@ func (m *Membership) ProbeAll() int {
 // Start launches one background prober per node when ProbeInterval is
 // positive. Healthy nodes are probed every ProbeInterval; after each
 // consecutive failure the node's next probe backs off exponentially
-// (interval x 2^failures) up to MaxBackoff. Idempotent.
+// (interval x 2^failures) up to maxProbeBackoff. Idempotent.
 func (m *Membership) Start() {
 	if m.opts.ProbeInterval <= 0 {
 		return
 	}
 	m.once.Do(func() {
-		for _, u := range m.Members() {
-			u := u
+		for _, u := range m.urls {
 			m.wg.Add(1)
 			go m.probeLoop(u)
 		}
@@ -253,13 +231,13 @@ func (m *Membership) probeLoop(url string) {
 		delay := m.opts.ProbeInterval
 		m.mu.Lock()
 		if n, ok := m.nodes[url]; ok {
-			for i := 0; i < n.failures && delay < m.opts.MaxBackoff; i++ {
+			for i := 0; i < n.failures && delay < maxProbeBackoff; i++ {
 				delay *= 2
 			}
 		}
 		m.mu.Unlock()
-		if delay > m.opts.MaxBackoff {
-			delay = m.opts.MaxBackoff
+		if delay > maxProbeBackoff {
+			delay = maxProbeBackoff
 		}
 		t := time.NewTimer(delay) //emx:hostclock health probing is host-side by nature
 		select {

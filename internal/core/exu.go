@@ -31,6 +31,12 @@ type exu struct {
 	idleSince    sim.Time // valid when !busy
 	restoredSeen uint64   // spill restores already charged
 
+	// frames maps this PE's activation-frame IDs to their threads. IDs
+	// are the table index: per-PE, monotonic, from 1 (slot 0 is never a
+	// frame). A finished thread's slot goes nil, so a packet for a dead
+	// frame is caught.
+	frames []*thr
+
 	hInjectResume  sim.Handler
 	hResume        sim.Handler
 	hStart         sim.Handler
@@ -43,7 +49,7 @@ type exu struct {
 }
 
 func newEXU(m *Machine, pe packet.PE) *exu {
-	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0}
+	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0, frames: []*thr{nil}}
 	x.hInjectResume = injectResumeH{x}
 	x.hResume = resumeH{x}
 	x.hStart = startH{x}
@@ -180,15 +186,15 @@ func (x *exu) handle(pkt *packet.Packet) {
 		info := x.m.takeSpawn(pkt.Seq)
 		arg := pkt.Data
 		x.m.free.Put(pkt)
-		f := x.p.Frames.Alloc(thread.NoFrame, info.name)
-		t := newThr(x.m, x.pe, f.ID, info.name, info.fn)
-		f.State = t
+		frame := uint32(len(x.frames))
+		t := newThr(x.m, x.pe, frame, info.name, info.fn)
+		x.frames = append(x.frames, t)
 		x.m.allThreads = append(x.m.allThreads, t)
 		x.m.live++
 		// Frame allocation and argument deposit.
 		x.st.Times.Switch += x.m.Cfg.SpawnCycles
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
-		x.m.obs.ThreadName(int32(x.pe), f.ID, info.name)
+		x.m.obs.ThreadName(int32(x.pe), frame, info.name)
 		t.resumeVal = arg
 		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, sim.EventArg{Ptr: t})
 
@@ -246,11 +252,10 @@ func (x *exu) handle(pkt *packet.Packet) {
 }
 
 func (x *exu) threadOf(frame uint32) *thr {
-	f := x.p.Frames.Get(frame)
-	if f == nil {
+	if int(frame) >= len(x.frames) || x.frames[frame] == nil {
 		panic(fmt.Sprintf("core: PE%d packet for dead frame %d", x.pe, frame))
 	}
-	return f.State.(*thr)
+	return x.frames[frame]
 }
 
 // resumeThread charges register restore and continues the coroutine with
@@ -383,7 +388,7 @@ func (x *exu) finish(t *thr, op any) {
 		t.stop()
 		x.m.trace(obs.ThreadEnd, t)
 		x.m.live--
-		x.p.Frames.Free(t.frame)
+		x.frames[t.frame] = nil
 		x.dispatch()
 
 	case opPanic:

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"emx/internal/metrics"
+	"emx/internal/obs"
 	"emx/internal/packet"
 	"emx/internal/proc"
 	"emx/internal/thread"
@@ -80,5 +83,51 @@ func everyPacketKind(m *Machine) {
 				tc.WaitUntil(metrics.SwitchThreadSync, ws, func() bool { return done == int(p)*h })
 			})
 		}
+	}
+}
+
+// TestFrameIDsArePerPEFromOne: frame IDs count up from 1 on each PE
+// independently, in spawn order — the IDs obs events, the thread-name
+// table and the emxprof goldens carry.
+func TestFrameIDsArePerPEFromOne(t *testing.T) {
+	m := newTestMachine(t, 2)
+	tr := obs.New(obs.Options{P: 2})
+	m.SetObs(tr)
+	for _, pe := range []packet.PE{1, 0, 1, 1, 0} {
+		m.SpawnAt(pe, fmt.Sprintf("pe%d", pe), 0, func(tc *TC) { tc.Compute(1) })
+	}
+	mustRun(t, m)
+	next := map[int32]uint32{0: 1, 1: 1}
+	for _, n := range tr.Names() {
+		if n.Frame != next[n.PE] {
+			t.Fatalf("PE%d thread %q has frame %d, want %d", n.PE, n.Name, n.Frame, next[n.PE])
+		}
+		next[n.PE]++
+	}
+	if next[0] != 3 || next[1] != 4 {
+		t.Fatalf("named frames per PE: %v", next)
+	}
+}
+
+// TestPacketForDeadFramePanics: a resume or reply addressed to a frame
+// whose thread finished — or that was never allocated — is a runtime
+// invariant violation, not a silent drop.
+func TestPacketForDeadFramePanics(t *testing.T) {
+	m := newTestMachine(t, 1)
+	m.SpawnAt(0, "main", 0, func(tc *TC) { tc.Compute(1) })
+	mustRun(t, m)
+	for _, frame := range []uint32{1, 0, 7} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("dead frame %d", frame)) {
+					t.Errorf("frame %d: recovered %v, want a dead-frame panic", frame, r)
+				}
+			}()
+			m.exus[0].handle(&packet.Packet{
+				Kind: packet.KindResume,
+				Cont: packet.Continuation{PE: 0, Frame: frame},
+			})
+		}()
 	}
 }

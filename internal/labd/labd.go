@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -600,22 +599,6 @@ func (s *Scheduler) CachePut(key string, run *metrics.Run) bool {
 	}
 	s.cache.add(key, run)
 	return true
-}
-
-// CacheKeys snapshots the cache index in sorted order — the walk list
-// for the anti-entropy migrator.
-func (s *Scheduler) CacheKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.cache.items))
-	for k := range s.cache.items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // lruCache is a plain LRU over *metrics.Run, guarded by Scheduler.mu.

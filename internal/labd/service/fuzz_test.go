@@ -1,6 +1,13 @@
 package service
 
-import "testing"
+import (
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"testing"
+	"time"
+)
 
 // FuzzResolveRun drives the request→identity mapping every node and the
 // gateway share with arbitrary run requests. Accepted requests must be
@@ -33,6 +40,68 @@ func FuzzResolveRun(f *testing.F) {
 		sameSim, sameKey := ps2.SimN == ps.SimN, ps2.Key(gotScale2) == ps.Key(gotScale)
 		if sameSim != sameKey {
 			t.Fatalf("SimN %d vs %d, same key %v: %+v vs %+v", ps.SimN, ps2.SimN, sameKey, req, alias)
+		}
+	})
+}
+
+// FuzzOpenEnvelope drives the receiving side of replication with
+// arbitrary envelopes, the bytes a peer (or anyone reaching
+// /v1/cache/put) controls. It must never panic; an accepted envelope
+// must carry the digest of its own run bytes; and re-encoding the
+// decoded run must give an envelope that opens to an equal run. The
+// seed corpus lives in testdata/fuzz/FuzzOpenEnvelope.
+func FuzzOpenEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, key, digest string, runJSON []byte) {
+		env := CacheEnvelope{Key: key, Digest: digest, Run: runJSON}
+		run, err := openEnvelope(env)
+		if err != nil {
+			return
+		}
+		if got := runDigest(env.Run); got != env.Digest {
+			t.Fatalf("accepted envelope with digest %q, run bytes hash to %q", env.Digest, got)
+		}
+		again, err := envelope(key, run)
+		if err != nil {
+			t.Fatalf("decoded run does not re-encode: %v", err)
+		}
+		run2, err := openEnvelope(again)
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v", err)
+		}
+		if !reflect.DeepEqual(run, run2) {
+			t.Fatalf("round trip changed the run: %+v vs %+v", run, run2)
+		}
+	})
+}
+
+// FuzzRequestDeadline drives the X-Emx-Deadline parser with arbitrary
+// header values. It must never panic; anything but a positive decimal
+// nanosecond count is "no deadline"; and a deadline written by
+// FormatDeadline reads back exactly, which is what lets the gateway
+// relay the header unchanged. The seed corpus lives in
+// testdata/fuzz/FuzzRequestDeadline.
+func FuzzRequestDeadline(f *testing.F) {
+	parse := func(v string) time.Time {
+		r := httptest.NewRequest(http.MethodPost, "/v1/run", nil)
+		r.Header.Set(DeadlineHeader, v)
+		return RequestDeadline(r)
+	}
+	f.Fuzz(func(t *testing.T, header string, ns int64) {
+		got := parse(header)
+		if want, err := strconv.ParseInt(header, 10, 64); err != nil || want <= 0 {
+			if !got.IsZero() {
+				t.Fatalf("header %q gave deadline %v, want none", header, got)
+			}
+		} else if got.UnixNano() != want {
+			t.Fatalf("header %q gave %d ns", header, got.UnixNano())
+		}
+
+		if ns <= 0 {
+			return
+		}
+		d := time.Unix(0, ns)
+		if back := parse(FormatDeadline(d)); !back.Equal(d) || back.UnixNano() != ns {
+			t.Fatalf("deadline %d ns read back as %d", ns, back.UnixNano())
 		}
 	})
 }

@@ -22,32 +22,31 @@ import (
 // survive node loss. Correctness needs no coordination — entries are
 // content-addressed results of pure functions, so every copy of a key
 // is byte-identical, and a digest check on receipt enforces it.
+//
+// The member set is fixed at construction: a node replicates only when
+// Replicas > 1, Self is set and Peers names at least two members.
 type ReplicationOptions struct {
 	// Replicas is the number of copies per entry, R, counting the copy
 	// on the executing node. <= 1 disables replication.
 	Replicas int
 	// Self is this node's base URL exactly as peers address it (the
-	// ring member string). Required when Replicas > 1 and Peers are set
-	// at construction; may also arrive later via Server.SetPeers.
+	// ring member string).
 	Self string
 	// Peers is the cluster member set (base URLs, including Self).
 	Peers []string
-	// QueueSize bounds the asynchronous push queue (<= 0: 256). A full
-	// queue drops the push and counts it — never blocks the worker.
-	QueueSize int
-	// PushTimeout bounds one replica push (<= 0: 2s).
-	PushTimeout time.Duration
-	// FillTimeout bounds the whole peer-fill attempt on a cache miss
-	// (<= 0: 1s). The request's own deadline tightens it further.
-	FillTimeout time.Duration
 	// HTTPClient overrides the transport (tests); nil uses a default.
 	HTTPClient *http.Client
 }
 
 const (
-	defaultReplicaQueue = 256
-	defaultPushTimeout  = 2 * time.Second
-	defaultFillTimeout  = time.Second
+	// replicaQueueSize bounds the asynchronous push queue. A full queue
+	// drops the push and counts it — never blocks the worker.
+	replicaQueueSize = 256
+	// pushTimeout bounds one replica push.
+	pushTimeout = 2 * time.Second
+	// fillTimeout bounds the whole peer-fill attempt on a cache miss;
+	// the request's own deadline tightens it further.
+	fillTimeout = time.Second
 )
 
 // CacheEnvelope is the wire form of one replicated cache entry, used by
@@ -64,12 +63,6 @@ type CacheEnvelope struct {
 // cacheGetRequest is the body of POST /v1/cache/get.
 type cacheGetRequest struct {
 	Key string `json:"key"`
-}
-
-// CacheIndexResponse is GET /v1/cache/index: the node's cache keys in
-// sorted order.
-type CacheIndexResponse struct {
-	Keys []string `json:"keys"`
 }
 
 // runDigest is the digest both ends compute: hex SHA-256 over the
@@ -118,20 +111,18 @@ type pushTask struct {
 	body []byte
 }
 
-// replicator implements the three replication paths: asynchronous push
-// on cache fill, bounded-deadline peer fill on cache miss, and the
-// anti-entropy migration walk on membership change. It is wired into
-// the scheduler via labd.Options.Fill / labd.Options.OnFill, and its
-// store side is served by the Server's /v1/cache/* handlers.
+// replicator implements the two replication paths: asynchronous push
+// on cache fill and bounded-deadline peer fill on cache miss. It is
+// wired into the scheduler via labd.Options.Fill / labd.Options.OnFill,
+// and its store side is served by the Server's /v1/cache/* handlers.
+// Its ring and self are fixed at construction; mu guards only pending.
 type replicator struct {
-	replicas    int
-	pushTimeout time.Duration
-	fillTimeout time.Duration
-	http        *http.Client
+	replicas int
+	self     string
+	ring     *ring.Ring
+	http     *http.Client
 
 	mu      sync.Mutex
-	self    string
-	ring    *ring.Ring
 	pending int // queued + in-flight pushes, for quiesce
 
 	queue chan pushTask
@@ -145,41 +136,21 @@ type replicator struct {
 	fillMisses *metrics.Counter
 	mismatches *metrics.Counter
 	drops      *metrics.Counter
-	migrated   *metrics.Counter
-}
-
-// replicaCache is the slice of the scheduler the replicator needs:
-// installing peer copies, exporting local ones, and walking the index.
-type replicaCache interface {
-	CacheGet(key string) (*metrics.Run, bool)
-	CachePut(key string, run *metrics.Run) bool
-	CacheKeys() []string
 }
 
 func newReplicator(o ReplicationOptions, reg *metrics.Registry) *replicator {
-	if o.QueueSize <= 0 {
-		o.QueueSize = defaultReplicaQueue
-	}
-	if o.PushTimeout <= 0 {
-		o.PushTimeout = defaultPushTimeout
-	}
-	if o.FillTimeout <= 0 {
-		o.FillTimeout = defaultFillTimeout
-	}
 	hc := o.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
 	}
 	r := &replicator{
-		replicas:    o.Replicas,
-		pushTimeout: o.PushTimeout,
-		fillTimeout: o.FillTimeout,
-		http:        hc,
-		self:        o.Self,
-		ring:        ring.New(o.Peers),
-		queue:       make(chan pushTask, o.QueueSize),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		replicas: o.Replicas,
+		self:     o.Self,
+		ring:     ring.New(o.Peers),
+		http:     hc,
+		queue:    make(chan pushTask, replicaQueueSize),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 
 		pushes:     reg.Counter("emxd_cache_replica_pushes_total", "replica cache entries pushed to peers"),
 		pushErrors: reg.Counter("emxd_cache_replica_push_errors_total", "replica pushes that failed (peer down or rejected)"),
@@ -188,7 +159,6 @@ func newReplicator(o ReplicationOptions, reg *metrics.Registry) *replicator {
 		fillMisses: reg.Counter("emxd_cache_replica_fill_misses_total", "peer-fill attempts that found no replica"),
 		mismatches: reg.Counter("emxd_cache_replica_digest_mismatch_total", "replica envelopes rejected by the digest check"),
 		drops:      reg.Counter("emxd_cache_replica_queue_drops_total", "replica pushes dropped because the queue was full"),
-		migrated:   reg.Counter("emxd_cache_replica_migrated_total", "cache entries offered to peers by the anti-entropy migrator"),
 	}
 	reg.Gauge("emxd_cache_replicas", "configured replica count per cache entry",
 		func() float64 { return float64(r.replicas) })
@@ -196,24 +166,20 @@ func newReplicator(o ReplicationOptions, reg *metrics.Registry) *replicator {
 	return r
 }
 
-// enabled reports whether replication can do anything right now: R > 1
-// and at least one peer besides self.
+// enabled reports whether the node can replicate at all: R > 1, self
+// known, and at least one peer besides self. The Server wires the
+// push and fill hooks only when it does.
 func (r *replicator) enabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.replicas > 1 && r.ring.Len() > 1 && r.self != ""
+	return r.replicas > 1 && r.self != "" && r.ring.Len() > 1
 }
 
 // replicaTargets returns key's replica set excluding self, in ranked
 // order.
 func (r *replicator) replicaTargets(key string) []string {
-	r.mu.Lock()
-	rg, self := r.ring, r.self
-	r.mu.Unlock()
-	set := rg.ReplicaSet(key, r.replicas)
+	set := r.ring.ReplicaSet(key, r.replicas)
 	out := make([]string, 0, len(set))
 	for _, m := range set {
-		if m != self {
+		if m != r.self {
 			out = append(out, m)
 		}
 	}
@@ -222,33 +188,28 @@ func (r *replicator) replicaTargets(key string) []string {
 
 // offer pushes key's entry toward the other members of its replica
 // set, asynchronously and best-effort: a full queue drops, a dead peer
-// just counts an error. Returns how many pushes were enqueued.
-func (r *replicator) offer(key string, run *metrics.Run) int {
-	if !r.enabled() {
-		return 0
-	}
+// just counts an error.
+func (r *replicator) offer(key string, run *metrics.Run) {
 	targets := r.replicaTargets(key)
 	if len(targets) == 0 {
-		return 0
+		return
 	}
 	env, err := envelope(key, run)
 	if err != nil {
 		r.pushErrors.Inc()
-		return 0
+		return
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
 		r.pushErrors.Inc()
-		return 0
+		return
 	}
-	enqueued := 0
 	for _, node := range targets {
 		r.mu.Lock()
 		r.pending++
 		r.mu.Unlock()
 		select {
 		case r.queue <- pushTask{key: key, node: node, body: body}:
-			enqueued++
 		default:
 			r.mu.Lock()
 			r.pending--
@@ -256,7 +217,6 @@ func (r *replicator) offer(key string, run *metrics.Run) int {
 			r.drops.Inc()
 		}
 	}
-	return enqueued
 }
 
 // pushLoop drains the push queue: one POST /v1/cache/put per task.
@@ -276,7 +236,7 @@ func (r *replicator) pushLoop() {
 }
 
 func (r *replicator) push(t pushTask) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.pushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.node+"/v1/cache/put", bytes.NewReader(t.body))
 	if err != nil {
@@ -313,17 +273,14 @@ func drainClose(body io.ReadCloser) {
 
 // fill is the scheduler's Fill hook: on a cache miss, ask the other
 // members of key's replica set for their copy before paying an
-// execution. The whole attempt is bounded by FillTimeout and, when the
+// execution. The whole attempt is bounded by fillTimeout and, when the
 // request carries a deadline, never outlives it.
 func (r *replicator) fill(key string, deadline time.Time) *metrics.Run {
-	if !r.enabled() {
-		return nil
-	}
 	targets := r.replicaTargets(key)
 	if len(targets) == 0 {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.fillTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
 	defer cancel()
 	if !deadline.IsZero() {
 		var cancel2 context.CancelFunc
@@ -371,58 +328,6 @@ func (r *replicator) fetch(ctx context.Context, node, key string, body []byte) *
 		return nil
 	}
 	return run
-}
-
-// setPeers replaces the replica ring. When the membership actually
-// changed it returns true; the Server then kicks the anti-entropy
-// migrator.
-func (r *replicator) setPeers(self string, peers []string) bool {
-	next := ring.New(peers)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if self != "" {
-		r.self = self
-	}
-	if equalMembers(r.ring.Members(), next.Members()) {
-		return false
-	}
-	r.ring = next
-	return true
-}
-
-func equalMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// migrate is the anti-entropy walk: offer every local cache entry to
-// the other members of its (current) replica set. Pushing is idempotent
-// — receivers keep their existing copy — so offering a superset of
-// what moved is correct; the walk restores the R-copies invariant after
-// any join, leave, or failback. Returns the number of entries offered.
-func (r *replicator) migrate(cache replicaCache) int {
-	if !r.enabled() || cache == nil {
-		return 0
-	}
-	offered := 0
-	for _, key := range cache.CacheKeys() {
-		run, ok := cache.CacheGet(key)
-		if !ok {
-			continue
-		}
-		if r.offer(key, run) > 0 {
-			offered++
-			r.migrated.Inc()
-		}
-	}
-	return offered
 }
 
 // quiesce blocks until every queued push has been attempted, or the

@@ -17,28 +17,41 @@ import (
 	"emx/internal/sim"
 )
 
+// unstartedURL binds a test server's listener without serving, so its
+// base URL can go into every node's member set before any node exists.
+func unstartedURL(t *testing.T) (*httptest.Server, string) {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(nil)
+	return ts, "http://" + ts.Listener.Addr().String()
+}
+
+// startNode builds a server with opts, serves it on ts and registers
+// the cleanup.
+func startNode(t *testing.T, ts *httptest.Server, opts Options) *Server {
+	t.Helper()
+	srv := New(opts)
+	ts.Config.Handler = srv.Handler()
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return srv
+}
+
 // newReplicatedPair builds two servers with R=2 replication wired to
-// each other. Peer URLs only exist after the listeners do, so the ring
-// arrives via SetPeers — the same late-binding path emxd uses when its
-// flags name peers that have not booted yet.
+// each other. Both listeners are bound first, so each node knows the
+// whole member set from construction, as emxd does from its flags.
 func newReplicatedPair(t *testing.T) (a, b *Server, tsA, tsB *httptest.Server) {
 	t.Helper()
-	mk := func() (*Server, *httptest.Server) {
-		srv := New(Options{
+	tsA, urlA := unstartedURL(t)
+	tsB, urlB := unstartedURL(t)
+	peers := []string{urlA, urlB}
+	mk := func(ts *httptest.Server, self string) *Server {
+		return startNode(t, ts, Options{
 			Scale:       hugeScale,
 			Seed:        1,
-			Replication: ReplicationOptions{Replicas: 2},
+			Replication: ReplicationOptions{Replicas: 2, Self: self, Peers: peers},
 		})
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
-		return srv, ts
 	}
-	a, tsA = mk()
-	b, tsB = mk()
-	peers := []string{tsA.URL, tsB.URL}
-	a.SetPeers(tsA.URL, peers)
-	b.SetPeers(tsB.URL, peers)
-	return a, b, tsA, tsB
+	return mk(tsA, urlA), mk(tsB, urlB), tsA, tsB
 }
 
 // TestReplicationPushStoresOnPeer: executing a run on one node pushes
@@ -88,14 +101,14 @@ func TestPeerFillOnMiss(t *testing.T) {
 	tsHolder := httptest.NewServer(holder.Handler())
 	t.Cleanup(func() { tsHolder.Close(); holder.Close() })
 
-	filler := New(Options{
-		Scale:       hugeScale,
-		Seed:        1,
-		Replication: ReplicationOptions{Replicas: 2},
+	tsFiller, fillerURL := unstartedURL(t)
+	filler := startNode(t, tsFiller, Options{
+		Scale: hugeScale,
+		Seed:  1,
+		Replication: ReplicationOptions{
+			Replicas: 2, Self: fillerURL, Peers: []string{tsHolder.URL, fillerURL},
+		},
 	})
-	tsFiller := httptest.NewServer(filler.Handler())
-	t.Cleanup(func() { tsFiller.Close(); filler.Close() })
-	filler.SetPeers(tsFiller.URL, []string{tsHolder.URL, tsFiller.URL})
 
 	req := RunRequest{Workload: "bitonic", P: 4, H: 2, N: 64 << 10}
 	first := decode[RunResponse](t, postJSON(t, tsHolder.URL+"/v1/run", req))
@@ -346,136 +359,16 @@ func TestReplicationReusesPeerConnections(t *testing.T) {
 	}
 }
 
-// TestCacheIndexListsSortedKeys: /v1/cache/index is the migrator's walk
-// list — every local key, sorted, so diffs against the ring are
-// deterministic.
-func TestCacheIndexListsSortedKeys(t *testing.T) {
-	srv, ts := newTestServer(t)
-	for _, key := range []string{"bravo", "alpha", "charlie"} {
-		if !srv.Scheduler().CachePut(key, &metrics.Run{Label: key}) {
-			t.Fatalf("seeding %s failed", key)
-		}
-	}
+// TestCacheIndexIsNotServed: the member set is fixed at start-up, so no
+// node walks a peer's key list; /v1/cache/index does not exist.
+func TestCacheIndexIsNotServed(t *testing.T) {
+	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/cache/index")
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := decode[CacheIndexResponse](t, resp)
-	want := []string{"alpha", "bravo", "charlie"}
-	if len(idx.Keys) != len(want) {
-		t.Fatalf("index %v, want %v", idx.Keys, want)
-	}
-	for i, k := range want {
-		if idx.Keys[i] != k {
-			t.Fatalf("index %v not sorted, want %v", idx.Keys, want)
-		}
-	}
-}
-
-// TestAntiEntropyMigrationOnJoin is the membership-change acceptance
-// test: a node that cached results while alone must, on learning of a
-// joined peer, walk its cache index and offer the entries — so the
-// R-copies invariant holds for results computed before the join, and
-// the joiner can serve them even after the original owner dies.
-func TestAntiEntropyMigrationOnJoin(t *testing.T) {
-	// Boot A alone: replication is configured but has no peer to talk to.
-	a := New(Options{
-		Scale:       hugeScale,
-		Seed:        1,
-		Replication: ReplicationOptions{Replicas: 2},
-	})
-	tsA := httptest.NewServer(a.Handler())
-	t.Cleanup(func() { tsA.Close(); a.Close() })
-	a.SetPeers(tsA.URL, []string{tsA.URL})
-
-	reqs := []RunRequest{
-		{Workload: "fft", P: 4, H: 2, N: 64 << 10},
-		{Workload: "bitonic", P: 8, H: 4, N: 128 << 10},
-	}
-	var keysCached []string
-	for _, req := range reqs {
-		resp := decode[RunResponse](t, postJSON(t, tsA.URL+"/v1/run", req))
-		if resp.Source != "executed" {
-			t.Fatalf("seed run source %q", resp.Source)
-		}
-		keysCached = append(keysCached, resp.Key)
-	}
-
-	// B joins; both nodes learn the new membership. A's SetPeers sees a
-	// real change and kicks the background migrator.
-	b := New(Options{
-		Scale:       hugeScale,
-		Seed:        1,
-		Replication: ReplicationOptions{Replicas: 2},
-	})
-	tsB := httptest.NewServer(b.Handler())
-	t.Cleanup(func() { tsB.Close(); b.Close() })
-	peers := []string{tsA.URL, tsB.URL}
-	b.SetPeers(tsB.URL, peers)
-	a.SetPeers(tsA.URL, peers)
-
-	deadline := time.Now().Add(5 * time.Second) //emx:hostclock test wait bound
-	for {
-		have := 0
-		for _, k := range keysCached {
-			if _, ok := b.Scheduler().CacheGet(k); ok {
-				have++
-			}
-		}
-		if have == len(keysCached) {
-			break
-		}
-		if time.Now().After(deadline) { //emx:hostclock
-			t.Fatalf("joiner holds %d/%d migrated entries", have, len(keysCached))
-		}
-		time.Sleep(5 * time.Millisecond) //emx:hostclock
-	}
-	if got := a.Registry().Snapshot()["emxd_cache_replica_migrated_total"]; got != 2 {
-		t.Errorf("migrated = %v, want 2", got)
-	}
-
-	// The original owner dies; the joiner serves its pre-join results
-	// from the migrated copies without executing anything.
-	tsA.Close()
-	for i, req := range reqs {
-		resp := decode[RunResponse](t, postJSON(t, tsB.URL+"/v1/run", req))
-		if resp.Source != "cached" {
-			t.Errorf("post-death request %d source %q, want cached", i, resp.Source)
-		}
-	}
-	if got := b.Scheduler().RunsExecuted(); got != 0 {
-		t.Fatalf("joiner executed %d runs for migrated points", got)
-	}
-}
-
-// TestMigrateSynchronous: the operational hook reports how many entries
-// one anti-entropy walk offered.
-func TestMigrateSynchronous(t *testing.T) {
-	a, b, tsA, _ := newReplicatedPair(t)
-	resp := decode[RunResponse](t, postJSON(t, tsA.URL+"/v1/run",
-		RunRequest{Workload: "fft", P: 4, H: 2, N: 64 << 10}))
-	if !a.FlushReplication(5 * time.Second) {
-		t.Fatal("push queue did not drain")
-	}
-	// Drop the peer's copy so the walk has something to restore.
-	bKeys := b.Scheduler().CacheKeys()
-	if len(bKeys) != 1 {
-		t.Fatalf("peer holds %d entries, want 1", len(bKeys))
-	}
-
-	if n := a.Migrate(); n != 1 {
-		t.Fatalf("Migrate offered %d entries, want 1", n)
-	}
-	if !a.FlushReplication(5 * time.Second) {
-		t.Fatal("migration pushes did not drain")
-	}
-	if _, ok := b.Scheduler().CacheGet(resp.Key); !ok {
-		t.Fatal("peer lost the entry after migration")
-	}
-
-	// Disabled replication: Migrate is a counted no-op.
-	plain, _ := newTestServer(t)
-	if n := plain.Migrate(); n != 0 {
-		t.Fatalf("unreplicated Migrate offered %d", n)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache/index: status %d, want 404", resp.StatusCode)
 	}
 }

@@ -12,7 +12,6 @@
 //	GET  /metrics        Prometheus text exposition
 //	POST /v1/cache/put   accept a replicated cache entry from a peer
 //	POST /v1/cache/get   export one cache entry to a peer (replica fill)
-//	GET  /v1/cache/index list the cache keys this node holds
 package service
 
 import (
@@ -132,11 +131,14 @@ func New(opts Options) *Server {
 		start: time.Now(), //emx:hostclock serving-uptime observability
 	}
 	if opts.Replication.Replicas > 1 {
-		// The replicator's hooks must exist before the scheduler does;
-		// its view of the cache is wired just after.
+		// The replicator's hooks must exist before the scheduler does.
+		// A node without peers keeps the replica counters and the
+		// /v1/cache/* store side, but never pushes or fills.
 		s.repl = newReplicator(opts.Replication, opts.Sched.Registry)
-		opts.Sched.Fill = s.repl.fill
-		opts.Sched.OnFill = func(key string, run *metrics.Run) { s.repl.offer(key, run) }
+		if s.repl.enabled() {
+			opts.Sched.Fill = s.repl.fill
+			opts.Sched.OnFill = s.repl.offer
+		}
 	}
 	s.sched = labd.New(opts.Sched)
 	reg := s.sched.Registry()
@@ -162,32 +164,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/cache/put", s.handleCachePut)
 	s.mux.HandleFunc("/v1/cache/get", s.handleCacheGet)
-	s.mux.HandleFunc("/v1/cache/index", s.handleCacheIndex)
 	return s
-}
-
-// SetPeers installs (or replaces) the replica ring: self is this node's
-// base URL as peers address it, peers is the full member set. A real
-// membership change kicks the anti-entropy migrator in the background,
-// restoring the R-copies invariant after a join or failback. No-op when
-// replication is disabled.
-func (s *Server) SetPeers(self string, peers []string) {
-	if s.repl == nil {
-		return
-	}
-	if s.repl.setPeers(self, peers) {
-		go s.repl.migrate(s.sched)
-	}
-}
-
-// Migrate runs one synchronous anti-entropy walk and returns how many
-// entries were offered to peers. Test and operational hook; the
-// background trigger is SetPeers.
-func (s *Server) Migrate() int {
-	if s.repl == nil {
-		return 0
-	}
-	return s.repl.migrate(s.sched)
 }
 
 // FlushReplication blocks until queued replica pushes have been
@@ -250,12 +227,6 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, env)
-}
-
-// handleCacheIndex lists this node's cache keys (sorted), the walk list
-// a peer's migrator — or an operator — can diff against the ring.
-func (s *Server) handleCacheIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CacheIndexResponse{Keys: s.sched.CacheKeys()})
 }
 
 // Handler returns the HTTP handler serving the API. Every request

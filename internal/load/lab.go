@@ -201,7 +201,6 @@ func (l *Lab) ReplicationStats() *ReplicationStats {
 		out.FillMisses += uint64(snap["emxd_cache_replica_fill_misses_total"])
 		out.DigestMismatches += uint64(snap["emxd_cache_replica_digest_mismatch_total"])
 		out.QueueDrops += uint64(snap["emxd_cache_replica_queue_drops_total"])
-		out.Migrated += uint64(snap["emxd_cache_replica_migrated_total"])
 	}
 	return out
 }

@@ -130,7 +130,6 @@ type ReplicationStats struct {
 	FillMisses       uint64 `json:"fill_misses"`
 	DigestMismatches uint64 `json:"digest_mismatches"`
 	QueueDrops       uint64 `json:"queue_drops"`
-	Migrated         uint64 `json:"migrated"`
 }
 
 // Host gathers every timing-dependent observation.
@@ -201,8 +200,8 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "  client: attempts=%d retries=%d failovers=%d hedges=%d (won=%d lost=%d) local=%d\n",
 		c.Attempts, c.Retries, c.Failovers, c.Hedges, c.HedgeWins, c.HedgeLosses, c.LocalFallbacks)
 	if rp := r.Host.Replication; rp != nil {
-		fmt.Fprintf(w, "  replication: pushes=%d (errors=%d) stores=%d fills=%d (misses=%d) mismatches=%d drops=%d migrated=%d\n",
-			rp.Pushes, rp.PushErrors, rp.Stores, rp.Fills, rp.FillMisses, rp.DigestMismatches, rp.QueueDrops, rp.Migrated)
+		fmt.Fprintf(w, "  replication: pushes=%d (errors=%d) stores=%d fills=%d (misses=%d) mismatches=%d drops=%d\n",
+			rp.Pushes, rp.PushErrors, rp.Stores, rp.Fills, rp.FillMisses, rp.DigestMismatches, rp.QueueDrops)
 	}
 	for _, row := range r.Host.Ramp {
 		fmt.Fprintf(w, "  ramp: offered=%.1f achieved=%.1f p99=%.4fs errors=%d\n",

@@ -79,9 +79,8 @@ type Proc struct {
 	pe  packet.PE
 	cfg Config
 
-	Mem    *memory.Local
-	Queue  thread.Queue
-	Frames *thread.Frames
+	Mem   *memory.Local
+	Queue thread.Queue
 
 	ibu sim.Resource
 	obu sim.Resource
@@ -135,7 +134,6 @@ func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
 		pe:      pe,
 		cfg:     cfg,
 		Mem:     memory.New(pe, memWords),
-		Frames:  thread.NewFrames(),
 		sendNet: sendNet,
 		free:    free,
 		Stats:   stats,

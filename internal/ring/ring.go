@@ -9,6 +9,7 @@ package ring
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // Ring is a rendezvous-hashing ring over a fixed member set. Each
@@ -17,7 +18,7 @@ import (
 // key's replica/failover preference. When one member departs, only the
 // keys it owned move (each to its second-ranked member) — every other
 // key keeps its owner, which is what keeps the sharded run caches warm
-// across membership changes.
+// when a member fails.
 //
 // A Ring is immutable after construction and safe for concurrent use.
 type Ring struct {
@@ -38,6 +39,21 @@ func New(members []string) *Ring {
 	}
 	sort.Strings(ms)
 	return &Ring{members: ms}
+}
+
+// ParseMembers parses a comma-separated member list (node base URLs as
+// a flag spells them): blanks and trailing slashes are trimmed and
+// empty entries dropped, so "http://a/, http://b," and "http://a,http://b"
+// name the same members. Every binary parses its node list here, which
+// keeps each node's replica ring and the gateway's ring bit-identical.
+func ParseMembers(list string) []string {
+	var out []string
+	for _, m := range strings.Split(list, ",") {
+		if m = strings.TrimRight(strings.TrimSpace(m), "/"); m != "" {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Members returns the ring's member set in sorted order.

@@ -150,3 +150,27 @@ func TestScoreMixExported(t *testing.T) {
 		t.Fatal("mix64 collides on trivial inputs")
 	}
 }
+
+func TestParseMembers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{" http://a:1/, ,http://b:2 ,", []string{"http://a:1", "http://b:2"}},
+		{"http://a:1//,http://a:1", []string{"http://a:1", "http://a:1"}},
+		{"", nil},
+		{" , ,", nil},
+	} {
+		if got := ParseMembers(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseMembers(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	// Two spellings of one member list build rings that agree on every key.
+	a := New(ParseMembers("http://n1:1/, http://n2:2/ ,http://n3:3"))
+	b := New(ParseMembers("http://n3:3,http://n1:1,http://n2:2"))
+	for _, k := range keys(200) {
+		if !reflect.DeepEqual(a.Ranked(k), b.Ranked(k)) {
+			t.Fatalf("key %s ranks %v vs %v", k, a.Ranked(k), b.Ranked(k))
+		}
+	}
+}

@@ -1,8 +1,8 @@
-// Package thread provides the EMC-Y thread-side hardware structures: the
+// Package thread provides the EMC-Y thread-side hardware structure: the
 // packet queue that implements hardware FIFO thread scheduling (two
 // priority levels of on-chip FIFOs, eight packets each, spilling to local
-// memory when full), and the activation-frame store (frames form a tree
-// reflecting the dynamic calling structure, bounded only by memory).
+// memory when full). Activation frames live in package core, one table
+// per PE mapping frame IDs to threads.
 package thread
 
 import "emx/internal/packet"

@@ -252,91 +252,3 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		q.Pop()
 	}
 }
-
-func TestFramesTree(t *testing.T) {
-	fs := NewFrames()
-	root := fs.Alloc(NoFrame, "main")
-	c1 := fs.Alloc(root.ID, "child1")
-	c2 := fs.Alloc(root.ID, "child2")
-	g := fs.Alloc(c1.ID, "grand")
-	if fs.Live() != 4 || fs.MaxLive != 4 {
-		t.Fatalf("live=%d maxlive=%d", fs.Live(), fs.MaxLive)
-	}
-	if fs.Get(c1.ID).Parent != root.ID {
-		t.Fatal("parent link wrong")
-	}
-	fs.Free(g.ID)
-	fs.Free(c1.ID)
-	fs.Free(c2.ID)
-	fs.Free(root.ID)
-	if fs.Live() != 0 || fs.Freed != 4 {
-		t.Fatalf("live=%d freed=%d after teardown", fs.Live(), fs.Freed)
-	}
-}
-
-func TestFramesFreeWithChildrenPanics(t *testing.T) {
-	fs := NewFrames()
-	root := fs.Alloc(NoFrame, "main")
-	fs.Alloc(root.ID, "child")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("freeing a frame with live children did not panic")
-		}
-	}()
-	fs.Free(root.ID)
-}
-
-func TestFramesDoubleFreePanics(t *testing.T) {
-	fs := NewFrames()
-	f := fs.Alloc(NoFrame, "x")
-	fs.Free(f.ID)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
-		}
-	}()
-	fs.Free(f.ID)
-}
-
-func TestFramesAllocUnderDeadParentPanics(t *testing.T) {
-	fs := NewFrames()
-	f := fs.Alloc(NoFrame, "x")
-	fs.Free(f.ID)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("alloc under dead parent did not panic")
-		}
-	}()
-	fs.Alloc(f.ID, "orphan")
-}
-
-func TestFrameSlots(t *testing.T) {
-	fs := NewFrames()
-	f := fs.Alloc(NoFrame, "x")
-	if _, ok := f.Take(3); ok {
-		t.Fatal("empty slot returned a value")
-	}
-	f.Deposit(3, 77)
-	w, ok := f.Take(3)
-	if !ok || w != 77 {
-		t.Fatalf("take = %d,%v", w, ok)
-	}
-	if _, ok := f.Take(3); ok {
-		t.Fatal("slot not consumed by Take")
-	}
-}
-
-func TestFramesIDsUnique(t *testing.T) {
-	fs := NewFrames()
-	seen := map[uint32]bool{}
-	for i := 0; i < 100; i++ {
-		f := fs.Alloc(NoFrame, "f")
-		if seen[f.ID] || f.ID == NoFrame {
-			t.Fatalf("duplicate or reserved frame id %d", f.ID)
-		}
-		seen[f.ID] = true
-		if i%3 == 0 {
-			fs.Free(f.ID)
-		}
-	}
-}
