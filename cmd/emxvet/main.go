@@ -1,9 +1,9 @@
-// Command emxvet runs the repository's determinism, hot-path, and
-// directive analyzers (internal/lint) over Go packages, go-vet style.
+// Command emxvet runs the repository's determinism and directive
+// analyzers (internal/lint) over Go packages, go-vet style.
 //
 // Usage:
 //
-//	emxvet [-only name,name] [-json] [-list] [-explain] [-baseline file] [packages]
+//	emxvet [-only name,name] [-json] [-list] [-explain] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit
 // status is 0 when the checked packages are clean, 1 when findings
@@ -12,8 +12,7 @@
 //
 // -explain attaches each finding's related positions (such as the
 // first copy of a duplicated directive) to the text output; JSON
-// output always carries them. -baseline loads a saved `emxvet -json` run and
-// suppresses the findings recorded in it, failing only on new ones.
+// output always carries them.
 package main
 
 import (
@@ -36,9 +35,8 @@ func run(args []string) int {
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	explain := fs.Bool("explain", false, "print each finding's related positions in text output")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this saved `emxvet -json` output")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: emxvet [-only name,name] [-json] [-list] [-explain] [-baseline file] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: emxvet [-only name,name] [-json] [-list] [-explain] [packages]\n\n")
 		fs.PrintDefaults()
 		fmt.Fprintf(fs.Output(), "\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -70,16 +68,6 @@ func run(args []string) int {
 		}
 	}
 
-	var baseline *lint.Baseline
-	if *baselinePath != "" {
-		var err error
-		baseline, err = lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "emxvet: %v\n", err)
-			return 2
-		}
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -91,10 +79,6 @@ func run(args []string) int {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	suppressed := 0
-	if baseline != nil {
-		diags, suppressed = baseline.Filter(diags)
-	}
 	if diags == nil {
 		diags = []lint.Diagnostic{} // JSON output stays an array, never null
 	}
@@ -117,11 +101,7 @@ func run(args []string) int {
 	}
 	if len(diags) > 0 {
 		if !*asJSON {
-			fmt.Fprintf(os.Stderr, "emxvet: %d findings", len(diags))
-			if suppressed > 0 {
-				fmt.Fprintf(os.Stderr, " (%d more baselined)", suppressed)
-			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "emxvet: %d findings\n", len(diags))
 		}
 		return 1
 	}

@@ -85,6 +85,9 @@ func (p Params) Validate(cfg core.Config) error {
 	if p.H < 1 {
 		return fmt.Errorf("bitonic: H must be >= 1, got %d", p.H)
 	}
+	if cfg.P&(cfg.P-1) != 0 {
+		return fmt.Errorf("bitonic: P must be a power of two, got %d", cfg.P)
+	}
 	if p.N < cfg.P*p.H {
 		return fmt.Errorf("bitonic: N=%d too small for P*H=%d (need a nonempty chunk per thread)", p.N, cfg.P*p.H)
 	}

@@ -190,14 +190,12 @@ func (t *thr) yieldOp(op any) resumeMsg {
 // step resumes thread t with msg and returns its next operation.
 // Called only from the engine side; exactly one coroutine runs at a time,
 // so workload code never races with the simulator.
-//
-//emx:hotpath
 func (m *Machine) step(t *thr, msg resumeMsg) any {
 	t.state = stRunning
 	t.in = msg
 	op, ok := t.next()
 	if !ok {
-		panic(fmt.Sprintf("core: %v ended without yielding an operation", t)) //emx:coldpath
+		panic(fmt.Sprintf("core: %v ended without yielding an operation", t))
 	}
 	return op
 }

@@ -146,8 +146,6 @@ func (x *exu) wake() {
 // dispatch pops the next packet, charges Matching Unit time, and handles
 // it. When the queue is empty the EXU goes idle; idle time is attributed
 // to communication (exposed latency) when it ends.
-//
-//emx:hotpath
 func (x *exu) dispatch() {
 	pkt, _, _, ok := x.p.Queue.Pop()
 	if !ok {
@@ -268,8 +266,6 @@ func (x *exu) resumeThread(t *thr) {
 
 // execResume builds the resume message from the payload staged on t and
 // steps the coroutine.
-//
-//emx:hotpath
 func (x *exu) execResume(t *thr) {
 	msg := resumeMsg{val: t.resumeVal, vals: t.resumeVals}
 	t.resumeVal = 0
@@ -278,15 +274,11 @@ func (x *exu) execResume(t *thr) {
 }
 
 // exec resumes the coroutine and performs the operation it yields.
-//
-//emx:hotpath
 func (x *exu) exec(t *thr, msg resumeMsg) {
 	x.finish(t, x.m.step(t, msg))
 }
 
 // finish performs the operation the coroutine yielded.
-//
-//emx:hotpath
 func (x *exu) finish(t *thr, op any) {
 	cfg := &x.m.Cfg
 	eng := x.m.Eng
@@ -323,7 +315,7 @@ func (x *exu) finish(t *thr, op any) {
 
 	case opReadBlock:
 		if t.opN <= 0 {
-			x.m.fail(fmt.Errorf("core: %v block read of %d words", t, t.opN)) //emx:coldpath aborts the run
+			x.m.fail(fmt.Errorf("core: %v block read of %d words", t, t.opN))
 			return
 		}
 		// The words come back into a fresh slice, which ReadBlock
@@ -407,8 +399,6 @@ func (x *exu) finish(t *thr, op any) {
 // generation is overhead, the register save is switch time, and the
 // suspension is counted as a remote-read switch (Figure 9's dominant
 // category — exactly one per remote read).
-//
-//emx:hotpath
 func (x *exu) issueRead(t *thr, buf []packet.Word) {
 	cfg := &x.m.Cfg
 	addr := t.opAddr
@@ -440,8 +430,6 @@ func (x *exu) issueRead(t *thr, buf []packet.Word) {
 
 // stagePacket takes a packet from the free list, fills it with p and
 // stages it on t for injectResumeH.
-//
-//emx:hotpath
 func (x *exu) stagePacket(t *thr, p packet.Packet) {
 	pkt := x.m.free.Get()
 	*pkt = p

@@ -106,8 +106,6 @@ func (m *Machine) SetObs(t *obs.Tracer) {
 }
 
 // trace records a thread lifecycle transition on the obs tracer.
-//
-//emx:hotpath
 func (m *Machine) trace(k obs.ThreadKind, t *thr) {
 	m.obs.Thread(int64(m.Eng.Now()), int32(t.pe), k, t.frame)
 }

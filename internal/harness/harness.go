@@ -165,6 +165,25 @@ func (ps PointSpec) Label() string {
 	return fmt.Sprintf("%s P=%d n=%s h=%d %s", ps.Workload, ps.P, SizeLabel(n), ps.H, ps.Mode)
 }
 
+// Validate reports whether the point's workload can run it (P a power
+// of two for bitonic and FFT, N divisible by P for SpMV, ...), without
+// running it: the check each workload makes when it starts.
+func (ps PointSpec) Validate() error {
+	cfg := ps.config()
+	switch ps.Workload {
+	case Bitonic:
+		return bitonic.Params{N: ps.SimN, H: ps.H}.Validate(cfg)
+	case FFT:
+		return fft.Params{N: ps.SimN, H: ps.H}.Validate(cfg)
+	case SpMV:
+		return spmv.Params{N: ps.SimN, H: ps.H, Iterations: spmvIterations}.Validate(cfg)
+	}
+	return fmt.Errorf("harness: unknown workload %d", ps.Workload)
+}
+
+// spmvIterations is the SpMV iteration count of every point.
+const spmvIterations = 2
+
 // RunPoint executes one simulation point. Besides the simulated
 // measurements it records the host wall-clock time the point took
 // (Run.HostElapsedSecs) — the numerator of the simulator's
@@ -199,7 +218,7 @@ func runPoint(ps PointSpec, tr *obs.Tracer) (*metrics.Run, error) {
 		})
 	case SpMV:
 		run, err = spmv.Run(cfg, spmv.Params{
-			N: ps.SimN, H: ps.H, Iterations: 2,
+			N: ps.SimN, H: ps.H, Iterations: spmvIterations,
 			Seed: ps.Seed, SkipVerify: !ps.Verify, Obs: tr,
 		})
 	default:

@@ -413,7 +413,7 @@ func (s *Scheduler) worker() {
 		}
 		s.mu.Unlock()
 		s.started.Inc()
-		j.run, j.err = j.fn()
+		j.run, j.err = runJob(j.fn)
 		s.mu.Lock()
 		delete(s.inflight, j.key)
 		cached := false
@@ -442,6 +442,18 @@ func (s *Scheduler) worker() {
 		}
 		close(j.done)
 	}
+}
+
+// runJob calls fn, turning a panic into an error: one bad point must
+// fail its own request, not exit the process. A recovered run is never
+// cached, so it is never replicated either.
+func runJob(fn func() (*metrics.Run, error)) (run *metrics.Run, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			run, err = nil, fmt.Errorf("labd: run panicked: %v", r)
+		}
+	}()
+	return fn()
 }
 
 // Close drains queued runs and stops the workers. Do calls made after

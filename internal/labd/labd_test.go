@@ -133,6 +133,34 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestPanicIsAFailedRun: a job that panics fails its own caller, is
+// counted as failed and is neither cached nor handed to OnFill; the
+// worker survives to run the next job.
+func TestPanicIsAFailedRun(t *testing.T) {
+	var fills atomic.Int64
+	s := New(Options{Workers: 1, OnFill: func(string, *metrics.Run) { fills.Add(1) }})
+	defer s.Close()
+	_, _, err := s.Do("bad", func() (*metrics.Run, error) {
+		var mem []int
+		_ = mem[3] // index out of range, as a malformed point would
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking job: err = %v, want a panic error", err)
+	}
+	run, src, err := s.Do("good", func() (*metrics.Run, error) { return fakeRun("fft", 10), nil })
+	if err != nil || src != Executed || run == nil {
+		t.Fatalf("next job: src=%v err=%v", src, err)
+	}
+	if _, src, _ := s.Do("bad", func() (*metrics.Run, error) { return fakeRun("fft", 10), nil }); src != Executed {
+		t.Fatalf("panicked key served from %v, want a fresh execution", src)
+	}
+	st := s.Stats()
+	if st.Failed != 1 || st.Completed != 2 || fills.Load() != 2 {
+		t.Fatalf("stats %+v, fills %d: want 1 failed, 2 completed, 2 fills", st, fills.Load())
+	}
+}
+
 // TestLRUEviction: the cache respects its bound and evicts least
 // recently used entries first.
 func TestLRUEviction(t *testing.T) {

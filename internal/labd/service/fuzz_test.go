@@ -7,14 +7,17 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"emx/internal/harness"
 )
 
 // FuzzResolveRun drives the request→identity mapping every node and the
 // gateway share with arbitrary run requests. Accepted requests must be
-// inside the request bounds and simulate at least one element per
-// thread; two requests that differ only in n or scale and simulate the
-// same n must share one key, since n and scale are labels once SimN is
-// resolved. The seed corpus lives in testdata/fuzz/FuzzResolveRun.
+// inside the request bounds, simulate at least one element per thread
+// and, for bitonic and fft, have a power-of-two P; two requests that
+// differ only in n or scale and simulate the same n must share one key,
+// since n and scale are labels once SimN is resolved. The seed corpus
+// lives in testdata/fuzz/FuzzResolveRun.
 func FuzzResolveRun(f *testing.F) {
 	const defaultScale, defaultSeed = 512, 1
 	f.Fuzz(func(t *testing.T, workload string, p, h, n, scale int, seed int64, mode string, n2, scale2 int) {
@@ -29,6 +32,9 @@ func FuzzResolveRun(f *testing.F) {
 		}
 		if ps.SimN < ps.P*ps.H {
 			t.Fatalf("SimN %d < P*H = %d for %+v", ps.SimN, ps.P*ps.H, req)
+		}
+		if (ps.Workload == harness.Bitonic || ps.Workload == harness.FFT) && ps.P&(ps.P-1) != 0 {
+			t.Fatalf("accepted %v with P=%d, not a power of two", ps.Workload, ps.P)
 		}
 
 		alias := req

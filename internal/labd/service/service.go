@@ -534,7 +534,7 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 		return harness.PointSpec{}, 0, err
 	}
 	sw := harness.Sweep{P: req.P, Scale: scale, Threads: []int{req.H}}
-	return harness.PointSpec{
+	ps := harness.PointSpec{
 		Workload:  w,
 		P:         req.P,
 		SimN:      sw.SimSize(req.N),
@@ -545,7 +545,13 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 		ReplyHigh: req.ReplyHigh,
 		Seed:      seed,
 		Verify:    req.Verify,
-	}, scale, nil
+	}
+	// Reject what the workload cannot run here, so the gateway rejects
+	// it too and no worker ever starts it.
+	if err := ps.Validate(); err != nil {
+		return harness.PointSpec{}, 0, err
+	}
+	return ps, scale, nil
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {

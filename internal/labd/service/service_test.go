@@ -113,6 +113,9 @@ func TestRunEndpointValidation(t *testing.T) {
 		{Workload: "fft", P: 4, H: MaxH + 1, N: 1024},
 		{Workload: "fft", P: 4, H: 1, N: MaxN + 1},
 		{Workload: "fft", P: 4, H: 1, N: 1024, Scale: MaxScale + 1},
+		{Workload: "fft", P: 3, H: 1, N: 1024},
+		{Workload: "bitonic", P: 80, H: 1, N: 1024},
+		{Workload: "spmv", P: 3, H: 1, N: 1024},
 	}
 	for i, req := range bad {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
@@ -122,6 +125,10 @@ func TestRunEndpointValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
 			t.Errorf("bad request %d: status %d, error %q", i, resp.StatusCode, e.Error)
 		}
+	}
+	// The server that refused them still serves a valid point.
+	if got := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "fft", P: 4, H: 1, N: 1024})); got.Source != "executed" {
+		t.Fatalf("valid point after bad ones: %+v", got)
 	}
 	resp, err := http.Get(ts.URL + "/v1/run")
 	if err != nil {

@@ -2,64 +2,55 @@ package lint
 
 import "testing"
 
+// The detsource_crit and maporder fixtures stand for determinism-critical
+// packages. No pattern outside the tests loads testdata, so adding them
+// here changes nothing emxvet reports on the module.
+func init() {
+	criticalPrefixes = append(criticalPrefixes,
+		"emx/internal/lint/testdata/src/detsource_crit",
+		"emx/internal/lint/testdata/src/maporder")
+}
+
 func TestCriticalTiers(t *testing.T) {
 	cases := []struct {
 		path     string
 		critical bool
-		simCore  bool
 	}{
-		// The simulation proper: both tiers. Seeding a time.Now call
-		// into any of these packages fails emxvet (see the
-		// detsource_crit fixture for the diagnostic itself).
-		{"emx/internal/core", true, true},
-		{"emx/internal/sim", true, true},
-		{"emx/internal/network", true, true},
-		{"emx/internal/memory", true, true},
-		{"emx/internal/proc", true, true},
-		{"emx/internal/thread", true, true},
-		{"emx/internal/packet", true, true},
-		{"emx/internal/isa", true, true},
-		{"emx/internal/apps", true, true},
-		{"emx/internal/apps/bitonic", true, true}, // subpackages inherit
+		// The simulation proper. Seeding a time.Now call into any of
+		// these packages fails emxvet (see the detsource_crit fixture
+		// for the diagnostic itself).
+		{"emx/internal/core", true},
+		{"emx/internal/sim", true},
+		{"emx/internal/network", true},
+		{"emx/internal/memory", true},
+		{"emx/internal/proc", true},
+		{"emx/internal/thread", true},
+		{"emx/internal/packet", true},
+		{"emx/internal/isa", true},
+		{"emx/internal/apps", true},
+		{"emx/internal/apps/bitonic", true}, // subpackages inherit
 
 		// Figure-producing and serving layers: reproducible output, but
-		// they legally measure host throughput (annotated) and divide
-		// cycles by host seconds.
-		{"emx/internal/harness", true, false},
-		{"emx/internal/metrics", true, false},
-		{"emx/internal/labd", true, false},
-		{"emx/internal/labd/service", true, false},
-		{"emx/internal/cluster", true, false}, // failover must be byte-transparent
-		{"emx/internal/load", true, false},    // seeded traffic, deterministic reports
-		{"emx/cmd/emxbench", true, false},
-		{"emx/cmd/emxcluster", true, false},
-		{"emx/cmd/emxload", true, false},
+		// they legally measure host throughput (annotated).
+		{"emx/internal/harness", true},
+		{"emx/internal/metrics", true},
+		{"emx/internal/labd", true},
+		{"emx/internal/labd/service", true},
+		{"emx/internal/cluster", true}, // failover must be byte-transparent
+		{"emx/internal/load", true},    // seeded traffic, deterministic reports
+		{"emx/cmd/emxbench", true},
+		{"emx/cmd/emxcluster", true},
+		{"emx/cmd/emxload", true},
 
 		// Everything else is out of scope.
-		{"emx/internal/lint", false, false},
-		{"emx/cmd/emxvet", false, false},
-		{"emx/internal/simulator", false, false}, // prefix match is path-boundary aware
+		{"emx/internal/lint", false},
+		{"emx/cmd/emxvet", false},
+		{"emx/internal/simulator", false}, // prefix match is path-boundary aware
 	}
 	for _, c := range cases {
 		pkg := &Package{ImportPath: c.path, Directives: &Directives{}}
 		if got := isCritical(pkg); got != c.critical {
 			t.Errorf("isCritical(%s) = %v, want %v", c.path, got, c.critical)
 		}
-		if got := isSimCore(pkg); got != c.simCore {
-			t.Errorf("isSimCore(%s) = %v, want %v", c.path, got, c.simCore)
-		}
-	}
-}
-
-func TestDeterminismOptIn(t *testing.T) {
-	src := `// Package p opts in.
-//
-//emx:determinism
-package p
-`
-	pkg := parseTestPkg(t, src)
-	pkg.ImportPath = "example.com/outside"
-	if !isCritical(pkg) || !isSimCore(pkg) {
-		t.Error("//emx:determinism in the package doc must grant both tiers")
 	}
 }

@@ -18,25 +18,11 @@ const (
 	// DirOrderInvariant marks a map iteration whose effect is
 	// order-invariant (a commutative reduction). Consumed by maporder.
 	DirOrderInvariant = "orderinvariant"
-	// DirHotPath marks a function that must stay allocation-free.
-	// Consumed by hotalloc.
-	DirHotPath = "hotpath"
-	// DirColdPath marks a line inside a hot-path function that is a
-	// cold error/diagnostic path, exempt from hotalloc. Consumed by
-	// hotalloc.
-	DirColdPath = "coldpath"
-	// DirDeterminism, in a package doc comment, opts the package into
-	// the determinism-critical set (detsource, maporder, and the
-	// strict simtime rule). Consumed by the package classifier.
-	DirDeterminism = "determinism"
 )
 
 var knownDirectives = map[string]bool{
 	DirHostClock:      true,
 	DirOrderInvariant: true,
-	DirHotPath:        true,
-	DirColdPath:       true,
-	DirDeterminism:    true,
 }
 
 // Directive is one parsed //emx: comment.
@@ -53,8 +39,6 @@ type Directive struct {
 	// blank and comment-only lines, so directives stack) when the
 	// directive stands alone.
 	EffectiveLine int
-	// PackageLevel is set for directives in the package doc comment.
-	PackageLevel bool
 	// Malformed is set for near-miss spellings ("// emx:x", "//emx: x")
 	// that Go would treat as plain comments.
 	Malformed bool
@@ -74,7 +58,7 @@ func (ds *Directives) All() []*Directive { return ds.all }
 // (file, line), or nil.
 func (ds *Directives) At(file string, line int, name string) *Directive {
 	for _, d := range ds.all {
-		if d.Name == name && d.File == file && d.EffectiveLine == line && !d.PackageLevel {
+		if d.Name == name && d.File == file && d.EffectiveLine == line {
 			return d
 		}
 	}
@@ -94,19 +78,6 @@ func (ds *Directives) Unused(name string) []*Directive {
 		}
 	}
 	return out
-}
-
-// HasPackageDirective reports whether any file's package doc carries
-// the named directive. Package-level directives are consumed by the
-// classifier, so they are always marked used.
-func (ds *Directives) HasPackageDirective(name string) bool {
-	for _, d := range ds.all {
-		if d.Name == name && d.PackageLevel {
-			d.used = true
-			return true
-		}
-	}
-	return false
 }
 
 // parseDirectives scans every comment of the package for //emx:
@@ -131,7 +102,6 @@ func parseDirectives(pkg *Package) *Directives {
 				if ownLine(src, pos) {
 					d.EffectiveLine = nextCodeLine(lines, pos.Line)
 				}
-				d.PackageLevel = cg == f.Doc
 				ds.all = append(ds.all, d)
 			}
 		}
@@ -207,17 +177,11 @@ func ownLine(src []byte, pos token.Position) bool {
 	return true
 }
 
-// nodeLine returns the starting line of a node.
-func nodeLine(pkg *Package, n ast.Node) (file string, line int) {
-	p := pkg.Fset.Position(n.Pos())
-	return p.Filename, p.Line
-}
-
 // suppressedBy reports whether a node's line carries the named
 // directive, marking it used.
 func suppressedBy(pkg *Package, n ast.Node, name string) bool {
-	file, line := nodeLine(pkg, n)
-	if d := pkg.Directives.At(file, line, name); d != nil {
+	p := pkg.Fset.Position(n.Pos())
+	if d := pkg.Directives.At(p.Filename, p.Line, name); d != nil {
 		pkg.Directives.Use(d)
 		return true
 	}
@@ -233,18 +197,17 @@ func suppressedBy(pkg *Package, n ast.Node, name string) bool {
 // nothing and usually indicate a botched merge.
 var EmxDirective = &Analyzer{
 	Name: "emxdirective",
-	Doc:  "check that every //emx: directive is well-formed, known, correctly placed, and not a duplicate",
+	Doc:  "check that every //emx: directive is well-formed, known, and not a duplicate",
 	Run:  runEmxDirective,
 }
 
 // directiveSite identifies where a directive takes effect, for
 // duplicate detection: two well-formed copies of one name governing the
-// same line (or both sitting in a package doc) shadow each other.
+// same line shadow each other.
 type directiveSite struct {
-	name         string
-	file         string
-	line         int
-	packageLevel bool
+	name string
+	file string
+	line int
 }
 
 func runEmxDirective(pass *Pass) {
@@ -254,11 +217,9 @@ func runEmxDirective(pass *Pass) {
 		case d.Malformed:
 			pass.Reportf(d.Pos, "malformed emx directive %q (want //emx:name, no spaces)", d.Raw)
 		case !knownDirectives[d.Name]:
-			pass.Reportf(d.Pos, "unknown emx directive //emx:%s (known: %s)", d.Name, knownNames())
-		case d.Name == DirDeterminism && !d.PackageLevel:
-			pass.Reportf(d.Pos, "//emx:determinism must appear in the package doc comment")
+			pass.Reportf(d.Pos, "unknown emx directive //emx:%s (known: %s, %s)", d.Name, DirHostClock, DirOrderInvariant)
 		default:
-			site := directiveSite{d.Name, d.File, d.EffectiveLine, d.PackageLevel}
+			site := directiveSite{d.Name, d.File, d.EffectiveLine}
 			if first, dup := seen[site]; dup {
 				pass.ReportRelated(d.Pos,
 					[]Related{pass.RelatedAt(first.Pos, "first //emx:%s here", d.Name)},
@@ -269,10 +230,4 @@ func runEmxDirective(pass *Pass) {
 			}
 		}
 	}
-}
-
-func knownNames() string {
-	return strings.Join([]string{
-		DirColdPath, DirDeterminism, DirHostClock, DirHotPath, DirOrderInvariant,
-	}, ", ")
 }

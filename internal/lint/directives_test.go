@@ -66,8 +66,6 @@ func TestParseDirectiveComment(t *testing.T) {
 }
 
 const directiveSrc = `// Package p is a test package.
-//
-//emx:determinism
 package p
 
 //emx:hostclock
@@ -76,7 +74,7 @@ var a = 1
 var b = 2 //emx:hostclock trailing
 
 //emx:orderinvariant
-//emx:hotpath
+//emx:hostclock
 func f() {}
 `
 
@@ -84,46 +82,34 @@ func TestEffectiveLine(t *testing.T) {
 	pkg := parseTestPkg(t, directiveSrc)
 
 	// Standalone directive governs the next line.
-	if d := pkg.Directives.At("test.go", 7, DirHostClock); d == nil {
-		t.Error("standalone //emx:hostclock on line 6 must govern line 7")
+	if d := pkg.Directives.At("test.go", 5, DirHostClock); d == nil {
+		t.Error("standalone //emx:hostclock on line 4 must govern line 5")
 	}
 	// Trailing directive governs its own line.
-	if d := pkg.Directives.At("test.go", 9, DirHostClock); d == nil {
+	if d := pkg.Directives.At("test.go", 7, DirHostClock); d == nil {
 		t.Error("trailing //emx:hostclock must govern its own line")
 	} else if d.Args != "trailing" {
 		t.Errorf("args = %q, want %q", d.Args, "trailing")
 	}
 	// Stacked directives both govern the declaration line.
-	if pkg.Directives.At("test.go", 13, DirOrderInvariant) == nil {
-		t.Error("stacked //emx:orderinvariant must govern line 13")
+	if pkg.Directives.At("test.go", 11, DirOrderInvariant) == nil {
+		t.Error("stacked //emx:orderinvariant must govern line 11")
 	}
-	if pkg.Directives.At("test.go", 13, DirHotPath) == nil {
-		t.Error("stacked //emx:hotpath must govern line 13")
-	}
-	// Package-level directive is excluded from line lookup.
-	if pkg.Directives.At("test.go", 4, DirDeterminism) != nil {
-		t.Error("package-level directive must not resolve via At")
-	}
-	if !pkg.Directives.HasPackageDirective(DirDeterminism) {
-		t.Error("package doc //emx:determinism not found")
+	if pkg.Directives.At("test.go", 11, DirHostClock) == nil {
+		t.Error("stacked //emx:hostclock must govern line 11")
 	}
 }
 
 func TestUnusedTracking(t *testing.T) {
 	pkg := parseTestPkg(t, directiveSrc)
-	if got := len(pkg.Directives.Unused(DirHostClock)); got != 2 {
-		t.Fatalf("unused hostclock = %d, want 2", got)
+	if got := len(pkg.Directives.Unused(DirHostClock)); got != 3 {
+		t.Fatalf("unused hostclock = %d, want 3", got)
 	}
-	d := pkg.Directives.At("test.go", 7, DirHostClock)
+	d := pkg.Directives.At("test.go", 5, DirHostClock)
 	pkg.Directives.Use(d)
 	unused := pkg.Directives.Unused(DirHostClock)
-	if len(unused) != 1 || unused[0].Line != 9 {
-		t.Fatalf("after Use: unused = %+v, want only the line-9 directive", unused)
-	}
-	// HasPackageDirective consumes the package-level directive.
-	pkg.Directives.HasPackageDirective(DirDeterminism)
-	if len(pkg.Directives.Unused(DirDeterminism)) != 0 {
-		t.Error("package-level determinism directive must be marked used by the classifier")
+	if len(unused) != 2 || unused[0].Line != 7 {
+		t.Fatalf("after Use: unused = %+v, want the line-7 and line-10 directives", unused)
 	}
 }
 
@@ -137,7 +123,7 @@ package p
 // emx:hostclock
 var a = 1
 
-//emx:hotpth
+//emx:hostclok
 var b = 2
 `
 	pkg := parseTestPkg(t, src)

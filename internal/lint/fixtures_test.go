@@ -18,10 +18,6 @@ func TestDetSourceClean(t *testing.T) { linttest.Run(t, "detsource_clean", lint.
 
 func TestMapOrder(t *testing.T) { linttest.Run(t, "maporder", lint.MapOrder) }
 
-func TestHotAlloc(t *testing.T) { linttest.Run(t, "hotalloc", lint.HotAlloc) }
-
-func TestSimTime(t *testing.T) { linttest.Run(t, "simtime", lint.SimTime) }
-
 func TestDirective(t *testing.T) { linttest.Run(t, "directive", lint.EmxDirective) }
 
 func TestByName(t *testing.T) {

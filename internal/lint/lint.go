@@ -1,11 +1,10 @@
 // Package lint implements emxvet, the repository's static-analysis
-// suite. The whole reproduction rests on invariants that runtime tests
-// can only sample: simulations are pure functions of core.RunIdentity
-// (the content-addressed run cache and the golden panel hashes both
-// assume bit-for-bit determinism) and the scheduler fast lane stays
-// allocation-free. The analyzers here enforce those invariants
-// structurally, at compile time. No analyzer follows a call into
-// another function:
+// suite. The whole reproduction rests on one invariant that runtime
+// tests can only sample: simulations are pure functions of
+// core.RunIdentity (the content-addressed run cache and the golden
+// panel hashes both assume bit-for-bit determinism). The analyzers here
+// catch the determinism faults no test does, at compile time. No
+// analyzer follows a call into another function:
 //
 //   - detsource: no host clocks, global randomness, or environment
 //     reads in determinism-critical packages (//emx:hostclock marks
@@ -13,19 +12,13 @@
 //   - maporder: no iteration over Go maps in those packages unless the
 //     keys are sorted before use, the loop body is order-invariant, or
 //     the site carries //emx:orderinvariant
-//   - hotalloc: functions marked //emx:hotpath must not create
-//     closures, box non-pointer values into interfaces, or append to
-//     slices that were not preallocated with an explicit capacity
-//   - simtime: no negative or host-derived values flowing into the
-//     simulated clock (sim.After and friends), and no arithmetic that
-//     mixes host time with simulated cycle counts
 //   - emxdirective: every //emx: directive is well-formed, known, and
 //     not a silently-shadowed duplicate
 //
-// What a static check cannot see across calls is guarded at run time:
-// testing.AllocsPerRun tests pin the hot paths' allocations, and the
-// observed-versus-unobserved sweep tests pin that tracing never changes
-// a result.
+// What a runtime test already catches is left to it:
+// testing.AllocsPerRun tests pin the hot paths' allocations, sim.After
+// and friends panic on a negative delay, and the observed-versus-
+// unobserved sweep tests pin that tracing never changes a result.
 //
 // The suite is built directly on go/ast and go/types — the module is
 // dependency-free, so there is no golang.org/x/tools here. Packages
@@ -122,8 +115,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetSource,
 		MapOrder,
-		HotAlloc,
-		SimTime,
 		EmxDirective,
 	}
 }

@@ -1,7 +1,5 @@
 // Package detsource_crit exercises the detsource analyzer inside a
-// determinism-critical package.
-//
-//emx:determinism
+// determinism-critical package (the lint tests add it to the set).
 package detsource_crit
 
 import (

@@ -8,14 +8,11 @@ func A() {}
 //emx:hostclok // want "unknown emx directive //emx:hostclok"
 func B() {}
 
-//emx:determinism // want "must appear in the package doc comment"
-func C() {}
-
-// C2 carries a directive that no analyzer consumes any more: a stale
+// C carries a directive that no analyzer consumes any more: a stale
 // annotation is reported, not silently accepted.
 //
 //emx:obsexempt // want "unknown emx directive //emx:obsexempt"
-func C2() {}
+func C() {}
 
 // D carries a well-formed, known directive; whether it is USED is the
 // owning analyzer's business (detsource), not emxdirective's, so no
@@ -28,14 +25,14 @@ func D() {}
 // answers with the first copy, so the second silently does nothing —
 // usually a botched merge. Only the duplicate is reported.
 //
-//emx:hotpath
-//emx:hotpath // want "duplicate //emx:hotpath directive"
+//emx:hostclock
+//emx:hostclock // want "duplicate //emx:hostclock directive"
 func E() {}
 
 // F stacks two DIFFERENT directives: both govern the next code line,
 // which is the whole point of stacking, so no finding.
 //
-//emx:hotpath
+//emx:orderinvariant
 //emx:hostclock
 func F() {}
 

@@ -1,6 +1,5 @@
-// Package maporder exercises the map-iteration analyzer.
-//
-//emx:determinism
+// Package maporder exercises the map-iteration analyzer inside a
+// determinism-critical package (the lint tests add it to the set).
 package maporder
 
 import "sort"

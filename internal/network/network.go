@@ -165,8 +165,6 @@ func (n *Network) Send(p *packet.Packet) {
 
 // hop forwards the packet from node v with hopsLeft route bits
 // remaining.
-//
-//emx:hotpath
 func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
 	now := n.eng.Now()
 	dst := int(p.Dst())
@@ -198,8 +196,6 @@ func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
 
 // arriveDst moves the packet through the destination switch's processor
 // port into the PE.
-//
-//emx:hotpath
 func (n *Network) arriveDst(p *packet.Packet) {
 	dst := p.Dst()
 	now := n.eng.Now()

@@ -77,14 +77,19 @@ func TestNilTracerNoAllocs(t *testing.T) {
 
 // TestEnabledTracerSteadyStateNoAllocs checks that recording into a
 // pre-sized ring allocates nothing once warm (slices are preallocated,
-// events are stored by value).
+// events are stored by value). Every record method is called, with
+// arguments above 255: Go boxes a small integer without allocating, so
+// small arguments would hide a value boxed into an interface.
 func TestEnabledTracerSteadyStateNoAllocs(t *testing.T) {
 	tr := New(Options{P: 2, Capacity: 64})
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Cycle(10, 0, PhaseRun, 4)
-		tr.Switch(10, 1, CauseIterSync, 7)
-		tr.Packet(10, 0, PktSpill, 0)
-		tr.Dispatch(10)
+		tr.Cycle(1000, 0, PhaseRun, 400)
+		tr.Switch(1000, 1, CauseIterSync, 700)
+		tr.Thread(1000, 1, ThreadStart, 700)
+		tr.Packet(1000, 0, PktSpill, 400)
+		tr.Hop(1000, 1, NetHop, 400)
+		tr.MUDispatch(1000, 0)
+		tr.Dispatch(1000)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled tracer allocated %.1f allocs/op in steady state, want 0", allocs)

@@ -26,8 +26,6 @@ func NewRing[T any](capacity int) *Ring[T] {
 
 // Push appends v. When the ring is full the oldest element is evicted
 // and returned with dropped=true.
-//
-//emx:hotpath
 func (r *Ring[T]) Push(v T) (evicted T, dropped bool) {
 	if r.n == len(r.buf) {
 		evicted = r.buf[r.start]

@@ -75,8 +75,6 @@ func (t *Tracer) P() int {
 }
 
 // record accounts one event and retains it if its category is enabled.
-//
-//emx:hotpath
 func (t *Tracer) record(ev Event) {
 	t.prof.Recorded++
 	if t.retain&(1<<ev.Cat) == 0 {
@@ -88,8 +86,6 @@ func (t *Tracer) record(ev Event) {
 }
 
 // Cycle charges cycles to one phase of a PE's decomposition.
-//
-//emx:hotpath
 func (t *Tracer) Cycle(at int64, pe int32, ph Phase, cycles int64) {
 	if t == nil || cycles <= 0 {
 		return
@@ -103,8 +99,6 @@ func (t *Tracer) Cycle(at int64, pe int32, ph Phase, cycles int64) {
 
 // slice returns the whole-machine slice covering time at, growing the
 // slice list as simulated time advances.
-//
-//emx:hotpath
 func (t *Tracer) slice(at int64) *Slice {
 	idx := int(at / t.sliceCycles)
 	for len(t.prof.Slices) <= idx {
@@ -115,8 +109,6 @@ func (t *Tracer) slice(at int64) *Slice {
 }
 
 // Switch records one context switch with its cause.
-//
-//emx:hotpath
 func (t *Tracer) Switch(at int64, pe int32, cause SwitchCause, frame uint32) {
 	if t == nil {
 		return
@@ -126,8 +118,6 @@ func (t *Tracer) Switch(at int64, pe int32, cause SwitchCause, frame uint32) {
 }
 
 // Thread records a thread lifecycle transition.
-//
-//emx:hotpath
 func (t *Tracer) Thread(at int64, pe int32, kind ThreadKind, frame uint32) {
 	if t == nil {
 		return
@@ -148,8 +138,6 @@ func (t *Tracer) ThreadName(pe int32, frame uint32, name string) {
 }
 
 // Packet records a packet-service event taking cycles.
-//
-//emx:hotpath
 func (t *Tracer) Packet(at int64, pe int32, kind PacketKind, cycles int64) {
 	if t == nil {
 		return
@@ -167,8 +155,6 @@ func (t *Tracer) Packet(at int64, pe int32, kind PacketKind, cycles int64) {
 
 // Hop records one network hop (or ejection) for a packet bound for pe,
 // with the port-contention stall it suffered.
-//
-//emx:hotpath
 func (t *Tracer) Hop(at int64, pe int32, kind NetKind, stall int64) {
 	if t == nil {
 		return
@@ -179,8 +165,6 @@ func (t *Tracer) Hop(at int64, pe int32, kind NetKind, stall int64) {
 }
 
 // MUDispatch records one Matching Unit packet dispatch on a PE.
-//
-//emx:hotpath
 func (t *Tracer) MUDispatch(at int64, pe int32) {
 	if t == nil {
 		return
@@ -189,8 +173,6 @@ func (t *Tracer) MUDispatch(at int64, pe int32) {
 }
 
 // Dispatch records one engine event dispatch (the sim scheduler hook).
-//
-//emx:hotpath
 func (t *Tracer) Dispatch(at int64) {
 	if t == nil {
 		return

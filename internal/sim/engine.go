@@ -170,8 +170,6 @@ func (e *Engine) After(d Time, fn func()) {
 
 // AtHandler schedules h.OnEvent(arg) at absolute time t without
 // allocating. Scheduling in the past panics.
-//
-//emx:hotpath
 func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
@@ -199,8 +197,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
 
 // alloc returns a free slab slot, growing the slab only when none is
 // free.
-//
-//emx:hotpath
 func (e *Engine) alloc() int32 {
 	if n := e.free; n != 0 {
 		e.free = e.slab[n].next
@@ -216,8 +212,6 @@ func (e *Engine) alloc() int32 {
 
 // AfterHandler schedules h.OnEvent(arg) d cycles from now without
 // allocating. A negative delay panics.
-//
-//emx:hotpath
 func (e *Engine) AfterHandler(d Time, h Handler, arg EventArg) {
 	if d < 0 {
 		panic("sim: AfterHandler called with negative delay")
@@ -279,8 +273,6 @@ func (e *Engine) Step() bool {
 // time. Caller guarantees nearCount > 0; the scan is bounded by ringSize
 // because the earliest live ring event is always within ringSize cycles
 // of cursor.
-//
-//emx:hotpath
 func (e *Engine) nextNear() Time {
 	for e.ring[e.cursor&ringMask].head == 0 {
 		e.cursor++
@@ -290,8 +282,6 @@ func (e *Engine) nextNear() Time {
 
 // peekTime returns the time of the next event. Caller guarantees
 // Pending() > 0.
-//
-//emx:hotpath
 func (e *Engine) peekTime() Time {
 	if e.nearCount == 0 {
 		return e.heap[0].at
@@ -305,8 +295,6 @@ func (e *Engine) peekTime() Time {
 
 // pop removes and returns the next event in (at, seq) order. Caller
 // guarantees Pending() > 0.
-//
-//emx:hotpath
 func (e *Engine) pop() event {
 	if e.nearCount == 0 {
 		return e.popHeap()
@@ -335,7 +323,6 @@ func (e *Engine) pop() event {
 // binary min-heap ordered by (at, seq); seq breaks ties so that events
 // scheduled earlier run earlier within a cycle.
 
-//emx:hotpath
 func (a event) less(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -343,7 +330,6 @@ func (a event) less(b event) bool {
 	return a.seq < b.seq
 }
 
-//emx:hotpath
 func (e *Engine) pushHeap(ev event) {
 	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
@@ -357,7 +343,6 @@ func (e *Engine) pushHeap(ev event) {
 	}
 }
 
-//emx:hotpath
 func (e *Engine) popHeap() event {
 	top := e.heap[0]
 	last := len(e.heap) - 1
