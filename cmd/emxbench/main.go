@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -87,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		remote    = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		profile   = fs.String("profile", "", "write a merged emxprof cycle-accounting profile (JSON) to this file")
+		profile   = fs.String("profile", "", "write a merged emxprof cycle-accounting profile (JSON) of one panel to this file")
 		tracefile = fs.String("tracefile", "", "write a Perfetto trace of every simulated point to this file")
 	)
 	fs.Usage = func() {
@@ -154,12 +155,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer writeMemProfile(*memprof, stderr)
 
-	// observe is non-nil when any emxprof output was requested; it makes
-	// the run cache-less so every point executes and yields a profile.
+	// observe is non-nil when any emxprof output was requested.
 	var observe *harness.ProfileCollector
 	if *profile != "" || *tracefile != "" {
 		if *remote != "" {
 			fmt.Fprintln(stderr, "emxbench: -profile/-tracefile require an in-process run (use emxd's /v1/profile against -remote)")
+			return 2
+		}
+		if *profile != "" && name == "all" {
+			// Panels differ in machine size, and a merged profile sums
+			// PEs of one size; a Perfetto trace needs no merge.
+			fmt.Fprintln(stderr, "emxbench: -profile needs one panel (-fig all spans machine sizes; use -tracefile)")
 			return 2
 		}
 		observe = harness.NewProfileCollector(harness.ObsOptions{})
@@ -225,13 +231,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // writeProfiles emits the collected emxprof artifacts and a greppable
-// summary line (CI asserts dropped=0 on it).
+// summary line (CI asserts dropped=0 on it), summed over the points.
 func writeProfiles(pc *harness.ProfileCollector, profilePath, tracePath string, stderr io.Writer) error {
-	merged, err := pc.Merged()
-	if err != nil {
-		return err
-	}
 	if profilePath != "" {
+		merged, err := pc.Merged()
+		if err != nil {
+			return err
+		}
 		if err := writeTo(profilePath, merged.WriteJSON); err != nil {
 			return err
 		}
@@ -241,8 +247,16 @@ func writeProfiles(pc *harness.ProfileCollector, profilePath, tracePath string, 
 			return err
 		}
 	}
+	var points, retained int
+	var recorded, dropped uint64
+	for _, pt := range pc.Points() {
+		points += pt.Profile.Points
+		recorded += pt.Profile.Recorded
+		retained += pt.Profile.Retained
+		dropped += pt.Profile.TotalDropped()
+	}
 	fmt.Fprintf(stderr, "emxbench: profile: points=%d recorded=%d retained=%d dropped=%d\n",
-		merged.Points, merged.Recorded, merged.Retained, merged.TotalDropped())
+		points, recorded, retained, dropped)
 	return nil
 }
 
@@ -299,10 +313,7 @@ func writeMemProfile(path string, stderr io.Writer) {
 // scheduler, exactly the execution path emxd serves. The caller owns
 // the scheduler and must Close it.
 func localPanels(scale int, seed int64, workers int, observe *harness.ProfileCollector, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
-	// A cache hit skips point execution, and a skipped point yields no
-	// profile — so observed runs disable the cache (coalescing still
-	// dedupes concurrent duplicates, which do share one observation).
-	sched := labd.New(labd.Options{Workers: workers, NoCache: observe != nil})
+	sched := labd.New(labd.Options{Workers: workers})
 	pr := harness.NewPanelRunner(harness.PanelOptions{
 		Scale:   scale,
 		Seed:    seed,
@@ -323,7 +334,7 @@ func remotePanels(remotes string, scale int, seed int64) func(string) ([]harness
 	m := cluster.NewMembership(ring.ParseMembers(remotes), cluster.MembershipOptions{})
 	c := cluster.NewClient(m, cluster.ClientOptions{})
 	return func(name string) ([]harness.Figure, error) {
-		figs, err := c.Figure(name, scale, seed)
+		figs, err := c.Figure(context.Background(), name, scale, seed)
 		if err != nil {
 			return nil, fmt.Errorf("remote: %w", err)
 		}

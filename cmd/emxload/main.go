@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replicas = fs.Int("replicas", 1, "cache replication factor across lab nodes (1: off; lab only)")
 		format   = fs.String("format", "text", "report format: text or json")
 		hedge    = fs.Duration("hedge", 0, "hedge a second attempt after this delay (0: off)")
-		retries  = fs.Int("retries", 2, "failover retries per request")
+		retries  = fs.Int("retries", 2, "failover retries per request (0: none)")
 		quiet    = fs.Bool("quiet", false, "suppress progress lines")
 
 		rampStart = fs.Float64("ramp-start", 10, "ramp mode: first offered rate (req/s)")
@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rampSteps = fs.Int("ramp-steps", 4, "ramp mode: segment count")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *retries < 0 {
+		fmt.Fprintf(stderr, "emxload: -retries must be >= 0, got %d\n", *retries)
 		return 2
 	}
 	if *format != "text" && *format != "json" {
@@ -115,11 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	members := cluster.NewMembership(urls, cluster.MembershipOptions{})
 	defer members.Close()
 	members.ProbeAll()
-	client := cluster.NewClient(members, cluster.ClientOptions{
+	copts := cluster.ClientOptions{
 		Retries:    *retries,
 		HedgeDelay: *hedge,
 		Replicas:   *replicas,
-	})
+	}
+	if *retries == 0 {
+		copts.Retries = -1 // ClientOptions uses -1 for explicit zero
+	}
+	client := cluster.NewClient(members, copts)
 
 	logf := func(f string, a ...any) { fmt.Fprintf(stderr, "emxload: "+f+"\n", a...) }
 	if *quiet {

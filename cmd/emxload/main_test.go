@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-chaos", "explode:0@1"},
 		{"-nodes", "http://localhost:1", "-chaos", "kill:0@1"},
 		{"-mode", "sideways"},
+		{"-retries", "-1"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
@@ -111,5 +113,44 @@ func TestRunTextReport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRunRetriesZeroMeansNone: -retries 0 is no retry at all, as in
+// emxcluster, not the client's default of two.
+func TestRunRetriesZeroMeansNone(t *testing.T) {
+	// A port that was just released: nothing listens there.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-nodes", "http://" + addr, "-retries", "0",
+		"-requests", "1", "-clients", "1", "-quiet", "-format", "json",
+	}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exited %d, want 1 (the request must fail): %s", code, errb.String())
+	}
+	var rep struct {
+		Traffic struct {
+			Errors uint64 `json:"errors"`
+		} `json:"traffic"`
+		Host struct {
+			Client struct {
+				Attempts uint64 `json:"attempts"`
+				Retries  uint64 `json:"retries"`
+			} `json:"client"`
+		} `json:"host"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
+	}
+	if rep.Traffic.Errors != 1 || rep.Host.Client.Attempts != 1 || rep.Host.Client.Retries != 0 {
+		t.Fatalf("errors=%d attempts=%d retries=%d, want 1, 1, 0",
+			rep.Traffic.Errors, rep.Host.Client.Attempts, rep.Host.Client.Retries)
 	}
 }

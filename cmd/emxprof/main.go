@@ -169,9 +169,7 @@ func runPanel(fig string, scale int, seed int64, workers int, opts harness.ObsOp
 		return 2
 	}
 	pc := harness.NewProfileCollector(opts)
-	// Caching is off: a cache-served point skips execution and would
-	// contribute no profile.
-	sched := labd.New(labd.Options{Workers: workers, NoCache: true})
+	sched := labd.New(labd.Options{Workers: workers})
 	defer sched.Close()
 	pr := harness.NewPanelRunner(harness.PanelOptions{
 		Scale:   scale,

@@ -214,15 +214,12 @@ func (e errPermanent) Error() string {
 // fallback. A slow owner is hedged with a concurrent second attempt.
 // 503 responses (queue backpressure) wait out the node's Retry-After
 // hint (capped) before the next candidate; 4xx responses return as-is.
-func (c *Client) Do(key, path string, body []byte) (*Result, error) {
-	return c.DoDeadline(key, path, body, time.Time{})
-}
-
-// DoDeadline is Do with a request deadline (zero: none). The deadline
-// rides every attempt as a DeadlineHeader so nodes can shed the request
-// once it expires, bounds each attempt's context, and stops the retry
-// loop: no attempt starts — and no backoff sleeps — past it.
-func (c *Client) DoDeadline(key, path string, body []byte, deadline time.Time) (*Result, error) {
+//
+// ctx bounds the whole request: every attempt runs under it, its
+// deadline rides each attempt as a DeadlineHeader so nodes can shed the
+// request once it passes, and no attempt starts — and no backoff waits
+// — after it ends.
+func (c *Client) Do(ctx context.Context, key, path string, body []byte) (*Result, error) {
 	candidates := c.candidates(key)
 	if len(candidates) == 0 && c.opts.Local == nil {
 		return nil, errors.New("cluster: no member nodes")
@@ -242,11 +239,11 @@ func (c *Client) DoDeadline(key, path string, body []byte, deadline time.Time) (
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			c.retries.Inc()
-			c.sleepBackoff(key, i-1, lastErr, deadline)
+			c.sleepBackoff(ctx, key, i-1, lastErr)
 		}
-		if expired(deadline) {
+		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
-				lastErr = fmt.Errorf("request deadline %s passed", deadline.Format(time.RFC3339Nano))
+				lastErr = err
 			}
 			break
 		}
@@ -259,9 +256,9 @@ func (c *Client) DoDeadline(key, path string, body []byte, deadline time.Time) (
 			err error
 		)
 		if i == 0 && c.opts.HedgeDelay > 0 && len(candidates) > 1 {
-			res, err = c.hedged(key, path, body, candidates[0], candidates[1], deadline)
+			res, err = c.hedged(ctx, key, path, body, candidates[0], candidates[1])
 		} else {
-			res, err = c.attempt(node, path, body, deadline)
+			res, err = c.attempt(ctx, node, path, body)
 		}
 		if err == nil {
 			if res.Node != owner {
@@ -276,20 +273,15 @@ func (c *Client) DoDeadline(key, path string, body []byte, deadline time.Time) (
 		lastErr = err
 	}
 
-	if c.opts.Local != nil && !expired(deadline) {
+	if c.opts.Local != nil && ctx.Err() == nil {
 		c.localRuns.Inc()
-		res, err := c.local(path, body)
+		res, err := c.local(ctx, path, body)
 		if err == nil && owner != "" {
 			c.failovers.Inc()
 		}
 		return res, err
 	}
 	return nil, fmt.Errorf("cluster: all %d attempts failed for %s: %w", attempts, path, lastErr)
-}
-
-// expired reports whether a nonzero deadline has passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline) //emx:hostclock request deadlines are host wall-clock
 }
 
 // candidates orders the nodes to try: ranked healthy nodes first, then
@@ -313,9 +305,9 @@ func (c *Client) candidates(key string) []string {
 // deterministic jitter derived from the routing key (no host
 // randomness; different keys desynchronize naturally), stretched to a
 // node-requested Retry-After when the last failure was backpressure.
-// Every wait is capped by MaxRetryWait and never sleeps past the
-// request deadline (the loop sheds on wake instead).
-func (c *Client) sleepBackoff(key string, round int, lastErr error, deadline time.Time) {
+// Every wait is capped by MaxRetryWait and ends early when ctx does
+// (the loop sheds on wake instead).
+func (c *Client) sleepBackoff(ctx context.Context, key string, round int, lastErr error) {
 	d := c.opts.RetryBackoff << uint(round)
 	d += time.Duration(ring.Mix64(ring.Score(key, "jitter"+strconv.Itoa(round))) % uint64(c.opts.RetryBackoff))
 	var busy errBusy
@@ -325,15 +317,12 @@ func (c *Client) sleepBackoff(key string, round int, lastErr error, deadline tim
 	if d > c.opts.MaxRetryWait {
 		d = c.opts.MaxRetryWait
 	}
-	if !deadline.IsZero() {
-		if left := time.Until(deadline); left < d { //emx:hostclock request deadlines are host wall-clock
-			d = left
-		}
+	t := time.NewTimer(d) //emx:hostclock retry pacing against live nodes
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
 	}
-	if d <= 0 {
-		return
-	}
-	time.Sleep(d) //emx:hostclock retry pacing against live nodes
 }
 
 // errBusy is a 503 backpressure response: retryable, carrying the
@@ -351,13 +340,13 @@ func (e errBusy) Error() string {
 // launches after HedgeDelay — or immediately when the owner's probed
 // queue is at least hedgeQueueFraction full — and the first success
 // wins. The loser's attempt is cancelled via its context.
-func (c *Client) hedged(key, path string, body []byte, owner, backup string, deadline time.Time) (*Result, error) {
+func (c *Client) hedged(ctx context.Context, key, path string, body []byte, owner, backup string) (*Result, error) {
 	delay := c.opts.HedgeDelay
 	if full, _, ok := c.members.Load(owner); ok && full >= hedgeQueueFraction {
 		delay = 0
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
 		res    *Result
@@ -366,7 +355,7 @@ func (c *Client) hedged(key, path string, body []byte, owner, backup string, dea
 	}
 	results := make(chan outcome, 2)
 	try := func(node string, isBackup bool) {
-		res, err := c.attemptDeadline(ctx, node, path, body, deadline)
+		res, err := c.attempt(ctx, node, path, body)
 		results <- outcome{res, err, isBackup}
 	}
 	go try(owner, false)
@@ -418,22 +407,14 @@ func (c *Client) hedged(key, path string, body []byte, owner, backup string, dea
 	}
 }
 
-// attempt issues one POST to one node.
-func (c *Client) attempt(node, path string, body []byte, deadline time.Time) (*Result, error) {
-	return c.attemptDeadline(context.Background(), node, path, body, deadline)
-}
-
-func (c *Client) attemptDeadline(parent context.Context, node, path string, body []byte, deadline time.Time) (*Result, error) {
+// attempt issues one POST to one node under parent, further bounded
+// by AttemptTimeout.
+func (c *Client) attempt(parent context.Context, node, path string, body []byte) (*Result, error) {
 	c.attempts.Inc()
 	ctx := parent
 	if c.opts.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(parent, c.opts.AttemptTimeout)
-		defer cancel()
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+path, bytes.NewReader(body))
@@ -442,15 +423,23 @@ func (c *Client) attemptDeadline(parent context.Context, node, path string, body
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(service.ForwardedByHeader, "emxcluster")
-	if !deadline.IsZero() {
+	if deadline, ok := parent.Deadline(); ok {
 		// The same decimal nanoseconds every hop sees: the gateway relays
 		// this header unchanged, and nodes shed the request once it passes.
 		req.Header.Set(service.DeadlineHeader, service.FormatDeadline(deadline))
 	}
 	resp, err := c.http.Do(req)
+	var b []byte
+	if err == nil {
+		// Always drain and close the body — including a hedge loser's —
+		// so the transport can reuse the connection instead of leaking
+		// it under sustained hedging.
+		b, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
 	if err != nil {
 		if parent.Err() != nil {
-			// The parent context was canceled — the hedge race resolved
+			// The parent context ended — the hedge race resolved
 			// elsewhere, or the caller gave up. The abort says nothing
 			// about this node's health, so don't poison the membership
 			// view or the per-node error counters with it.
@@ -459,19 +448,6 @@ func (c *Client) attemptDeadline(parent context.Context, node, path string, body
 		c.nodeErrs(node).Inc()
 		c.members.MarkFailure(node, err)
 		return nil, fmt.Errorf("node %s: %w", node, err)
-	}
-	// Always drain and close the body — including a hedge loser's — so
-	// the transport can reuse the connection instead of leaking it under
-	// sustained hedging.
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if parent.Err() != nil {
-			return nil, fmt.Errorf("node %s: attempt canceled: %w", node, parent.Err())
-		}
-		c.nodeErrs(node).Inc()
-		c.members.MarkFailure(node, err)
-		return nil, fmt.Errorf("node %s: reading response: %w", node, err)
 	}
 	res := &Result{Node: node, Status: resp.StatusCode, Header: resp.Header, Body: b}
 	switch {
@@ -499,8 +475,8 @@ func (c *Client) attemptDeadline(parent context.Context, node, path string, body
 }
 
 // local serves the request through the in-process fallback handler.
-func (c *Client) local(path string, body []byte) (*Result, error) {
-	req, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+func (c *Client) local(ctx context.Context, path string, body []byte) (*Result, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -538,12 +514,12 @@ func FigureKey(fig string, scale int, seed int64) string {
 // scale/seed of 0 defer to the nodes' defaults — but are resolved into
 // the routing key as-is, so callers wanting stable routing should pass
 // explicit values (the gateway does).
-func (c *Client) Figure(fig string, scale int, seed int64) ([]harness.Figure, error) {
+func (c *Client) Figure(ctx context.Context, fig string, scale int, seed int64) ([]harness.Figure, error) {
 	body, err := json.Marshal(service.FigureRequest{Fig: fig, Scale: scale, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Do(FigureKey(fig, scale, seed), "/v1/figure", body)
+	res, err := c.Do(ctx, FigureKey(fig, scale, seed), "/v1/figure", body)
 	if err != nil {
 		return nil, err
 	}

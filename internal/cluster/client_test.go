@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -32,7 +33,7 @@ func TestClientRoutesToOwner(t *testing.T) {
 
 	key := FigureKey("6a", hugeScale, 1)
 	owner := ring.New(m.Members()).Owner(key)
-	res, err := c.Do(key, "/v1/figure", figureBody(t, "6a"))
+	res, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestClientFailsOverToPeer(t *testing.T) {
 		peer = srv1
 	}
 
-	res, err := c.Do(key, "/v1/figure", figureBody(t, "6a"))
+	res, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a"))
 	if err != nil {
 		t.Fatalf("failover did not rescue the request: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestClientBusyNodeRetriesAndHonorsRetryAfter(t *testing.T) {
 		MaxRetryWait: 5 * time.Millisecond, // cap the 1s Retry-After for the test
 	})
 	start := time.Now()
-	res, err := c.Do("some-key", "/v1/run", []byte(`{}`))
+	res, err := c.Do(context.Background(), "some-key", "/v1/run", []byte(`{}`))
 	if err != nil || res.Status != http.StatusOK {
 		t.Fatalf("res %+v err %v", res, err)
 	}
@@ -135,7 +136,7 @@ func TestClientDoesNotRetryValidationErrors(t *testing.T) {
 
 	m := NewMembership([]string{badReq.URL}, MembershipOptions{})
 	c := NewClient(m, ClientOptions{RetryBackoff: time.Millisecond})
-	res, err := c.Do("k", "/v1/run", []byte(`{}`))
+	res, err := c.Do(context.Background(), "k", "/v1/run", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestClientHedgesSlowOwner(t *testing.T) {
 		t.Fatal("could not construct a key owned by the slow node")
 	}
 
-	res, err := c.Do(key, "/v1/run", []byte(`{}`))
+	res, err := c.Do(context.Background(), key, "/v1/run", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestClientHedgeLoserDrainedAndUnpoisoned(t *testing.T) {
 
 	const rounds = 25
 	for i := 0; i < rounds; i++ {
-		res, err := c.Do(key, "/v1/run", []byte(`{}`))
+		res, err := c.Do(context.Background(), key, "/v1/run", []byte(`{}`))
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -317,7 +318,7 @@ func TestClientLocalFallback(t *testing.T) {
 		Local:        srv.Handler(),
 	})
 
-	figs, err := c.Figure("6a", hugeScale, 1)
+	figs, err := c.Figure(context.Background(), "6a", hugeScale, 1)
 	if err != nil {
 		t.Fatalf("local fallback failed: %v", err)
 	}
@@ -343,7 +344,7 @@ func TestClientStatsDeltas(t *testing.T) {
 
 	key := FigureKey("6a", hugeScale, 1)
 	before := c.Stats()
-	if _, err := c.Do(key, "/v1/figure", figureBody(t, "6a")); err != nil {
+	if _, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a")); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Stats().Sub(before)
@@ -361,7 +362,7 @@ func TestClientStatsDeltas(t *testing.T) {
 		}
 	}
 	before = c.Stats()
-	res, err := c.Do(key, "/v1/figure", figureBody(t, "6a"))
+	res, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +375,9 @@ func TestClientStatsDeltas(t *testing.T) {
 	}
 }
 
-// TestClientStampsDeadlineHeader: DoDeadline sends the absolute
-// deadline on every attempt in the exact FormatDeadline encoding, and
-// a zero deadline sends no header at all.
+// TestClientStampsDeadlineHeader: Do sends its context's deadline on
+// every attempt in the exact FormatDeadline encoding, and a context
+// without a deadline sends no header at all.
 func TestClientStampsDeadlineHeader(t *testing.T) {
 	var header atomic.Value
 	echo := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -388,14 +389,16 @@ func TestClientStampsDeadlineHeader(t *testing.T) {
 	c := NewClient(m, ClientOptions{})
 
 	deadline := time.Now().Add(time.Hour) //emx:hostclock test fixture deadline
-	if _, err := c.DoDeadline("k", "/v1/run", []byte("{}"), deadline); err != nil {
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	if _, err := c.Do(ctx, "k", "/v1/run", []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := header.Load().(string), service.FormatDeadline(deadline); got != want {
 		t.Fatalf("deadline header = %q, want %q", got, want)
 	}
 
-	if _, err := c.Do("k", "/v1/run", []byte("{}")); err != nil {
+	if _, err := c.Do(context.Background(), "k", "/v1/run", []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 	if got := header.Load().(string); got != "" {
@@ -415,7 +418,9 @@ func TestClientExpiredDeadlineFailsWithoutAttempt(t *testing.T) {
 	m := NewMembership([]string{node.URL}, MembershipOptions{})
 	c := NewClient(m, ClientOptions{})
 
-	if _, err := c.DoDeadline("k", "/v1/run", []byte("{}"), time.Unix(1, 0)); err == nil {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(1, 0))
+	defer cancel()
+	if _, err := c.Do(ctx, "k", "/v1/run", []byte("{}")); err == nil {
 		t.Fatal("expired deadline succeeded")
 	}
 	if n := hits.Load(); n != 0 {

@@ -131,11 +131,14 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
 // route sends body down the cluster client and relays the terminal
 // response — status, backpressure headers, and body — unchanged, so the
 // gateway is byte-transparent with respect to a single node. The
-// request's DeadlineHeader (absolute nanoseconds) is relayed unchanged
-// too: the client re-stamps the identical value on each routed attempt,
-// so the owning node sheds exactly when the original caller gives up.
+// request's context goes along: the client re-stamps the identical
+// DeadlineHeader on each routed attempt, so the owning node sheds
+// exactly when the original caller gives up, and a caller that hangs up
+// here cancels the attempt, so it leaves the node's queue too.
 func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key, path string, body []byte) {
-	res, err := g.client.DoDeadline(key, path, body, service.RequestDeadline(r))
+	ctx, cancel := service.RequestContext(r)
+	defer cancel()
+	res, err := g.client.Do(ctx, key, path, body)
 	if err != nil {
 		g.writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: %w", err))
 		return

@@ -2,16 +2,20 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"emx/internal/labd"
 	"emx/internal/labd/service"
+	"emx/internal/metrics"
 	"emx/internal/ring"
 )
 
@@ -584,7 +588,7 @@ func TestReplicaPushesFollowClientCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := ps.Key(scale)
-		res, err := client.Do(key, "/v1/run", body)
+		res, err := client.Do(context.Background(), key, "/v1/run", body)
 		if err != nil || res.Status != http.StatusOK {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -615,5 +619,72 @@ func TestReplicaPushesFollowClientCandidates(t *testing.T) {
 		if len(holders) != replicas {
 			t.Fatalf("key %s: candidates %v, holders among them %v", key, want, holders)
 		}
+	}
+}
+
+// TestGatewayClientDisconnectLeavesNodeQueue: a caller that hangs up at
+// the gateway cancels the routed attempt, so the owning node's handler
+// leaves its queued job and the node never executes it.
+func TestGatewayClientDisconnectLeavesNodeQueue(t *testing.T) {
+	srv := service.New(service.Options{Scale: hugeScale, Seed: 1, Sched: labd.Options{Workers: 1}})
+	node := httptest.NewServer(srv.Handler())
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { releaseOnce(); node.Close(); srv.Close() })
+	members := NewMembership([]string{node.URL}, MembershipOptions{})
+	gw := NewGateway(members, GatewayOptions{Scale: hugeScale, Seed: 1})
+	front := httptest.NewServer(gw.Handler())
+	t.Cleanup(front.Close)
+
+	sched := srv.Scheduler()
+	held := make(chan struct{})
+	go sched.Do("held-by-worker", func() (*metrics.Run, error) {
+		close(held)
+		<-release
+		return &metrics.Run{Label: "stub"}, nil
+	})
+	<-held
+
+	body, err := json.Marshal(service.RunRequest{Workload: "fft", P: 4, H: 2, N: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/v1/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("the canceled request got a response")
+		}
+	}()
+	wait := func(ok func(labd.Stats) bool) bool {
+		deadline := time.Now().Add(5 * time.Second) //emx:hostclock test polling
+		for !ok(sched.Stats()) {
+			if time.Now().After(deadline) { //emx:hostclock
+				return false
+			}
+			time.Sleep(time.Millisecond) //emx:hostclock
+		}
+		return true
+	}
+	if !wait(func(st labd.Stats) bool { return st.QueueDepth == 1 }) {
+		t.Fatalf("the routed run never queued on the node: %+v", sched.Stats())
+	}
+	cancel()
+	<-sent
+	// Give the hang-up time to cross both hops; then free the worker
+	// either way, so a handler that stayed shows up as a second start.
+	wait(func(st labd.Stats) bool { return st.ShedCanceled == 1 })
+	releaseOnce()
+	wait(func(st labd.Stats) bool { return st.Completed+st.Failed+st.ShedAbandoned == 2 })
+	if st := sched.Stats(); st.ShedCanceled != 1 || st.ShedAbandoned != 1 || st.Started != 1 {
+		t.Fatalf("node: ShedCanceled=%d ShedAbandoned=%d Started=%d, want 1, 1, 1",
+			st.ShedCanceled, st.ShedAbandoned, st.Started)
 	}
 }

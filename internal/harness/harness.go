@@ -249,9 +249,9 @@ type Sweep struct {
 	// Observe, when non-nil, attaches a fresh tracer to every executed
 	// simulation and collects the resulting cycle-accounting profiles:
 	// one per distinct simulation, not one per grid cell, labelled by
-	// the first cell (in size, thread order) that runs it. Points served
-	// from an executor's cache are not re-executed and therefore
-	// contribute no profile — profiled sweeps should run with caching off.
+	// the first cell (in size, thread order) that runs it. A point the
+	// executor serves from its cache is not re-executed: with a
+	// per-invocation executor, it was observed when it first ran.
 	Observe *ProfileCollector `json:"-"`
 }
 
@@ -324,7 +324,7 @@ func (s Sweep) Point(si, hi int) PointSpec {
 // independent deterministic simulation, so results do not depend on
 // scheduling.
 func (s Sweep) Run(workers int) (*SweepResult, error) {
-	sched := labd.New(labd.Options{Workers: workers, NoCache: true})
+	sched := labd.New(labd.Options{Workers: workers})
 	defer sched.Close()
 	return s.RunOn(sched)
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"emx/internal/metrics"
 )
@@ -33,12 +32,12 @@ var ErrQueueFull = errors.New("labd: run queue full")
 // ErrClosed is returned by Do after Close.
 var ErrClosed = errors.New("labd: scheduler closed")
 
-// ErrDeadlineExceeded is returned by DoDeadline when a request's
-// deadline expires before its simulation starts: the caller has already
-// given up, so executing (or waiting to execute) would burn a worker on
-// a result nobody reads. Shed load, like ErrQueueFull — retryable,
-// never an execution failure.
-var ErrDeadlineExceeded = errors.New("labd: request deadline exceeded before execution")
+// ErrDeadlineExceeded is returned when a caller's context deadline
+// passes before its result is ready: the caller has already given up,
+// so executing (or waiting to execute) would burn a worker on a result
+// nobody reads. Shed load, like ErrQueueFull — retryable, never an
+// execution failure.
+var ErrDeadlineExceeded = errors.New("labd: request deadline exceeded")
 
 // Source reports how a Do call obtained its result.
 type Source uint8
@@ -81,9 +80,6 @@ type Options struct {
 	QueueSize int
 	// CacheSize bounds the LRU result cache in entries (<=0: 512).
 	CacheSize int
-	// NoCache disables result caching entirely (coalescing still
-	// applies). Used by one-shot sweeps that never repeat a request.
-	NoCache bool
 	// Registry receives the scheduler's operational counters; a private
 	// registry is created when nil.
 	Registry *metrics.Registry
@@ -91,10 +87,10 @@ type Options struct {
 	// scheduled for execution: a replication layer can fetch the
 	// byte-identical content-addressed result from a peer replica. It is
 	// called without the scheduler lock held (it is expected to do
-	// network I/O, bounded by deadline; zero means no bound) and returns
-	// nil on a miss. A non-nil result is installed in the cache and
-	// served with Source Replicated.
-	Fill func(key string, deadline time.Time) *metrics.Run
+	// network I/O, bounded by the caller's ctx) and returns nil on a
+	// miss. A non-nil result is installed in the cache and served with
+	// Source Replicated.
+	Fill func(ctx context.Context, key string) *metrics.Run
 	// OnFill, when set, is invoked after an executed result is inserted
 	// into the cache and before its waiters are released — the
 	// replication push trigger. Called from the worker goroutine without
@@ -113,12 +109,12 @@ const (
 type Scheduler struct {
 	workers int
 	jobs    chan *job
-	fill    func(key string, deadline time.Time) *metrics.Run
+	fill    func(ctx context.Context, key string) *metrics.Run
 	onFill  func(key string, run *metrics.Run)
 
 	mu       sync.Mutex
 	inflight map[string]*job
-	cache    *lruCache // nil when caching is disabled
+	cache    *lruCache
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -154,55 +150,10 @@ type job struct {
 	run  *metrics.Run
 	err  error
 
-	// All fields below are guarded by Scheduler.mu.
-	//
-	// waiters holds the deadline of every caller still attached to this
-	// job (zero = none). The effective deadline — the latest host time
-	// execution may usefully start — is recomputed from the multiset on
-	// every attach and detach: zero while any waiter is deadline-free,
-	// otherwise the latest. A waiter that gives up (its own deadline
-	// lapses, or its context is canceled, before execution starts)
-	// detaches, so a patient waiter's departure no longer pins a stale
-	// extended deadline on the job; when the last waiter departs the job
-	// is orphaned and shed at dequeue.
-	waiters  []time.Time
-	deadline time.Time
-	orphaned bool
-}
-
-// attach registers a caller's deadline with the job. Caller holds
-// Scheduler.mu.
-func (j *job) attach(deadline time.Time) {
-	j.waiters = append(j.waiters, deadline)
-	j.recomputeDeadline()
-}
-
-// detach removes one waiter with the given deadline (the multiset may
-// hold duplicates; removing any is equivalent). Caller holds
-// Scheduler.mu.
-func (j *job) detach(deadline time.Time) {
-	for i, d := range j.waiters {
-		if d.Equal(deadline) {
-			j.waiters = append(j.waiters[:i], j.waiters[i+1:]...)
-			break
-		}
-	}
-	j.recomputeDeadline()
-}
-
-func (j *job) recomputeDeadline() {
-	j.orphaned = len(j.waiters) == 0
-	var latest time.Time
-	for _, d := range j.waiters {
-		if d.IsZero() {
-			j.deadline = time.Time{}
-			return
-		}
-		if d.After(latest) {
-			latest = d
-		}
-	}
-	j.deadline = latest
+	// waiters counts the callers still attached to this job; guarded
+	// by Scheduler.mu. A caller whose context ends leaves, and a job
+	// whose last waiter has left is shed at dequeue.
+	waiters int
 }
 
 // New starts a scheduler and its worker pool.
@@ -226,10 +177,8 @@ func New(o Options) *Scheduler {
 		fill:     o.Fill,
 		onFill:   o.OnFill,
 		inflight: map[string]*job{},
+		cache:    newLRU(o.CacheSize),
 		reg:      reg,
-	}
-	if !o.NoCache {
-		s.cache = newLRU(o.CacheSize)
 	}
 	s.started = reg.Counter("emxd_runs_started_total", "simulator executions started")
 	s.completed = reg.Counter("emxd_runs_completed_total", "simulator executions completed successfully")
@@ -273,27 +222,16 @@ func New(o Options) *Scheduler {
 // available, except when the queue is full (ErrQueueFull) or the
 // scheduler is closed (ErrClosed). fn must be a pure function of key.
 func (s *Scheduler) Do(key string, fn func() (*metrics.Run, error)) (*metrics.Run, Source, error) {
-	return s.DoDeadline(key, time.Time{}, fn)
+	return s.DoContext(context.Background(), key, fn)
 }
 
-// DoDeadline is Do with deadline-aware load shedding: a request whose
-// deadline (host wall-clock; zero means none) has already passed — or
-// passes while the job waits in the queue — is shed with
-// ErrDeadlineExceeded instead of executing. Cache hits are still
-// served: they cost nothing. Coalescing onto an in-flight job extends
-// that job's deadline to the latest waiter's, so an expiring request
-// never sheds work a patient one still wants; when that patient waiter
-// itself departs, the effective deadline shrinks back to the survivors'.
-func (s *Scheduler) DoDeadline(key string, deadline time.Time, fn func() (*metrics.Run, error)) (*metrics.Run, Source, error) {
-	return s.DoContext(context.Background(), key, deadline, fn)
-}
-
-// DoContext is DoDeadline with caller-departure awareness: when ctx is
-// canceled before the result arrives, the call detaches from its job
-// and returns ctx's error. The job's effective deadline is recomputed
-// from the waiters still attached, and a job whose last waiter departed
-// is shed at dequeue instead of executing for nobody.
-func (s *Scheduler) DoContext(ctx context.Context, key string, deadline time.Time, fn func() (*metrics.Run, error)) (*metrics.Run, Source, error) {
+// DoContext is Do bounded by ctx. A caller whose ctx ends before its
+// result arrives leaves the job: it gets ErrDeadlineExceeded if the
+// deadline passed and ctx.Err() if it was canceled, and a job whose
+// last waiter has left is shed at dequeue instead of executing for
+// nobody. Cache hits are served even past the deadline: they cost
+// nothing.
+func (s *Scheduler) DoContext(ctx context.Context, key string, fn func() (*metrics.Run, error)) (*metrics.Run, Source, error) {
 	triedFill := s.fill == nil
 	for {
 		s.mu.Lock()
@@ -301,23 +239,20 @@ func (s *Scheduler) DoContext(ctx context.Context, key string, deadline time.Tim
 			s.mu.Unlock()
 			return nil, Executed, ErrClosed
 		}
-		if s.cache != nil {
-			if run, ok := s.cache.get(key); ok {
-				s.mu.Unlock()
-				s.cacheHits.Inc()
-				return run, Cached, nil
-			}
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) { //emx:hostclock deadline-aware load shedding
+		if run, ok := s.cache.get(key); ok {
 			s.mu.Unlock()
-			s.shedDeadline.Inc()
-			return nil, Executed, fmt.Errorf("%w (expired on admission)", ErrDeadlineExceeded)
+			s.cacheHits.Inc()
+			return run, Cached, nil
+		}
+		if ctx.Err() != nil {
+			s.mu.Unlock()
+			return nil, Executed, s.left(ctx)
 		}
 		if j, ok := s.inflight[key]; ok {
-			j.attach(deadline)
+			j.waiters++
 			s.mu.Unlock()
 			s.coalescedHits.Inc()
-			return s.wait(ctx, j, deadline, Coalesced)
+			return s.wait(ctx, j, Coalesced)
 		}
 		if !triedFill {
 			// Cache miss about to cost an execution: ask the fill hook
@@ -326,100 +261,123 @@ func (s *Scheduler) DoContext(ctx context.Context, key string, deadline time.Tim
 			// afterwards — the cache or in-flight set may have changed.
 			triedFill = true
 			s.mu.Unlock()
-			if run := s.fill(key, deadline); run != nil {
+			if run := s.fill(ctx, key); run != nil {
 				s.mu.Lock()
-				if s.cache != nil {
-					s.cache.add(key, run)
-				}
+				s.cache.add(key, run)
 				s.mu.Unlock()
 				s.filled.Inc()
 				return run, Replicated, nil
 			}
 			continue
 		}
-		j := &job{key: key, fn: fn, done: make(chan struct{})}
-		j.attach(deadline)
-		select {
-		case s.jobs <- j:
-			s.inflight[key] = j
+		j := &job{key: key, fn: fn, done: make(chan struct{}), waiters: 1}
+		if err := s.enqueue(j); err != nil {
 			s.mu.Unlock()
-		default:
-			s.mu.Unlock()
-			s.rejected.Inc()
-			s.shedQueueFull.Inc()
-			return nil, Executed, fmt.Errorf("%w (capacity %d)", ErrQueueFull, cap(s.jobs))
+			return nil, Executed, err
 		}
-		return s.wait(ctx, j, deadline, Executed)
+		s.inflight[key] = j
+		s.mu.Unlock()
+		return s.wait(ctx, j, Executed)
 	}
 }
 
-// wait blocks until j completes or ctx is canceled. A waiter whose own
-// deadline lapses while another waiter keeps the job alive still
-// receives the (already paid-for) result — deadline shedding is
-// collective, decided at dequeue from the job's effective deadline. A
-// canceled waiter, by contrast, departs individually: it detaches its
-// deadline so the effective deadline shrinks to the survivors'.
-func (s *Scheduler) wait(ctx context.Context, j *job, deadline time.Time, src Source) (*metrics.Run, Source, error) {
-	if ctx.Done() == nil {
-		<-j.done
-		return j.run, src, j.err
+// Exec runs fn on the worker pool outside the run cache: no lookup,
+// coalescing, fill, insert or push. It is for work whose product is
+// not a cacheable run, such as a profiled point; queueing, shedding and
+// ctx handling are those of DoContext.
+func (s *Scheduler) Exec(ctx context.Context, fn func() error) error {
+	j := &job{fn: func() (*metrics.Run, error) { return nil, fn() }, done: make(chan struct{}), waiters: 1}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
 	}
+	if ctx.Err() != nil {
+		s.mu.Unlock()
+		return s.left(ctx)
+	}
+	err := s.enqueue(j)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, _, err = s.wait(ctx, j, Executed)
+	return err
+}
+
+// enqueue admits j to the run queue, or rejects it when the queue is
+// full. Caller holds s.mu.
+func (s *Scheduler) enqueue(j *job) error {
+	select {
+	case s.jobs <- j:
+		return nil
+	default:
+		s.rejected.Inc()
+		s.shedQueueFull.Inc()
+		return fmt.Errorf("%w (capacity %d)", ErrQueueFull, cap(s.jobs))
+	}
+}
+
+// wait blocks until j completes or ctx ends. A caller whose ctx ends
+// first leaves the job, whether or not it has started: a gone caller
+// reads nothing.
+func (s *Scheduler) wait(ctx context.Context, j *job, src Source) (*metrics.Run, Source, error) {
 	select {
 	case <-j.done:
 		return j.run, src, j.err
 	case <-ctx.Done():
-		if s.detachIfUnfinished(j, deadline) {
-			s.shedCanceled.Inc()
-			return nil, src, ctx.Err()
-		}
-		// Completed in the race window: the result is sitting there.
-		<-j.done
-		return j.run, src, j.err
 	}
-}
-
-// detachIfUnfinished detaches a canceled waiter whenever the result is
-// not already available — a gone caller reads nothing, started or not.
-func (s *Scheduler) detachIfUnfinished(j *job, deadline time.Time) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	select {
 	case <-j.done:
-		return false
+		// Completed in the race window: the result is sitting there.
+		s.mu.Unlock()
+		return j.run, src, j.err
 	default:
 	}
-	j.detach(deadline)
-	return true
+	j.waiters--
+	s.mu.Unlock()
+	return nil, src, s.left(ctx)
+}
+
+// left counts a caller whose ctx ended before its result and returns
+// the error that caller gets.
+func (s *Scheduler) left(ctx context.Context) error {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		s.shedDeadline.Inc()
+		return ErrDeadlineExceeded
+	}
+	s.shedCanceled.Inc()
+	return ctx.Err()
 }
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for j := range s.jobs {
 		s.mu.Lock()
-		expired := !j.deadline.IsZero() && time.Now().After(j.deadline) //emx:hostclock deadline-aware load shedding
-		if j.orphaned || expired {
-			// Every waiter gave up (or the latest deadline lapsed in
-			// queue): shed the run before it costs a worker anything.
-			j.err = fmt.Errorf("%w (queued past deadline)", ErrDeadlineExceeded)
-			delete(s.inflight, j.key)
-			s.mu.Unlock()
-			if j.orphaned {
-				s.shedAbandoned.Inc()
-			} else {
-				s.shedDeadline.Inc()
+		if j.waiters == 0 {
+			// Every waiter has left: shed the run before it costs a
+			// worker anything. Nobody reads j's result. (An Exec job
+			// is never in the in-flight set.)
+			if s.inflight[j.key] == j {
+				delete(s.inflight, j.key)
 			}
+			s.mu.Unlock()
+			s.shedAbandoned.Inc()
 			close(j.done)
 			continue
 		}
 		s.mu.Unlock()
 		s.started.Inc()
 		j.run, j.err = runJob(j.fn)
+		// An Exec job returns no run, so it is never cached.
+		cached := j.err == nil && j.run != nil
 		s.mu.Lock()
-		delete(s.inflight, j.key)
-		cached := false
-		if j.err == nil && s.cache != nil {
+		if s.inflight[j.key] == j {
+			delete(s.inflight, j.key)
+		}
+		if cached {
 			s.cache.add(j.key, j.run)
-			cached = true
 		}
 		s.mu.Unlock()
 		if j.err != nil {
@@ -486,11 +444,11 @@ type Stats struct {
 	// Filled counts cache misses served by the replica fill hook (zero
 	// local executions).
 	Filled uint64
-	// ShedDeadline counts requests shed because their deadline expired
-	// before execution (ErrDeadlineExceeded); queue-full sheds are
-	// Rejected. ShedAbandoned counts jobs shed at dequeue because every
-	// waiter had departed; ShedCanceled counts waiters that departed via
-	// context cancellation.
+	// ShedDeadline counts callers that left because their deadline
+	// passed before their result (ErrDeadlineExceeded); ShedCanceled
+	// counts callers that left because their context was canceled;
+	// queue-full sheds are Rejected. ShedAbandoned counts jobs shed at
+	// dequeue because every waiter had left.
 	ShedDeadline         uint64
 	ShedAbandoned        uint64
 	ShedCanceled         uint64
@@ -553,23 +511,17 @@ func (st Stats) Throughput() (cyclesPerSec, eventsPerSec float64) {
 	return float64(st.SimCycles) / st.HostSeconds, float64(st.SimEvents) / st.HostSeconds
 }
 
-// CacheLen returns the number of cached results (0 when disabled).
+// CacheLen returns the number of cached results.
 func (s *Scheduler) CacheLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache == nil {
-		return 0
-	}
 	return s.cache.len()
 }
 
-// CacheCap returns the cache bound in entries (0 when disabled).
+// CacheCap returns the cache bound in entries.
 func (s *Scheduler) CacheCap() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache == nil {
-		return 0
-	}
 	return s.cache.cap
 }
 
@@ -587,14 +539,11 @@ func (s *Scheduler) RunsExecuted() uint64 { return s.started.Value() }
 func (s *Scheduler) CacheGet(key string) (*metrics.Run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache == nil {
-		return nil, false
-	}
 	return s.cache.get(key)
 }
 
 // CachePut installs a replicated result. It reports false — and stores
-// nothing — when caching is disabled or the key is already present
+// nothing — when the key is already present
 // (content-addressed entries are byte-identical, so overwriting only
 // churns the LRU order).
 func (s *Scheduler) CachePut(key string, run *metrics.Run) bool {
@@ -603,9 +552,6 @@ func (s *Scheduler) CachePut(key string, run *metrics.Run) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cache == nil {
-		return false
-	}
 	if _, ok := s.cache.items[key]; ok {
 		return false
 	}

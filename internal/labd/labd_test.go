@@ -20,7 +20,7 @@ func fakeRun(label string, cycles int) *metrics.Run {
 // TestCoalescing: concurrent identical requests execute the simulator
 // exactly once; all callers see the same result object.
 func TestCoalescing(t *testing.T) {
-	s := New(Options{Workers: 2, NoCache: true})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 
 	var executions atomic.Int64
@@ -201,7 +201,7 @@ func TestLRUEviction(t *testing.T) {
 // TestQueueBackpressure: a full queue rejects immediately with
 // ErrQueueFull instead of blocking.
 func TestQueueBackpressure(t *testing.T) {
-	s := New(Options{Workers: 1, QueueSize: 1, NoCache: true})
+	s := New(Options{Workers: 1, QueueSize: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -275,7 +275,7 @@ func TestClose(t *testing.T) {
 // TestDistinctKeysRunConcurrently sanity-checks the pool actually fans
 // out: with 4 workers, 4 distinct blocked runs are all in flight.
 func TestDistinctKeysRunConcurrently(t *testing.T) {
-	s := New(Options{Workers: 4, NoCache: true})
+	s := New(Options{Workers: 4})
 	defer s.Close()
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -316,7 +316,7 @@ func TestDeadlineShedOnAdmission(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	ran := false
-	_, _, err := s.DoDeadline("k", time.Now().Add(-time.Second), func() (*metrics.Run, error) { //emx:hostclock test fixture
+	_, _, err := s.DoContext(expiredCtx(t), "k", func() (*metrics.Run, error) {
 		ran = true
 		return fakeRun("bitonic", 1), nil
 	})
@@ -332,9 +332,10 @@ func TestDeadlineShedOnAdmission(t *testing.T) {
 }
 
 // TestDeadlineShedWhenQueuedPastDeadline: a request admitted in time
-// but still queued when its deadline passes is shed at dequeue.
+// but still queued when its deadline passes leaves its job, which is
+// then shed at dequeue.
 func TestDeadlineShedWhenQueuedPastDeadline(t *testing.T) {
-	s := New(Options{Workers: 1, NoCache: true})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	blockerStarted := make(chan struct{})
@@ -347,19 +348,21 @@ func TestDeadlineShedWhenQueuedPastDeadline(t *testing.T) {
 
 	ran := false
 	done := make(chan error, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	go func() {
-		_, _, err := s.DoDeadline("victim", time.Now().Add(30*time.Millisecond), func() (*metrics.Run, error) { //emx:hostclock test fixture
+		_, _, err := s.DoContext(ctx, "victim", func() (*metrics.Run, error) {
 			ran = true
 			return fakeRun("fft", 1), nil
 		})
 		done <- err
 	}()
-	time.Sleep(80 * time.Millisecond) //emx:hostclock let the victim's deadline lapse in queue
-	close(release)
-	err := <-done
+	err := <-done // the victim leaves at its deadline, still queued
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
+	close(release)
+	waitForAbandoned(t, s, 1)
 	if ran {
 		t.Fatal("queued-past-deadline request still executed")
 	}
@@ -376,7 +379,7 @@ func TestDeadlineCacheHitDespiteExpiry(t *testing.T) {
 	if _, _, err := s.Do("k", func() (*metrics.Run, error) { return fakeRun("spmv", 1), nil }); err != nil {
 		t.Fatal(err)
 	}
-	run, src, err := s.DoDeadline("k", time.Now().Add(-time.Second), func() (*metrics.Run, error) { //emx:hostclock test fixture
+	run, src, err := s.DoContext(expiredCtx(t), "k", func() (*metrics.Run, error) {
 		return nil, fmt.Errorf("must not execute")
 	})
 	if err != nil || src != Cached || run == nil {
@@ -387,11 +390,12 @@ func TestDeadlineCacheHitDespiteExpiry(t *testing.T) {
 	}
 }
 
-// TestCoalesceExtendsDeadline: a patient waiter joining an in-flight
-// job lifts the job's deadline, so the earlier impatient caller's
-// deadline cannot shed work the patient one still wants.
+// TestCoalesceExtendsDeadline: a patient waiter keeps a coalesced job
+// alive past an impatient caller's deadline and receives the result,
+// while the impatient caller leaves at its own deadline with
+// ErrDeadlineExceeded (its upstream has hung up by then).
 func TestCoalesceExtendsDeadline(t *testing.T) {
-	s := New(Options{Workers: 1, NoCache: true})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	blockerStarted := make(chan struct{})
@@ -403,44 +407,51 @@ func TestCoalesceExtendsDeadline(t *testing.T) {
 	<-blockerStarted
 
 	// Impatient caller: queued with a deadline that will lapse.
+	var ran atomic.Bool
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	first := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoDeadline("shared", time.Now().Add(30*time.Millisecond), func() (*metrics.Run, error) { //emx:hostclock test fixture
+		_, _, err := s.DoContext(ctx, "shared", func() (*metrics.Run, error) {
+			ran.Store(true)
 			return fakeRun("fft", 1), nil
 		})
 		first <- err
 	}()
 	waitForInflight(t, s, "shared")
 
-	// Patient caller coalesces with no deadline, clearing the job's.
-	second := make(chan error, 1)
+	// Patient caller coalesces with no deadline.
+	second := make(chan *metrics.Run, 1)
 	go func() {
-		_, _, err := s.Do("shared", func() (*metrics.Run, error) { return fakeRun("fft", 1), nil })
-		second <- err
+		run, _, err := s.Do("shared", func() (*metrics.Run, error) { return fakeRun("fft", 1), nil })
+		if err != nil {
+			t.Errorf("patient caller: %v", err)
+		}
+		second <- run
 	}()
 	waitForCoalesced(t, s, 1)
 
-	time.Sleep(80 * time.Millisecond) //emx:hostclock lapse the first caller's deadline
+	if err := <-first; !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("impatient caller err = %v, want ErrDeadlineExceeded", err)
+	}
 	close(release)
-	if err := <-first; err != nil {
-		t.Fatalf("impatient caller: %v (job should have been kept alive)", err)
+	if run := <-second; run == nil {
+		t.Fatal("patient caller got no result")
 	}
-	if err := <-second; err != nil {
-		t.Fatalf("patient caller: %v", err)
+	if !ran.Load() {
+		t.Fatal("job was shed although a waiter kept it alive")
 	}
-	if st := s.Stats(); st.ShedDeadline != 0 {
-		t.Fatalf("ShedDeadline = %d, want 0", st.ShedDeadline)
+	if st := s.Stats(); st.ShedDeadline != 1 || st.ShedAbandoned != 0 {
+		t.Fatalf("stats = %+v, want ShedDeadline=1 ShedAbandoned=0", st)
 	}
 }
 
-// TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts is the
-// regression test for the coalescing-deadline bug: the job's effective
-// deadline used to be a high-water mark, so a patient waiter that
-// canceled kept the job immortal on behalf of callers who'd already
-// given it a budget. When the most-patient waiter departs, the
-// deadline must be recomputed from the survivors.
+// TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts: a job lives
+// only as long as some waiter does. When the patient waiter cancels and
+// the impatient caller's deadline then passes, nobody is left, and the
+// job is shed at dequeue instead of executing.
 func TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts(t *testing.T) {
-	s := New(Options{Workers: 1, NoCache: true})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	blockerStarted := make(chan struct{})
@@ -453,9 +464,11 @@ func TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts(t *testing.T) {
 
 	// Impatient caller creates the job with a deadline that will lapse.
 	var ran atomic.Bool
+	dctx, dcancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer dcancel()
 	first := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoDeadline("shared", time.Now().Add(40*time.Millisecond), func() (*metrics.Run, error) { //emx:hostclock test fixture
+		_, _, err := s.DoContext(dctx, "shared", func() (*metrics.Run, error) {
 			ran.Store(true)
 			return fakeRun("fft", 1), nil
 		})
@@ -467,7 +480,7 @@ func TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	second := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoContext(ctx, "shared", time.Time{}, func() (*metrics.Run, error) {
+		_, _, err := s.DoContext(ctx, "shared", func() (*metrics.Run, error) {
 			ran.Store(true)
 			return fakeRun("fft", 1), nil
 		})
@@ -479,15 +492,13 @@ func TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts(t *testing.T) {
 		t.Fatalf("canceled waiter err = %v, want context.Canceled", err)
 	}
 
-	// With the patient waiter gone, the job's deadline must be the
-	// impatient caller's again: lapse it, then let the worker dequeue.
-	time.Sleep(80 * time.Millisecond) //emx:hostclock lapse the surviving caller's deadline
-	close(release)
 	if err := <-first; !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("surviving caller err = %v, want ErrDeadlineExceeded (deadline not recomputed)", err)
+		t.Fatalf("surviving caller err = %v, want ErrDeadlineExceeded", err)
 	}
+	close(release)
+	waitForAbandoned(t, s, 1)
 	if ran.Load() {
-		t.Fatal("expired job still executed after its patient waiter departed")
+		t.Fatal("job still executed after every waiter left")
 	}
 	st := s.Stats()
 	if st.ShedDeadline != 1 {
@@ -502,7 +513,7 @@ func TestCoalesceRecomputesDeadlineWhenPatientWaiterDeparts(t *testing.T) {
 // job starts, the queued work is abandoned — the worker drops it at
 // dequeue instead of computing a result nobody will read.
 func TestOrphanedJobShedAsAbandoned(t *testing.T) {
-	s := New(Options{Workers: 1, NoCache: true})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	blockerStarted := make(chan struct{})
@@ -517,7 +528,7 @@ func TestOrphanedJobShedAsAbandoned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoContext(ctx, "orphan", time.Time{}, func() (*metrics.Run, error) {
+		_, _, err := s.DoContext(ctx, "orphan", func() (*metrics.Run, error) {
 			ran.Store(true)
 			return fakeRun("fft", 1), nil
 		})
@@ -529,21 +540,56 @@ func TestOrphanedJobShedAsAbandoned(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	close(release)
-
-	deadline := time.After(5 * time.Second)
-	for s.Stats().ShedAbandoned == 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("orphaned job never shed as abandoned: %+v", s.Stats())
-		default:
-			time.Sleep(time.Millisecond) //emx:hostclock test polling
-		}
-	}
+	waitForAbandoned(t, s, 1)
 	if ran.Load() {
 		t.Fatal("orphaned job still executed")
 	}
 	if st := s.Stats(); st.ShedCanceled != 1 || st.ShedAbandoned != 1 {
 		t.Fatalf("stats = %+v, want ShedCanceled=1 ShedAbandoned=1", st)
+	}
+}
+
+// TestExecBypassesRunCache: Exec runs on the pool like any job, but
+// nothing it does touches the run cache or coalesces.
+func TestExecBypassesRunCache(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	var calls atomic.Int64
+	for i := 0; i < 2; i++ {
+		if err := s.Exec(context.Background(), func() error { calls.Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	if err := s.Exec(context.Background(), func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	st := s.Stats()
+	if calls.Load() != 2 || st.Started != 3 || st.Failed != 1 || st.CacheLen != 0 || st.CacheHits != 0 {
+		t.Fatalf("calls=%d stats=%+v, want 2 calls, 3 started, 1 failed, nothing cached", calls.Load(), st)
+	}
+	if err := s.Exec(expiredCtx(t), func() error { t.Error("expired Exec ran"); return nil }); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("expired Exec err = %v, want ErrDeadlineExceeded", err)
+	}
+}
+
+// expiredCtx is a context whose deadline has already passed.
+func expiredCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(1, 0))
+	t.Cleanup(cancel)
+	return ctx
+}
+
+func waitForAbandoned(t *testing.T, s *Scheduler, n uint64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for s.Stats().ShedAbandoned < n {
+		select {
+		case <-deadline:
+			t.Fatalf("never saw %d abandoned jobs: %+v", n, s.Stats())
+		default:
+			time.Sleep(time.Millisecond) //emx:hostclock test polling
+		}
 	}
 }
 

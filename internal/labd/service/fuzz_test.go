@@ -82,18 +82,22 @@ func FuzzOpenEnvelope(f *testing.F) {
 
 // FuzzRequestDeadline drives the X-Emx-Deadline parser with arbitrary
 // header values. It must never panic; anything but a positive decimal
-// nanosecond count is "no deadline"; and a deadline written by
+// nanosecond count is "no deadline"; RequestContext carries exactly
+// RequestDeadline's deadline, and none (it is the request's own
+// context) when there is no deadline; and a deadline written by
 // FormatDeadline reads back exactly, which is what lets the gateway
 // relay the header unchanged. The seed corpus lives in
 // testdata/fuzz/FuzzRequestDeadline.
 func FuzzRequestDeadline(f *testing.F) {
-	parse := func(v string) time.Time {
+	request := func(v string) *http.Request {
 		r := httptest.NewRequest(http.MethodPost, "/v1/run", nil)
 		r.Header.Set(DeadlineHeader, v)
-		return RequestDeadline(r)
+		return r
 	}
+	parse := func(v string) time.Time { return RequestDeadline(request(v)) }
 	f.Fuzz(func(t *testing.T, header string, ns int64) {
-		got := parse(header)
+		r := request(header)
+		got := RequestDeadline(r)
 		if want, err := strconv.ParseInt(header, 10, 64); err != nil || want <= 0 {
 			if !got.IsZero() {
 				t.Fatalf("header %q gave deadline %v, want none", header, got)
@@ -102,10 +106,20 @@ func FuzzRequestDeadline(f *testing.F) {
 			t.Fatalf("header %q gave %d ns", header, got.UnixNano())
 		}
 
+		ctx, cancel := RequestContext(r)
+		defer cancel()
+		d, ok := ctx.Deadline()
+		switch {
+		case got.IsZero() && (ok || ctx != r.Context()):
+			t.Fatalf("header %q: context has deadline %v (%v), want the request's own context", header, d, ok)
+		case !got.IsZero() && (!ok || !d.Equal(got) || d.UnixNano() != got.UnixNano()):
+			t.Fatalf("header %q: context deadline %v (%v), want %v", header, d, ok, got)
+		}
+
 		if ns <= 0 {
 			return
 		}
-		d := time.Unix(0, ns)
+		d = time.Unix(0, ns)
 		if back := parse(FormatDeadline(d)); !back.Equal(d) || back.UnixNano() != ns {
 			t.Fatalf("deadline %d ns read back as %d", ns, back.UnixNano())
 		}

@@ -1,14 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"emx/internal/harness"
-	"emx/internal/metrics"
 	"emx/internal/obs"
 )
 
@@ -124,7 +123,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 	pt, cached := s.prof.get(key)
 	if !cached {
-		pt, err = s.profilePoint(key, ps, req.SliceCycles, RequestDeadline(r))
+		ctx, cancel := RequestContext(r)
+		defer cancel()
+		pt, err = s.profilePoint(ctx, key, ps, req.SliceCycles)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -155,30 +156,18 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// profilePoint executes one observed point through the scheduler's
-// worker pool and stores the result in the profile cache. The
-// scheduler's run cache or coalescing may satisfy the Do without
-// invoking our function — a skipped execution collects no profile — so
-// the fallback re-executes inline against the same deterministic
-// simulation (byte-identical profile, just not pooled).
-func (s *Server) profilePoint(key string, ps harness.PointSpec, slice int64, deadline time.Time) (*harness.ProfiledPoint, error) {
+// profilePoint executes one observed point on the scheduler's worker
+// pool, outside the run cache (a profile is not a run, and a cached
+// run carries no profile), and stores it in the profile cache.
+func (s *Server) profilePoint(ctx context.Context, key string, ps harness.PointSpec, slice int64) (*harness.ProfiledPoint, error) {
 	pc := harness.NewProfileCollector(harness.ObsOptions{SliceCycles: slice})
-	if _, _, err := s.sched.DoDeadline("profile/"+key, deadline, func() (*metrics.Run, error) {
-		return pc.RunPointObserved(ps)
+	if err := s.sched.Exec(ctx, func() error {
+		_, err := pc.RunPointObserved(ps)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	pts := pc.Points()
-	if len(pts) == 0 {
-		if pt, ok := s.prof.get(key); ok {
-			return pt, nil
-		}
-		if _, err := pc.RunPointObserved(ps); err != nil {
-			return nil, err
-		}
-		pts = pc.Points()
-	}
-	pt := pts[0]
+	pt := pc.Points()[0]
 	s.prof.put(key, pt)
 	return pt, nil
 }

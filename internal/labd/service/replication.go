@@ -45,7 +45,7 @@ const (
 	// pushTimeout bounds one replica push.
 	pushTimeout = 2 * time.Second
 	// fillTimeout bounds the whole peer-fill attempt on a cache miss;
-	// the request's own deadline tightens it further.
+	// the request's own context tightens it further.
 	fillTimeout = time.Second
 )
 
@@ -273,20 +273,15 @@ func drainClose(body io.ReadCloser) {
 
 // fill is the scheduler's Fill hook: on a cache miss, ask the other
 // members of key's replica set for their copy before paying an
-// execution. The whole attempt is bounded by fillTimeout and, when the
-// request carries a deadline, never outlives it.
-func (r *replicator) fill(key string, deadline time.Time) *metrics.Run {
+// execution. The whole attempt is bounded by fillTimeout and never
+// outlives the request's ctx.
+func (r *replicator) fill(ctx context.Context, key string) *metrics.Run {
 	targets := r.replicaTargets(key)
 	if len(targets) == 0 {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
-	if !deadline.IsZero() {
-		var cancel2 context.CancelFunc
-		ctx, cancel2 = context.WithDeadline(ctx, deadline)
-		defer cancel2()
-	}
 	body, err := json.Marshal(cacheGetRequest{Key: key})
 	if err != nil {
 		return nil

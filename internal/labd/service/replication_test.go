@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -333,7 +334,7 @@ func TestReplicationReusesPeerConnections(t *testing.T) {
 	t.Cleanup(r.close)
 
 	for i := 0; i < 50; i++ {
-		if run := r.fill(fmt.Sprintf("missing-%d", i), time.Time{}); run != nil {
+		if run := r.fill(context.Background(), fmt.Sprintf("missing-%d", i)); run != nil {
 			t.Fatalf("fill %d found a run on an empty peer", i)
 		}
 	}
@@ -370,5 +371,45 @@ func TestCacheIndexIsNotServed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/cache/index: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestProfileStaysOutOfRunCache: a profiled point runs on the worker
+// pool but never enters the run cache, so it is neither pushed to nor
+// filled from a replica, and a peer profiles the same point by running
+// it on its own pool.
+func TestProfileStaysOutOfRunCache(t *testing.T) {
+	a, b, tsA, tsB := newReplicatedPair(t)
+	req := ProfileRequest{RunRequest: RunRequest{Workload: "bitonic", P: 4, H: 2, N: 64 << 10}}
+
+	resp := postJSON(t, tsA.URL+"/v1/profile", req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile on A: status %d", resp.StatusCode)
+	}
+	if !a.FlushReplication(5 * time.Second) {
+		t.Fatal("push queue did not drain")
+	}
+	snap := a.Registry().Snapshot()
+	if pushes, misses := snap["emxd_cache_replica_pushes_total"], snap["emxd_cache_replica_fill_misses_total"]; pushes != 0 || misses != 0 {
+		t.Fatalf("profile on A: pushes=%v fill_misses=%v, want 0 and 0", pushes, misses)
+	}
+	if n := a.Scheduler().CacheLen(); n != 0 {
+		t.Fatalf("A's run cache holds %d entries after a profile, want 0", n)
+	}
+	if n := b.Scheduler().CacheLen(); n != 0 {
+		t.Fatalf("B's run cache holds %d entries after a profile on A, want 0", n)
+	}
+	if n := a.Scheduler().RunsExecuted(); n != 1 {
+		t.Fatalf("A executed %d runs for one profile, want 1", n)
+	}
+
+	resp = postJSON(t, tsB.URL+"/v1/profile", req)
+	resp.Body.Close()
+	if got := resp.Header.Get(SourceHeader); resp.StatusCode != http.StatusOK || got != "executed" {
+		t.Fatalf("profile on B: status %d source %q, want 200 executed", resp.StatusCode, got)
+	}
+	if n := b.Scheduler().RunsExecuted(); n != 1 {
+		t.Fatalf("B executed %d runs on its pool for one profile, want 1", n)
 	}
 }

@@ -15,6 +15,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,10 +58,21 @@ const ForwardedByHeader = "X-Emx-Forwarded-By"
 
 // DeadlineHeader carries a request's absolute deadline as decimal
 // nanoseconds since the Unix epoch. cluster.Client stamps it from its
-// caller's deadline, the gateway relays it unchanged, and the labd
-// scheduler sheds any request still queued when it expires — so a
-// client that has given up never costs a worker an execution.
+// caller's context deadline, the gateway relays it unchanged, and
+// RequestContext turns it back into a context deadline — so a client
+// that has given up never costs a worker an execution.
 const DeadlineHeader = "X-Emx-Deadline"
+
+// RequestContext is r's context bounded by its DeadlineHeader: it ends
+// when the client hangs up or the deadline passes, whichever is first.
+// Without a usable header it is r.Context() itself, so a request that
+// carries none allocates nothing here. The caller must call cancel.
+func RequestContext(r *http.Request) (context.Context, context.CancelFunc) {
+	if d := RequestDeadline(r); !d.IsZero() {
+		return context.WithDeadline(r.Context(), d)
+	}
+	return r.Context(), func() {}
+}
 
 // RequestDeadline parses r's DeadlineHeader. The zero time means no
 // deadline (absent or unparseable header: deadlines are best-effort
@@ -425,25 +437,16 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// deadlineExec binds one request's deadline onto every point a panel
-// sweep fans into, so a figure request that outlives its caller sheds
-// its remaining points instead of simulating them for nobody.
-type deadlineExec struct {
-	sched    *labd.Scheduler
-	deadline time.Time
+// ctxExec binds one request's context onto every point a panel sweep
+// fans into, so a figure request whose caller has gone sheds its
+// remaining points instead of simulating them for nobody.
+type ctxExec struct {
+	ctx   context.Context
+	sched *labd.Scheduler
 }
 
-func (e deadlineExec) Do(key string, fn func() (*metrics.Run, error)) (*metrics.Run, labd.Source, error) {
-	return e.sched.DoDeadline(key, e.deadline, fn)
-}
-
-// executor returns the scheduler as a harness.Executor, deadline-bound
-// when the request carries one.
-func (s *Server) executor(deadline time.Time) harness.Executor {
-	if deadline.IsZero() {
-		return s.sched
-	}
-	return deadlineExec{sched: s.sched, deadline: deadline}
+func (e ctxExec) Do(key string, fn func() (*metrics.Run, error)) (*metrics.Run, labd.Source, error) {
+	return e.sched.DoContext(e.ctx, key, fn)
 }
 
 // decodeBody decodes a JSON request body of at most MaxBodyBytes.
@@ -475,7 +478,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := ps.Key(scale)
-	run, src, err := s.sched.DoDeadline(key, RequestDeadline(r), func() (*metrics.Run, error) {
+	ctx, cancel := RequestContext(r)
+	defer cancel()
+	run, src, err := s.sched.DoContext(ctx, key, func() (*metrics.Run, error) {
 		return harness.RunPoint(ps)
 	})
 	if err != nil {
@@ -581,8 +586,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = s.opts.Seed
 	}
-	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed},
-		s.executor(RequestDeadline(r)))
+	ctx, cancel := RequestContext(r)
+	defer cancel()
+	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed}, ctxExec{ctx, s.sched})
 	figs, err := pr.Panel(name)
 	if err != nil {
 		s.writeError(w, err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -295,7 +296,7 @@ func TestStatusAndMetrics(t *testing.T) {
 
 // TestBackpressure503: a full queue surfaces as HTTP 503 + Retry-After.
 func TestBackpressure503(t *testing.T) {
-	srv := New(Options{Scale: hugeScale, Sched: labd.Options{Workers: 1, QueueSize: 1, NoCache: true}})
+	srv := New(Options{Scale: hugeScale, Sched: labd.Options{Workers: 1, QueueSize: 1}})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
 
@@ -515,4 +516,70 @@ func TestStatusLatencyQuantiles(t *testing.T) {
 	if tp.LatencyP50 > tp.LatencyP95 || tp.LatencyP95 > tp.LatencyP99 {
 		t.Fatalf("quantiles not monotone: p50=%v p95=%v p99=%v", tp.LatencyP50, tp.LatencyP95, tp.LatencyP99)
 	}
+}
+
+// TestRunClientDisconnectLeavesQueue: a queued /v1/run whose HTTP
+// client hangs up is never executed. The handler's request context
+// ends, so it leaves the job, and the worker sheds the job at dequeue.
+func TestRunClientDisconnectLeavesQueue(t *testing.T) {
+	srv := New(Options{Scale: hugeScale, Seed: 1, Sched: labd.Options{Workers: 1}})
+	ts := httptest.NewServer(srv.Handler())
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(func() { releaseOnce(); ts.Close(); srv.Close() })
+
+	held := make(chan struct{})
+	go srv.Scheduler().Do("held-by-worker", func() (*metrics.Run, error) {
+		close(held)
+		<-release
+		return &metrics.Run{Label: "stub"}, nil
+	})
+	<-held
+
+	body, err := json.Marshal(RunRequest{Workload: "fft", P: 4, H: 2, N: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("the canceled request got a response")
+		}
+	}()
+	sched := srv.Scheduler()
+	if !waitStats(sched, func(st labd.Stats) bool { return st.QueueDepth == 1 }) {
+		t.Fatalf("the run never queued: %+v", sched.Stats())
+	}
+	cancel()
+	<-sent
+	// Give the handler time to see the hang-up; then free the worker
+	// either way, so a handler that stayed shows up as a second start.
+	waitStats(sched, func(st labd.Stats) bool { return st.ShedCanceled == 1 })
+	releaseOnce()
+	waitStats(sched, func(st labd.Stats) bool { return st.Completed+st.Failed+st.ShedAbandoned == 2 })
+	if st := sched.Stats(); st.ShedCanceled != 1 || st.ShedAbandoned != 1 || st.Started != 1 {
+		t.Fatalf("ShedCanceled=%d ShedAbandoned=%d Started=%d, want 1, 1, 1",
+			st.ShedCanceled, st.ShedAbandoned, st.Started)
+	}
+}
+
+// waitStats polls sched until ok holds, for up to five seconds, and
+// reports whether it did.
+func waitStats(sched *labd.Scheduler, ok func(labd.Stats) bool) bool {
+	deadline := time.Now().Add(5 * time.Second) //emx:hostclock test polling
+	for !ok(sched.Stats()) {
+		if time.Now().After(deadline) { //emx:hostclock
+			return false
+		}
+		time.Sleep(time.Millisecond) //emx:hostclock
+	}
+	return true
 }

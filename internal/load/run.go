@@ -1,6 +1,7 @@
 package load
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -27,8 +28,8 @@ type Options struct {
 	Clients int
 	// Rate is the open-loop offered load in requests/second (default 50).
 	Rate float64
-	// Deadline, when positive, stamps now+Deadline on each request so
-	// the serving path's deadline propagation and shedding engage.
+	// Deadline, when positive, bounds each request's context, so the
+	// serving path's deadline propagation and shedding engage.
 	Deadline time.Duration
 	// Seed drives request synthesis; same seed, same traffic.
 	Seed int64
@@ -207,12 +208,14 @@ func (r *runner) issue(i uint64) {
 	seq := r.issued.Add(1) - 1
 	r.ctrl.BeforeIssue(seq)
 	req := r.gen.Request(i)
-	var deadline time.Time
+	ctx := context.Background()
 	if r.opts.Deadline > 0 {
-		deadline = time.Now().Add(r.opts.Deadline) //emx:hostclock per-request deadline stamp
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.Deadline)
+		defer cancel()
 	}
 	t0 := time.Now() //emx:hostclock client-observed latency
-	res, err := r.client.DoDeadline(req.Key, req.Endpoint, req.Body, deadline)
+	res, err := r.client.Do(ctx, req.Key, req.Endpoint, req.Body)
 	sec := time.Since(t0).Seconds() //emx:hostclock
 	status := 0
 	var body []byte
