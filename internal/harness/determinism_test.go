@@ -3,6 +3,7 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
@@ -62,6 +63,13 @@ var goldenPanelHashes = map[string][]struct{ id, sha string }{
 		{"xem4-fft", "e7811af5a48a20c0a3696433def5f5f6840fdded6e13932c9ca295bcaaf5f837"},
 	},
 	"irr": {{"xirr", "20816c61bec2762a88612ef8a96af0747b11da8c07339b51a85682c83337a76c"}},
+	// Block-read sends and resume-first replies, pinned from the
+	// event-per-step network before its steps moved to their own calendar.
+	"block": {{"xblock", "248b4f450099b496ac3da00e43f849cb152f84393602ef71049809381da59c28"}},
+	"sched": {
+		{"xsched-bitonic", "9d98748fe8674783b7000c67d950190ef619589c344527eea087522737cc6d48"},
+		{"xsched-fft", "f3bee2d31f5831e01adf6309c7690fc6baf1101dbe69ceda4db4f51974f59e81"},
+	},
 }
 
 func TestFigureGoldenHashes(t *testing.T) {
@@ -69,7 +77,7 @@ func TestFigureGoldenHashes(t *testing.T) {
 	sched := labd.New(labd.Options{})
 	defer sched.Close()
 	pr := NewPanelRunner(PanelOptions{Scale: 65536, Seed: 1}, sched)
-	for _, name := range []string{"6a", "model", "latency", "em4", "irr"} {
+	for _, name := range []string{"6a", "model", "latency", "em4", "irr", "block", "sched"} {
 		if testing.Short() && heavy[name] {
 			continue
 		}
@@ -94,6 +102,30 @@ func TestFigureGoldenHashes(t *testing.T) {
 					name, f.ID, got, golds[i].sha, blob)
 			}
 		}
+	}
+}
+
+// TestFarFutureBlockReadPointPinned pins one bitonic block-read point
+// whose reply bursts queue network ports far deeper than the engine's
+// near-future window, so many of its network steps are scheduled 1024
+// or more cycles ahead, which no figure panel at the golden scale
+// reaches. The digest covers the whole metrics.Run except its two
+// host-side costs: HostElapsedSecs, and SimEvents, which counts engine
+// dispatches, not simulated work.
+func TestFarFutureBlockReadPointPinned(t *testing.T) {
+	run, err := RunPoint(PointSpec{Workload: Bitonic, P: 16, SimN: 16384, PaperN: 16384, H: 4, BlockRead: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.HostElapsedSecs, run.SimEvents = 0, 0
+	blob, err := json.Marshal(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	const want = "9da2b88e96ade91b57d7af01ebb813e00253bfe4f04d444ea6243f223414df69"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("block-read point: hash %s, want %s\n%s", got, want, blob)
 	}
 }
 
