@@ -41,7 +41,7 @@ type Machine struct {
 	failure    error
 	ran        bool
 
-	hDeliverLocal sim.Handler
+	hLoopback sim.Handler
 }
 
 type spawnInfo struct {
@@ -59,7 +59,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Cfg:    cfg,
 		spawns: make(map[uint64]spawnInfo),
 	}
-	m.hDeliverLocal = deliverLocalH{m}
+	m.hLoopback = loopbackH{m}
 	if cfg.P > 1 {
 		net, err := network.New(m.Eng, cfg.P)
 		if err != nil {
@@ -70,10 +70,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.stats = make([]metrics.PE, cfg.P)
 	m.Procs = make([]*proc.Proc, cfg.P)
 	m.exus = make([]*exu, cfg.P)
+	out := m.loopback
+	if m.Net != nil {
+		out = m.Net.Inject
+	}
 	for pe := 0; pe < cfg.P; pe++ {
 		pe := packet.PE(pe)
-		send := func(pkt *packet.Packet) { m.route(pkt) }
-		m.Procs[pe] = proc.New(m.Eng, pe, cfg.MemWords, cfg.Proc, &m.stats[pe], &m.free, send)
+		m.Procs[pe] = proc.New(m.Eng, pe, cfg.MemWords, cfg.Proc, &m.stats[pe], &m.free, out)
 		m.exus[pe] = newEXU(m, pe)
 		m.Procs[pe].SetWake(m.exus[pe].wake)
 		if m.Net != nil {
@@ -110,22 +113,24 @@ func (m *Machine) trace(k obs.ThreadKind, t *thr) {
 	m.obs.Thread(int64(m.Eng.Now()), int32(t.pe), k, t.frame)
 }
 
-// deliverLocalH completes a 1-PE loopback send.
-type deliverLocalH struct{ m *Machine }
-
-func (h deliverLocalH) OnEvent(arg sim.EventArg) {
-	pkt := arg.Ptr.(*packet.Packet)
-	h.m.Procs[pkt.Dst()].Deliver(pkt)
+// loopback takes a packet from a 1-PE machine's OBU, where the SU
+// short-circuits everything: it leaves the OBU at time at and reaches
+// the IBU HopCycles later, as two engine events.
+func (m *Machine) loopback(pkt *packet.Packet, at sim.Time) {
+	m.Eng.AtHandler(at, m.hLoopback, sim.EventArg{Ptr: pkt})
 }
 
-// route injects a packet into the network (or loops back on a 1-PE
-// machine, where the SU short-circuits everything).
-func (m *Machine) route(pkt *packet.Packet) {
-	if m.Net != nil {
-		m.Net.Send(pkt)
+// loopbackH runs the two loopback events: N is 0 as the packet leaves
+// the OBU and 1 as it reaches the IBU.
+type loopbackH struct{ m *Machine }
+
+func (h loopbackH) OnEvent(arg sim.EventArg) {
+	pkt := arg.Ptr.(*packet.Packet)
+	if arg.N == 0 {
+		h.m.Eng.AfterHandler(network.HopCycles, h, sim.EventArg{Ptr: pkt, N: 1})
 		return
 	}
-	m.Eng.AfterHandler(network.HopCycles, m.hDeliverLocal, sim.EventArg{Ptr: pkt})
+	h.m.Procs[pkt.Dst()].Deliver(pkt)
 }
 
 // Mem exposes a PE's local memory for workload setup and verification

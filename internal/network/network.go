@@ -61,10 +61,9 @@ type Network struct {
 	eject   []sim.Resource
 	deliver []DeliverFunc
 
-	// Prepared handlers for the engine's allocation-free event lane.
-	hHop     sim.Handler
-	hArrive  sim.Handler
-	hDeliver sim.Handler
+	// cal holds every pending network step, attached to the engine so
+	// the steps dispatch in the engine's (time, sequence) order.
+	cal sim.Calendar[step]
 
 	// obs, when non-nil, records per-hop latency and port-contention
 	// stalls, attributed to the packet's destination PE.
@@ -77,31 +76,51 @@ type Network struct {
 // disables recording.
 func (n *Network) SetObs(t *obs.Tracer) { n.obs = t }
 
-// hopH forwards a packet one switch hop. EventArg packs the packet in
-// Ptr and (node, hopsLeft) in N.
-type hopH struct{ n *Network }
-
-func (h hopH) OnEvent(arg sim.EventArg) {
-	h.n.hop(arg.Ptr.(*packet.Packet), int(arg.N>>32), int(arg.N&0xffffffff))
+// step is one pending network action on a packet: leaving its source's
+// OBU, a switch hop, entering the destination's processor port, or
+// reaching the PE. A hop carries the switch node the head is at and the
+// route bits left (at least 1); the other steps carry one of the codes
+// below in left.
+type step struct {
+	p    *packet.Packet
+	v    int32
+	left int32
 }
 
-// arriveH moves a packet into its destination switch's processor port.
-type arriveH struct{ n *Network }
+const (
+	stepArrive  = 0  // into the destination switch's processor port
+	stepLeave   = -1 // out of the source OBU into the network
+	stepDeliver = -2 // to the destination PE's IBU
+)
 
-func (h arriveH) OnEvent(arg sim.EventArg) { h.n.arriveDst(arg.Ptr.(*packet.Packet)) }
+// lane runs the network's steps for the engine.
+type lane struct{ n *Network }
 
-// deliverH hands a packet to the destination PE's IBU callback.
-type deliverH struct{ n *Network }
-
-func (h deliverH) OnEvent(arg sim.EventArg) {
-	p := arg.Ptr.(*packet.Packet)
-	h.n.Stats.Delivered++
-	if fn := h.n.deliver[p.Dst()]; fn != nil {
-		fn(p)
+func (l lane) Fire() {
+	n := l.n
+	for {
+		s := n.cal.Pop()
+		switch {
+		case s.left > 0:
+			n.hop(s.p, int(s.v), int(s.left))
+		case s.left == stepArrive:
+			n.arriveDst(s.p)
+		case s.left == stepLeave:
+			n.Send(s.p)
+		default:
+			n.Stats.Delivered++
+			if fn := n.deliver[s.p.Dst()]; fn != nil {
+				fn(s.p)
+			}
+		}
+		if !n.eng.LaneNext() {
+			return
+		}
 	}
 }
 
-// New builds the network for p PEs on the given engine.
+// New builds the network for p PEs on the given engine, attaching its
+// step calendar to it.
 func New(eng *sim.Engine, p int) (*Network, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("network: need at least 2 PEs, got %d", p)
@@ -117,9 +136,7 @@ func New(eng *sim.Engine, p int) (*Network, error) {
 		eject:   make([]sim.Resource, p),
 		deliver: make([]DeliverFunc, p),
 	}
-	n.hHop = hopH{n}
-	n.hArrive = arriveH{n}
-	n.hDeliver = deliverH{n}
+	sim.Attach(eng, &n.cal, lane{n})
 	return n, nil
 }
 
@@ -141,9 +158,15 @@ func (n *Network) SetDeliver(pe packet.PE, fn DeliverFunc) {
 	n.deliver[pe] = fn
 }
 
+// Inject hands the network a packet whose slot in its source's OBU
+// completes at time at: the packet enters the network then.
+func (n *Network) Inject(p *packet.Packet, at sim.Time) {
+	n.cal.At(at, step{p: p, left: stepLeave})
+}
+
 // Send injects a packet at its source node at the current simulated
-// time. The packet is eventually handed to the destination's
-// DeliverFunc.
+// time, taking its first hop at once. The packet is eventually handed
+// to the destination's DeliverFunc.
 func (n *Network) Send(p *packet.Packet) {
 	dst := p.Dst()
 	if int(dst) >= n.p || dst < 0 {
@@ -157,7 +180,7 @@ func (n *Network) Send(p *packet.Packet) {
 		// The SU short-circuits self-addressed packets from the OBU to the
 		// IBU through the crossbar processor port: one cycle, no links.
 		n.Stats.LocalShort++
-		n.eng.AfterHandler(0, n.hArrive, sim.EventArg{Ptr: p})
+		n.cal.At(n.eng.Now(), step{p: p, left: stepArrive})
 		return
 	}
 	n.hop(p, int(p.Src), n.l)
@@ -179,19 +202,16 @@ func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
 	}
 	port.Acquire(start, PortCycles)
 	n.Stats.Hops++
-	n.obs.Hop(int64(now), int32(p.Dst()), obs.NetHop, int64(start-now))
+	n.obs.Hop(int64(now), int32(dst), obs.NetHop, int64(start-now))
 
 	headAt := start + HopCycles
 	if hopsLeft == 1 {
 		// next == dst: the last route bit lands the packet on the
 		// destination's own switch node.
-		n.eng.AtHandler(headAt, n.hArrive, sim.EventArg{Ptr: p})
+		n.cal.At(headAt, step{p: p, left: stepArrive})
 		return
 	}
-	n.eng.AtHandler(headAt, n.hHop, sim.EventArg{
-		Ptr: p,
-		N:   int64(next)<<32 | int64(hopsLeft-1),
-	})
+	n.cal.At(headAt, step{p: p, v: int32(next), left: int32(hopsLeft - 1)})
 }
 
 // arriveDst moves the packet through the destination switch's processor
@@ -207,7 +227,7 @@ func (n *Network) arriveDst(p *packet.Packet) {
 	}
 	port.Acquire(start, PortCycles)
 	n.obs.Hop(int64(now), int32(dst), obs.NetEject, int64(start-now))
-	n.eng.AtHandler(start+HopCycles, n.hDeliver, sim.EventArg{Ptr: p})
+	n.cal.At(start+HopCycles, step{p: p, left: stepDeliver})
 }
 
 // UnloadedLatency returns the cycles from injection to delivery on an idle

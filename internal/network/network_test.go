@@ -27,14 +27,13 @@ func build(t testing.TB, p int) (*sim.Engine, *Network, [][]*packet.Packet) {
 }
 
 func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
 	for _, p := range []int{0, 1, -4} {
-		if _, err := New(eng, p); err == nil {
+		if _, err := New(sim.NewEngine(), p); err == nil {
 			t.Errorf("New(%d) accepted", p)
 		}
 	}
 	for _, p := range []int{2, 3, 16, 64, 80, 128} {
-		if _, err := New(eng, p); err != nil {
+		if _, err := New(sim.NewEngine(), p); err != nil {
 			t.Errorf("New(%d): %v", p, err)
 		}
 	}
@@ -186,7 +185,7 @@ func TestNonOvertaking(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(20))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -211,7 +210,7 @@ func TestPacketConservationProperty(t *testing.T) {
 		}
 		return sum == total && n.Stats.Delivered == uint64(total)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(25))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -85,14 +85,15 @@ type Proc struct {
 	ibu sim.Resource
 	obu sim.Resource
 
-	sendNet func(*packet.Packet)
-	wake    func()
+	// out takes a packet from the OBU together with the time its OBU
+	// slot completes.
+	out  func(*packet.Packet, sim.Time)
+	wake func()
 	// free is the machine's packet free list: replies come from it, and
 	// serviced writes and block-read requests go back to it.
 	free *packet.Free
 
 	// Prepared handlers for the engine's allocation-free event lane.
-	hSend   sim.Handler
 	hInject sim.Handler
 	hDMA    sim.Handler
 
@@ -107,11 +108,6 @@ type Proc struct {
 // disables packet-event recording.
 func (p *Proc) SetObs(t *obs.Tracer) { p.obs = t }
 
-// sendH passes a packet leaving the OBU to the network.
-type sendH struct{ p *Proc }
-
-func (h sendH) OnEvent(arg sim.EventArg) { h.p.sendNet(arg.Ptr.(*packet.Packet)) }
-
 // injectH sends a prepared packet (typically a read reply) out through
 // the OBU.
 type injectH struct{ p *Proc }
@@ -125,20 +121,19 @@ type dmaH struct{ p *Proc }
 func (h dmaH) OnEvent(arg sim.EventArg) { h.p.serviceDMA(arg.Ptr.(*packet.Packet)) }
 
 // New creates the packet units for one PE. free is the machine's packet
-// free list; sendNet injects a packet into the network at the current
-// engine time.
+// free list; out takes each packet leaving the OBU, with the time its
+// OBU slot completes (network.Network.Inject).
 func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
-	stats *metrics.PE, free *packet.Free, sendNet func(*packet.Packet)) *Proc {
+	stats *metrics.PE, free *packet.Free, out func(*packet.Packet, sim.Time)) *Proc {
 	p := &Proc{
-		eng:     eng,
-		pe:      pe,
-		cfg:     cfg,
-		Mem:     memory.New(pe, memWords),
-		sendNet: sendNet,
-		free:    free,
-		Stats:   stats,
+		eng:   eng,
+		pe:    pe,
+		cfg:   cfg,
+		Mem:   memory.New(pe, memWords),
+		out:   out,
+		free:  free,
+		Stats: stats,
 	}
-	p.hSend = sendH{p}
 	p.hInject = injectH{p}
 	p.hDMA = dmaH{p}
 	return p
@@ -158,8 +153,7 @@ func (p *Proc) SetWake(fn func()) { p.wake = fn }
 // OBU is a FIFO pipelined at one packet per OBUCycles; the packet enters
 // the network when its OBU slot completes.
 func (p *Proc) Inject(pkt *packet.Packet) {
-	done := p.obu.Acquire(p.eng.Now(), p.cfg.OBUCycles)
-	p.eng.AtHandler(done, p.hSend, sim.EventArg{Ptr: pkt})
+	p.out(pkt, p.obu.Acquire(p.eng.Now(), p.cfg.OBUCycles))
 }
 
 // PushLocal enqueues a packet directly into the thread queue (used for

@@ -23,8 +23,8 @@ func newProc(t *testing.T, mode ServiceMode) (*sim.Engine, *Proc, *capture, *met
 	cfg := DefaultConfig()
 	cfg.Mode = mode
 	var p *Proc
-	p = New(eng, 3, 1<<12, cfg, stats, new(packet.Free), func(pkt *packet.Packet) {
-		cap.at = append(cap.at, eng.Now())
+	p = New(eng, 3, 1<<12, cfg, stats, new(packet.Free), func(pkt *packet.Packet, at sim.Time) {
+		cap.at = append(cap.at, at)
 		cap.pkts = append(cap.pkts, pkt)
 	})
 	return eng, p, cap, stats
@@ -241,7 +241,7 @@ func TestReplyPriorityConfig(t *testing.T) {
 	stats := &metrics.PE{}
 	cfg := DefaultConfig()
 	cfg.ReplyPrio = thread.High
-	p := New(eng, 1, 1<<10, cfg, stats, new(packet.Free), func(*packet.Packet) {})
+	p := New(eng, 1, 1<<10, cfg, stats, new(packet.Free), func(*packet.Packet, sim.Time) {})
 	// A resume packet (Low) then a reply (High): the reply must pop first.
 	p.PushLocal(thread.Low, &packet.Packet{Kind: packet.KindResume, Cont: packet.Continuation{PE: 1}})
 	p.Deliver(&packet.Packet{Kind: packet.KindReadReply, Src: 0, Cont: packet.Continuation{PE: 1}})
