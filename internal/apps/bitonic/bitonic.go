@@ -279,8 +279,8 @@ func mergeStep(tc *core.TC, st *peState, p Params, bl, th, step, pe, i, j int) {
 				break // irregularity: remaining elements not needed
 			}
 			addr := consumptionAddr(readBase, bl, ci, keepLow)
-			tc.Compute(ReadLoopCycles - 1) // rest of the 12-instruction body
-			v := tc.Read(packet.GlobalAddr{PE: partner, Off: addr})
+			// The rest of the 12-instruction body, then the read.
+			v := tc.ComputeRead(ReadLoopCycles-1, packet.GlobalAddr{PE: partner, Off: addr})
 			st.recv[ci] = uint32(v)
 			st.got[ci] = true
 			if !st.done && st.frontier(bl, p.H) == th {
@@ -357,8 +357,7 @@ func readChunkBlock(tc *core.TC, st *peState, partner packet.PE, base uint32, bl
 	} else {
 		start = base + uint32(bl-hi)
 	}
-	tc.Compute(StepSetupCycles)
-	words := tc.ReadBlock(packet.GlobalAddr{PE: partner, Off: start}, m)
+	words := tc.ComputeReadBlock(StepSetupCycles, packet.GlobalAddr{PE: partner, Off: start}, m)
 	tc.Compute(BlockCopyCycles * sim.Time(m))
 	for k := 0; k < m; k++ {
 		if keepLow {

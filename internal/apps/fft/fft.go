@@ -205,10 +205,11 @@ func fftWorker(tc *core.TC, bar *core.Barrier, p Params, bl, logP, logN, th int)
 
 		for q := lo; q < hi; q++ {
 			off := uint32(q)
-			tc.Compute(AddrCycles)
-			// The two split-phase reads of the paper's inner loop.
-			reBits := tc.Read(packet.GlobalAddr{PE: partner, Off: realBase(bl, src) + off})
-			imBits := tc.Read(packet.GlobalAddr{PE: partner, Off: imagBase(bl, src) + off})
+			// Address computation, then the two split-phase reads of
+			// the paper's inner loop.
+			reBits, imBits := tc.ComputeReadPair(AddrCycles,
+				packet.GlobalAddr{PE: partner, Off: realBase(bl, src) + off},
+				packet.GlobalAddr{PE: partner, Off: imagBase(bl, src) + off})
 			mate := complex(
 				float64(math.Float32frombits(uint32(reBits))),
 				float64(math.Float32frombits(uint32(imBits))),

@@ -195,22 +195,28 @@ func worker(tc *core.TC, A *matrix, bar *core.Barrier, p Params, bl, th int) {
 	lo, hi := dist.Chunk(bl, p.H, th)
 	for it := 0; it < p.Iterations; it++ {
 		for r := pe*bl + lo; r < pe*bl+hi; r++ {
-			tc.Compute(RowSetupCycles)
+			// pending is the run length before the next operation: the
+			// row set-up, then each element's MAC. A remote read carries
+			// it (ComputeRead); a local gather or the row's store is
+			// preceded by it.
+			pending := RowSetupCycles
 			var acc float32
 			for k, col := range A.rowCols[r] {
 				var xv float32
 				if col/bl == pe {
 					// Local vector element: MCU-rate gather.
+					tc.Compute(pending)
 					tc.Compute(LocalGatherCycles)
 					xv = math.Float32frombits(uint32(tc.PeekLocal(uint32(col % bl))))
 				} else {
 					// Irregular fine-grain remote read (split-phase).
-					w := tc.Read(packet.GlobalAddr{PE: packet.PE(col / bl), Off: uint32(col % bl)})
+					w := tc.ComputeRead(pending, packet.GlobalAddr{PE: packet.PE(col / bl), Off: uint32(col % bl)})
 					xv = math.Float32frombits(uint32(w))
 				}
 				acc += A.rowVals[r][k] * xv
-				tc.Compute(MACCycles)
+				pending = MACCycles
 			}
+			tc.Compute(pending)
 			tc.PokeLocal(uint32(bl+r-pe*bl), packet.Word(math.Float32bits(acc)))
 		}
 		tc.Barrier(bar)

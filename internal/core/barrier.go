@@ -92,32 +92,36 @@ func (m *Machine) barrierToken(pe packet.PE, pkt *packet.Packet) {
 // switches; the EXU idle time while every local thread waits surfaces as
 // communication time.
 func (tc *TC) Barrier(b *Barrier) {
-	pe := tc.t.pe
-	l := &b.local[pe]
-	myEp := l.episodes
+	t := tc.t
+	l := &b.local[t.pe]
 	l.arrived++
 	if l.arrived < b.expect {
 		// Follower: block until the last local thread completes the
 		// episode. One iteration-sync switch per block.
-		tc.waitCount(metrics.SwitchIterSync, b.waits[pe], &l.episodes, myEp+1)
+		tc.waitCount(metrics.SwitchIterSync, b.waits[t.pe], &l.episodes, l.episodes+1)
 		return
 	}
-	// Last local thread: run the global dissemination rounds.
+	// Last local thread: the exu runs the global dissemination rounds
+	// (exu.barrier) and resumes the thread when the episode is complete.
 	l.arrived = 0
-	p := packet.PE(tc.t.m.Cfg.P)
-	for r := range l.recv {
-		partner := (pe + 1<<uint(r)) % p
-		tc.sendSync(b, partner, r)
-		tc.waitCount(metrics.SwitchIterSync, b.waits[pe], &l.recv[r], myEp+1)
+	if len(l.recv) == 0 {
+		b.complete(t.pe) // one PE: no rounds
+		return
 	}
-	l.episodes++
-	b.waits[pe].Notify()
-	tc.t.m.stats[pe].SyncsSent += uint64(len(l.recv))
+	t.opBar, t.opN, t.cont = b, 0, contBarrier
+	t.yieldOp(opCont{})
 }
 
-// sendSync emits one barrier round token.
-func (tc *TC) sendSync(b *Barrier, partner packet.PE, round int) {
-	tc.t.opAddr = packet.GlobalAddr{PE: partner, Off: b.id}
-	tc.t.opData = packet.Word(round)
-	tc.t.yieldOp(opWriteSync{})
+// partner returns the PE that pe's round-r token goes to.
+func (b *Barrier) partner(pe packet.PE, r int) packet.PE {
+	return (pe + 1<<uint(r)) % packet.PE(b.m.Cfg.P)
+}
+
+// complete ends pe's episode once its last round's token has arrived:
+// the followers blocked on it wake.
+func (b *Barrier) complete(pe packet.PE) {
+	l := &b.local[pe]
+	l.episodes++
+	b.waits[pe].Notify()
+	b.m.stats[pe].SyncsSent += uint64(len(l.recv))
 }

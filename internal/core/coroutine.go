@@ -31,21 +31,20 @@ type resumeMsg struct {
 // EMC-Y instructions; the exu translates them into cycle charges and
 // packets. Only reads, waits, yields and completion suspend the thread;
 // after the others the exu resumes it once the operation's cycles have
-// been charged.
+// been charged. Where the resume point has a continuation staged in
+// t.cont, the exu runs that instead of resuming the coroutine.
 type (
 	// opCompute charges t.opCycles of user computation.
 	opCompute struct{}
+	// opCont runs the staged continuation t.cont at once.
+	opCont struct{}
 	// opWrite sends a remote write of t.opData to t.opAddr.
 	opWrite struct{}
 	// opLocalStore writes t.opData to local offset t.opOff.
 	opLocalStore struct{}
-	// opRead issues a split-phase remote read of t.opAddr and suspends.
-	opRead struct{}
-	// opReadBlock issues a block read request of t.opN words at t.opAddr
-	// and suspends until all of them arrive.
-	opReadBlock struct{}
 	// opWriteSync sends a barrier token (a KindSync packet) carrying
-	// t.opData to t.opAddr.
+	// t.opData to t.opAddr. Barrier sends its tokens from the exu; only
+	// the coroutine-side reference barrier in the tests yields this.
 	opWriteSync struct{}
 	// opWait suspends the thread on t.opWS until t.opWaiter is ready.
 	opWait struct{}
@@ -65,6 +64,29 @@ type (
 	opDone struct{}
 	// opPanic forwards a workload panic to the machine.
 	opPanic struct{ reason any }
+)
+
+// contKind names the steps the exu runs at a thread's next resume point
+// instead of resuming its coroutine. They read and change only engine
+// state, so running them in the engine is exactly what the coroutine
+// would have done at that event: no workload code runs between them.
+type contKind uint8
+
+const (
+	// contNone resumes the coroutine.
+	contNone contKind = iota
+	// contRead issues the read of one word at t.opAddr.
+	contRead
+	// contReadBlock issues the block read of t.opN words at t.opAddr.
+	contReadBlock
+	// contReadPair issues the read of t.opAddr, then contReadSecond.
+	contReadPair
+	// contReadSecond keeps the first word in t.pairVal and reads
+	// t.opAddr2.
+	contReadSecond
+	// contBarrier runs t.opBar's dissemination rounds: it waits for
+	// round t.opN-1's token and sends round t.opN's (see exu.barrier).
+	contBarrier
 )
 
 // thrState tracks where a thread is in its lifecycle, for diagnostics.
@@ -136,6 +158,13 @@ type thr struct {
 	opKind   metrics.SwitchKind
 	opWS     *WaitSet
 	opWaiter waiter
+	opAddr2  packet.GlobalAddr // second read of a pair
+	opBar    *Barrier
+
+	// cont is what the exu runs at the next resume point; pairVal holds
+	// the first word of a read pair until the second arrives.
+	cont    contKind
+	pairVal packet.Word
 
 	// Continuation context for the exu's allocation-free event
 	// handlers: the resume payload and the packet to inject, staged
@@ -191,7 +220,6 @@ func (t *thr) yieldOp(op any) resumeMsg {
 // Called only from the engine side; exactly one coroutine runs at a time,
 // so workload code never races with the simulator.
 func (m *Machine) step(t *thr, msg resumeMsg) any {
-	t.state = stRunning
 	t.in = msg
 	op, ok := t.next()
 	if !ok {

@@ -14,8 +14,9 @@ import (
 
 // exu is the engine-side model of one EMC-Y Execution Unit plus Matching
 // Unit: it dispatches packets from the hardware FIFO queue, runs thread
-// coroutines, charges cycles to the four accounting buckets, and issues
-// packets through the PE's OBU.
+// coroutines and the continuations staged on them (execResume),
+// charges cycles to the four accounting buckets, and issues packets
+// through the PE's OBU.
 //
 // Continuation events use the engine's handler lane; per-event context
 // (the thread, the packet to inject, the resume payload) is staged on
@@ -63,7 +64,7 @@ func newEXU(m *Machine, pe packet.PE) *exu {
 }
 
 // injectResumeH injects the thread's staged packet, then resumes the
-// coroutine (remote writes, spawn and sync sends do not suspend).
+// thread (remote writes, spawn and sync sends do not suspend).
 type injectResumeH struct{ x *exu }
 
 func (h injectResumeH) OnEvent(arg sim.EventArg) {
@@ -74,8 +75,8 @@ func (h injectResumeH) OnEvent(arg sim.EventArg) {
 	h.x.execResume(t)
 }
 
-// resumeH resumes the coroutine with its staged payload (compute and
-// local memory access).
+// resumeH resumes the thread with its staged payload after compute and
+// local memory access.
 type resumeH struct{ x *exu }
 
 func (h resumeH) OnEvent(arg sim.EventArg) { h.x.execResume(arg.Ptr.(*thr)) }
@@ -264,9 +265,15 @@ func (x *exu) resumeThread(t *thr) {
 	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, sim.EventArg{Ptr: t})
 }
 
-// execResume builds the resume message from the payload staged on t and
-// steps the coroutine.
+// execResume runs t's staged continuation if it has one; otherwise it
+// builds the resume message from the payload staged on t and steps the
+// coroutine.
 func (x *exu) execResume(t *thr) {
+	t.state = stRunning
+	if t.cont != contNone {
+		x.runCont(t)
+		return
+	}
 	msg := resumeMsg{val: t.resumeVal, vals: t.resumeVals}
 	t.resumeVal = 0
 	t.resumeVals = nil
@@ -292,17 +299,17 @@ func (x *exu) finish(t *thr, op any) {
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(t.opCycles))
 		eng.AfterHandler(t.opCycles, x.hResume, sim.EventArg{Ptr: t})
 
+	case opCont:
+		x.runCont(t)
+
 	case opWrite:
-		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 		x.st.RemoteWrites++
-		x.stagePacket(t, packet.Packet{
+		x.send(t, packet.Packet{
 			Kind: packet.KindWrite,
 			Src:  x.pe,
 			Addr: t.opAddr,
 			Data: t.opData,
 		})
-		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
 
 	case opLocalStore:
 		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, t.opOff, t.opData)
@@ -310,54 +317,26 @@ func (x *exu) finish(t *thr, op any) {
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
 
-	case opRead:
-		x.issueRead(t, nil)
-
-	case opReadBlock:
-		if t.opN <= 0 {
-			x.m.fail(fmt.Errorf("core: %v block read of %d words", t, t.opN))
-			return
-		}
-		// The words come back into a fresh slice, which ReadBlock
-		// returns to the caller.
-		x.issueRead(t, make([]packet.Word, t.opN))
-
 	case opWriteSync:
-		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
-		x.stagePacket(t, packet.Packet{
+		x.send(t, packet.Packet{
 			Kind: packet.KindSync,
 			Src:  x.pe,
 			Addr: t.opAddr,
 			Data: t.opData,
 		})
-		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
 
 	case opSpawn:
-		x.st.Times.Overhead += cfg.PacketGenCycles
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseService, int64(cfg.PacketGenCycles))
 		x.st.Invokes++
-		x.stagePacket(t, packet.Packet{
+		x.send(t, packet.Packet{
 			Kind: packet.KindInvoke,
 			Src:  x.pe,
 			Addr: packet.GlobalAddr{PE: op.pe},
 			Data: op.arg,
 			Seq:  x.m.registerSpawn(op.name, op.fn),
 		})
-		eng.AfterHandler(cfg.PacketGenCycles, x.hInjectResume, sim.EventArg{Ptr: t})
 
 	case opWait:
-		x.st.Switches[t.opKind]++
-		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
-		// metrics.SwitchKind and obs.SwitchCause are numerically aligned.
-		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(t.opKind), t.frame)
-		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
-		t.state = stBlocked
-		x.m.trace(obs.ThreadYield, t)
-		w := t.opWaiter
-		w.t = t
-		t.opWS.waiters = append(t.opWS.waiters, w)
-		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
+		x.block(t, t.opKind, t.opWS, t.opWaiter)
 
 	case opYield:
 		x.st.Switches[op.kind]++
@@ -394,14 +373,103 @@ func (x *exu) finish(t *thr, op any) {
 	}
 }
 
-// issueRead sends a read request and suspends the thread until the reply
-// arrives, or until every word of buf has, for a block read: packet
-// generation is overhead, the register save is switch time, and the
-// suspension is counted as a remote-read switch (Figure 9's dominant
-// category — exactly one per remote read).
-func (x *exu) issueRead(t *thr, buf []packet.Word) {
+// runCont runs the steps staged in t.cont at a resume point of t, in
+// place of resuming its coroutine.
+func (x *exu) runCont(t *thr) {
+	switch t.cont {
+	case contRead:
+		t.cont = contNone
+		x.issueRead(t, t.opAddr, nil)
+	case contReadBlock:
+		t.cont = contNone
+		if t.opN <= 0 {
+			x.m.fail(fmt.Errorf("core: %v block read of %d words", t, t.opN))
+			return
+		}
+		// The words come back into a fresh slice, which ReadBlock
+		// returns to the caller.
+		x.issueRead(t, t.opAddr, make([]packet.Word, t.opN))
+	case contReadPair:
+		t.cont = contReadSecond
+		x.issueRead(t, t.opAddr, nil)
+	case contReadSecond:
+		t.cont = contNone
+		t.pairVal = t.resumeVal
+		x.issueRead(t, t.opAddr2, nil)
+	case contBarrier:
+		x.barrier(t)
+	}
+}
+
+// barrier runs the dissemination rounds of the last local arrival at
+// t.opBar, one step per resume point. Round t.opN-1's token must have
+// arrived, or the thread blocks on it (an iteration-sync switch) and
+// comes back here when woken; then round t.opN's token is sent, and the
+// thread comes back here after its packet generation. After the last
+// round the episode completes and the coroutine resumes in the same
+// event, as the coroutine-side rounds did.
+func (x *exu) barrier(t *thr) {
+	b := t.opBar
+	l := &b.local[x.pe]
+	// Only this thread completes the PE's episodes, so the one in
+	// progress is the next.
+	want := l.episodes + 1
+	if r := t.opN; r > 0 && l.recv[r-1] < want {
+		x.block(t, metrics.SwitchIterSync, b.waits[x.pe], waiter{ctr: &l.recv[r-1], want: want})
+		return
+	}
+	if r := t.opN; r < len(l.recv) {
+		t.opN++
+		x.send(t, packet.Packet{
+			Kind: packet.KindSync,
+			Src:  x.pe,
+			Addr: packet.GlobalAddr{PE: b.partner(x.pe, r), Off: b.id},
+			Data: packet.Word(r),
+		})
+		return
+	}
+	t.cont, t.opBar = contNone, nil
+	b.complete(x.pe)
+	x.execResume(t)
+}
+
+// send generates packet p from t (one send instruction, overhead), then
+// injects it and resumes t: remote writes, spawns and barrier tokens do
+// not suspend the thread.
+func (x *exu) send(t *thr, p packet.Packet) {
+	gen := x.m.Cfg.PacketGenCycles
+	x.st.Times.Overhead += gen
+	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(gen))
+	pkt := x.m.free.Get()
+	*pkt = p
+	t.pendingPkt = pkt
+	x.m.Eng.AfterHandler(gen, x.hInjectResume, sim.EventArg{Ptr: t})
+}
+
+// block suspends t on ws until w is ready: the failed check and the
+// register save are switch time, counted as one switch of kind.
+func (x *exu) block(t *thr, kind metrics.SwitchKind, ws *WaitSet, w waiter) {
 	cfg := &x.m.Cfg
-	addr := t.opAddr
+	now := int64(x.m.Eng.Now())
+	x.st.Switches[kind]++
+	x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
+	// metrics.SwitchKind and obs.SwitchCause are numerically aligned.
+	x.m.obs.Switch(now, int32(x.pe), obs.SwitchCause(kind), t.frame)
+	x.m.obs.Cycle(now, int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
+	t.state = stBlocked
+	x.m.trace(obs.ThreadYield, t)
+	w.t = t
+	ws.waiters = append(ws.waiters, w)
+	x.m.Eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
+}
+
+// issueRead sends a read request for addr and suspends the thread until
+// the reply arrives, or until every word of buf has, for a block read:
+// packet generation is overhead, the register save is switch time, and
+// the suspension is counted as a remote-read switch (Figure 9's
+// dominant category — exactly one per remote read).
+func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, buf []packet.Word) {
+	cfg := &x.m.Cfg
 	n := max(len(buf), 1)
 	x.st.Times.Overhead += cfg.PacketGenCycles
 	x.st.RemoteReads += uint64(n)
@@ -426,14 +494,6 @@ func (x *exu) issueRead(t *thr, buf []packet.Word) {
 		Cont:  packet.Continuation{PE: x.pe, Frame: t.frame},
 	}
 	x.m.Eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, sim.EventArg{Ptr: pkt})
-}
-
-// stagePacket takes a packet from the free list, fills it with p and
-// stages it on t for injectResumeH.
-func (x *exu) stagePacket(t *thr, p packet.Packet) {
-	pkt := x.m.free.Get()
-	*pkt = p
-	t.pendingPkt = pkt
 }
 
 // closeAccounting attributes trailing idle time (after the PE's last

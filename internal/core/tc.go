@@ -7,9 +7,10 @@ import (
 )
 
 // TC is the thread context handed to workload code — the analogue of the
-// EM-X C thread library. Every method charges simulated cycles; Read and
-// ReadBlock additionally suspend the thread (split-phase transactions),
-// letting the EXU switch to the next ready thread.
+// EM-X C thread library. Every method charges simulated cycles; the
+// reads (Read, ReadBlock and their Compute-fused forms) additionally
+// suspend the thread (split-phase transactions), letting the EXU switch
+// to the next ready thread.
 //
 // TC methods must only be called from the thread's own function; a TC is
 // not valid after the function returns.
@@ -48,16 +49,47 @@ func (tc *TC) Compute(cycles sim.Time) {
 // suspended after the request packet is generated; the EXU switches to
 // the next ready thread; the reply resumes this thread FIFO-fashion.
 func (tc *TC) Read(addr packet.GlobalAddr) packet.Word {
-	tc.t.opAddr = addr
-	return tc.t.yieldOp(opRead{}).val
+	return tc.read(opCont{}, contRead, addr, 0).val
 }
 
 // ReadBlock reads n consecutive words from a remote PE with a single
 // block-read request (one of the EMC-Y's four send instructions). The
 // thread suspends until all n reply packets have arrived.
 func (tc *TC) ReadBlock(addr packet.GlobalAddr, n int) []packet.Word {
-	tc.t.opAddr, tc.t.opN = addr, n
-	return tc.t.yieldOp(opReadBlock{}).vals
+	return tc.read(opCont{}, contReadBlock, addr, n).vals
+}
+
+// ComputeRead is Compute(cycles) followed by Read(addr): the EXU issues
+// the read at the event where Compute would have returned, so the
+// thread's coroutine is resumed once, by the reply, instead of twice.
+// Timing, accounting and events are those of the two calls.
+func (tc *TC) ComputeRead(cycles sim.Time, addr packet.GlobalAddr) packet.Word {
+	tc.t.opCycles = cycles
+	return tc.read(opCompute{}, contRead, addr, 0).val
+}
+
+// ComputeReadBlock is Compute(cycles) followed by ReadBlock(addr, n),
+// fused as ComputeRead is.
+func (tc *TC) ComputeReadBlock(cycles sim.Time, addr packet.GlobalAddr, n int) []packet.Word {
+	tc.t.opCycles = cycles
+	return tc.read(opCompute{}, contReadBlock, addr, n).vals
+}
+
+// ComputeReadPair is Compute(cycles) followed by Read(a) and Read(b):
+// the EXU issues the second read at the event where the first would
+// have resumed the thread, so the coroutine is resumed once.
+func (tc *TC) ComputeReadPair(cycles sim.Time, a, b packet.GlobalAddr) (packet.Word, packet.Word) {
+	tc.t.opCycles, tc.t.opAddr2 = cycles, b
+	second := tc.read(opCompute{}, contReadPair, a, 0).val
+	return tc.t.pairVal, second
+}
+
+// read stages a read continuation of kind k and yields first: opCompute
+// runs it after t.opCycles of computation, opCont at once.
+func (tc *TC) read(first any, k contKind, addr packet.GlobalAddr, n int) resumeMsg {
+	t := tc.t
+	t.opAddr, t.opN, t.cont = addr, n, k
+	return t.yieldOp(first)
 }
 
 // Write sends a remote write packet. The thread continues immediately:

@@ -103,6 +103,55 @@ func TestObservationTiming(t *testing.T) {
 			t.Errorf("episodes = %d/%d, want 1/1", b.Episodes(0), b.Episodes(1))
 		}
 	})
+
+	t.Run("now after fused reads and barrier is the resume time", func(t *testing.T) {
+		// The fused operations and the barrier's engine-side rounds
+		// resume the coroutine once, at the event the tracer records as
+		// the thread's ThreadRun: the read reply's (after ComputeRead,
+		// ComputeReadPair and ComputeReadBlock), and the wake-up's after
+		// a barrier whose last round blocked because PE1 arrives late.
+		m := newTestMachine(t, 2)
+		tr := obs.New(obs.Options{P: 2, Capacity: 1 << 12})
+		m.SetObs(tr)
+		b := m.NewBarrier("b", 1)
+		var nows []sim.Time
+		m.SpawnAt(0, "fused", 0, func(tc *TC) {
+			tc.ComputeRead(10, packet.GlobalAddr{PE: 1, Off: 1})
+			nows = append(nows, tc.Now())
+			tc.ComputeReadPair(7, packet.GlobalAddr{PE: 1, Off: 2}, packet.GlobalAddr{PE: 1, Off: 3})
+			nows = append(nows, tc.Now())
+			tc.ComputeReadBlock(5, packet.GlobalAddr{PE: 1, Off: 4}, 3)
+			nows = append(nows, tc.Now())
+			tc.Barrier(b)
+			nows = append(nows, tc.Now())
+		})
+		m.SpawnAt(1, "late", 0, func(tc *TC) {
+			tc.Compute(2000)
+			tc.Barrier(b)
+		})
+		r := mustRun(t, m)
+		if got := r.PEs[0].Switches[metrics.SwitchIterSync]; got != 1 {
+			t.Fatalf("PE0 iter-sync switches = %d, want 1: its last round must block", got)
+		}
+		// A pair resumes the thread after each reply, so the thread
+		// runs once more than the operations above: the first Now is
+		// at run 0, the pair's at run 2, the block's at run 3 and the
+		// barrier's at run 4.
+		var runs []sim.Time
+		for _, ev := range tr.Events() {
+			if ev.Cat == obs.CatThread && ev.PE == 0 && obs.ThreadKind(ev.Code) == obs.ThreadRun {
+				runs = append(runs, sim.Time(ev.At))
+			}
+		}
+		if len(runs) != 5 {
+			t.Fatalf("PE0 thread ran %d times, want 5: %v", len(runs), runs)
+		}
+		for i, k := range []int{0, 2, 3, 4} {
+			if nows[i] != runs[k] {
+				t.Errorf("Now after operation %d = %d, want the ThreadRun at %d", i, nows[i], runs[k])
+			}
+		}
+	})
 }
 
 // allocsPerIter returns the host allocations one loop iteration adds:
@@ -241,10 +290,66 @@ func TestRemoteReadDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestComputeReadDoesNotAllocate extends the pin to the fused reads:
+// ComputeRead and ComputeReadPair stage their continuation on the
+// thread, so they allocate no more than Compute and Read do.
+func TestComputeReadDoesNotAllocate(t *testing.T) {
+	perIter := allocsPerIter(func(iters int) func() {
+		return func() {
+			cfg := DefaultConfig(2)
+			cfg.MemWords = 1 << 10
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SpawnAt(0, "reader", 0, func(tc *TC) {
+				for k := 0; k < iters; k++ {
+					tc.ComputeRead(300, packet.GlobalAddr{PE: 1, Off: uint32(k % 64)})
+					tc.ComputeReadPair(300, packet.GlobalAddr{PE: 1, Off: uint32(k % 64)},
+						packet.GlobalAddr{PE: 1, Off: uint32(k%64 + 64)})
+				}
+			})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perOp := perIter / 2; perOp > 0.01 {
+		t.Fatalf("%.3f allocs per fused read, want ~0", perOp)
+	}
+}
+
+// TestComputeReadBlockAllocatesOnlyResult pins ComputeReadBlock's host
+// allocations to one per call: the slice it returns.
+func TestComputeReadBlockAllocatesOnlyResult(t *testing.T) {
+	perIter := allocsPerIter(func(iters int) func() {
+		return func() {
+			cfg := DefaultConfig(2)
+			cfg.MemWords = 1 << 10
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SpawnAt(0, "reader", 0, func(tc *TC) {
+				for k := 0; k < iters; k++ {
+					tc.ComputeReadBlock(300, packet.GlobalAddr{PE: 1, Off: uint32(k % 64)}, 4)
+				}
+			})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perIter > 1.01 {
+		t.Fatalf("%.3f allocs per ComputeReadBlock, want 1 (the result slice)", perIter)
+	}
+}
+
 // TestBarrierDoesNotAllocate pins zero host allocations per barrier
-// episode: followers and the dissemination rounds wait on counters, not
-// on per-call closures, and their sync tokens and resumes come from the
-// packet free list.
+// episode: followers wait on a counter, not on a per-call closure; the
+// last arrival's dissemination rounds run in the exu from state staged
+// on the thread; and sync tokens and resumes come from the packet free
+// list.
 func TestBarrierDoesNotAllocate(t *testing.T) {
 	perEpisode := allocsPerIter(func(episodes int) func() {
 		return func() {

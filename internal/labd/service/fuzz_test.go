@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"emx/internal/harness"
+	"emx/internal/metrics"
 )
 
 // FuzzResolveRun drives the request→identity mapping every node and the
@@ -122,6 +123,62 @@ func FuzzRequestDeadline(f *testing.F) {
 		d = time.Unix(0, ns)
 		if back := parse(FormatDeadline(d)); !back.Equal(d) || back.UnixNano() != ns {
 			t.Fatalf("deadline %d ns read back as %d", ns, back.UnixNano())
+		}
+	})
+}
+
+// simulateBudget bounds SimN·H, and simulateMaxP the machine size, of
+// the points FuzzSimulate runs, so that one iteration takes tens of
+// milliseconds: a 1024-PE bitonic point with SimN·H = 1024 takes a
+// second.
+const simulateBudget, simulateMaxP = 1 << 11, 100
+
+// FuzzSimulate runs the points ResolveRun accepts through RunPoint with
+// the workload's self-check on. A point must not panic and must pass its
+// self-check; every PE's Figure 8 components must sum to the makespan;
+// the Figure 9 switch kinds must sum to the total, with one remote-read
+// switch per read request; and a rerun must be identical. Points over
+// simulateBudget or simulateMaxP are skipped. The seed corpus in
+// testdata/fuzz/FuzzSimulate holds the FFT under EM-4 (exu) servicing,
+// which once failed its self-check, and non-power-of-two machines, one
+// of which once panicked.
+func FuzzSimulate(f *testing.F) {
+	const defaultScale, defaultSeed = 512, 1
+	f.Fuzz(func(t *testing.T, workload string, p, h, n, scale int, seed int64, mode string, blockRead, replyHigh bool) {
+		req := RunRequest{Workload: workload, P: p, H: h, N: n, Scale: scale, Seed: seed,
+			Mode: mode, BlockRead: blockRead, ReplyHigh: replyHigh, Verify: true}
+		ps, _, err := ResolveRun(req, defaultScale, defaultSeed)
+		if err != nil || ps.SimN*ps.H > simulateBudget || ps.P > simulateMaxP {
+			return
+		}
+		run, err := harness.RunPoint(ps)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		var kinds uint64
+		for pe := range run.PEs {
+			st := &run.PEs[pe]
+			if got := st.Times.Total(); got != run.Makespan {
+				t.Fatalf("%+v: PE%d components sum to %d, makespan %d", req, pe, got, run.Makespan)
+			}
+			reads := st.Switches[metrics.SwitchRemoteRead]
+			if reads > st.RemoteReads || !ps.BlockRead && reads != st.RemoteReads {
+				t.Fatalf("%+v: PE%d has %d remote-read switches for %d words read", req, pe, reads, st.RemoteReads)
+			}
+			for _, k := range st.Switches {
+				kinds += k
+			}
+		}
+		if total := run.SumCounter((*metrics.PE).TotalSwitches); kinds != total {
+			t.Fatalf("%+v: switch kinds sum to %d, total %d", req, kinds, total)
+		}
+		again, err := harness.RunPoint(ps)
+		if err != nil {
+			t.Fatalf("%+v: rerun: %v", req, err)
+		}
+		run.HostElapsedSecs, again.HostElapsedSecs = 0, 0
+		if !reflect.DeepEqual(run, again) {
+			t.Fatalf("%+v: rerun differs", req)
 		}
 	})
 }

@@ -8,7 +8,10 @@
 // Timing follows the paper's description of the EMC-Y Switching Unit:
 //
 //   - virtual cut-through: the head of a packet moves one hop per cycle, so
-//     a packet reaches a processor k hops away in k+1 cycles when unloaded;
+//     a packet reaches a processor k hops away in k+1 cycles when unloaded,
+//     except on a route that stays on a self-looping switch node (node 0
+//     or the last one): each repeated use of the port its own packet has
+//     just taken waits PortCycles-HopCycles more (see UnloadedLatency);
 //   - each port transfers one two-word packet every second cycle, so an
 //     output port is occupied for 2 cycles per packet (throughput), while
 //     the head is forwarded after 1 cycle (latency);
@@ -231,7 +234,33 @@ func (n *Network) arriveDst(p *packet.Packet) {
 }
 
 // UnloadedLatency returns the cycles from injection to delivery on an idle
-// network: k hops + 1 ejection cycle for remote sends, 1 for self-sends.
+// network: k hops + 1 ejection cycle for remote sends, plus
+// PortCycles-HopCycles for each self-loop repeat on the route; 1 for
+// self-sends.
 func (n *Network) UnloadedLatency(src, dst packet.PE) sim.Time {
-	return sim.Time(n.RouteHops(src, dst))*HopCycles + HopCycles
+	repeats := 0
+	if src != dst {
+		repeats = n.selfLoopRepeats(src, dst)
+	}
+	return sim.Time(n.RouteHops(src, dst))*HopCycles + HopCycles +
+		sim.Time(repeats)*(PortCycles-HopCycles)
+}
+
+// selfLoopRepeats counts the hops of the route from src to dst that use
+// the same output port as the hop before: on the shuffle fabric only
+// nodes 0 and nodes-1 link to themselves, so a route that stays on one
+// of them for two hops asks again for the port its own head has just
+// taken.
+func (n *Network) selfLoopRepeats(src, dst packet.PE) int {
+	repeats, v, prev := 0, int(src), -1
+	for left := n.l; left > 0; left-- {
+		bit := (int(dst) >> (left - 1)) & 1
+		if port := v<<1 | bit; port == prev {
+			repeats++
+		} else {
+			prev = port
+		}
+		v = (v<<1 | bit) & n.mask
+	}
+	return repeats
 }

@@ -16,29 +16,11 @@ import (
 // randomP draws a machine size in [2, 100].
 func randomP(rng *rand.Rand) int { return 2 + rng.Intn(99) }
 
-// selfLoopRepeats counts the hops of a route that use the same output
-// port as the hop before: on the shuffle fabric only nodes 0 and
-// nodes-1 link to themselves, so a route that stays on one of them for
-// two hops asks again for the port its own head has just taken.
-func selfLoopRepeats(n *Network, src, dst packet.PE) int {
-	repeats, v, prev := 0, int(src), -1
-	for left := n.l; left > 0; left-- {
-		bit := (int(dst) >> (left - 1)) & 1
-		if port := v<<1 | bit; port == prev {
-			repeats++
-		} else {
-			prev = port
-		}
-		v = (v<<1 | bit) & n.mask
-	}
-	return repeats
-}
-
 func TestUnloadedRemoteLatencyProperty(t *testing.T) {
-	// An unloaded remote packet arrives RouteHops+1 cycles after it is
-	// sent. The one exception is a route through a self-looping node:
-	// each repeated use of the same port waits for the packet's own
-	// occupancy, PortCycles-HopCycles more.
+	// An unloaded remote packet arrives UnloadedLatency after it is
+	// sent: RouteHops+1 cycles, except on a route through a self-looping
+	// node, where each repeated use of the same port waits for the
+	// packet's own occupancy, PortCycles-HopCycles more.
 	rng := rand.New(rand.NewSource(31))
 	plain := 0
 	for trial := 0; trial < 300; trial++ {
@@ -52,18 +34,23 @@ func TestUnloadedRemoteLatencyProperty(t *testing.T) {
 		pkt := &packet.Packet{Kind: packet.KindWrite, Src: src, Addr: packet.GlobalAddr{PE: dst}}
 		eng.At(sent, func() { n.Send(pkt) })
 		eng.Run()
-		repeats := selfLoopRepeats(n, src, dst)
+		repeats := n.selfLoopRepeats(src, dst)
 		if repeats == 0 {
 			plain++
 		}
-		want := sent + sim.Time(n.RouteHops(src, dst)) + 1 + sim.Time(repeats)*(PortCycles-HopCycles)
-		if at != want {
-			t.Fatalf("P=%d PE%d->PE%d sent at %d: delivered at %d, want %d (RouteHops+1 later, %d self-loop repeats)",
+		if want := sent + n.UnloadedLatency(src, dst); at != want {
+			t.Fatalf("P=%d PE%d->PE%d sent at %d: delivered at %d, want %d (UnloadedLatency later, %d self-loop repeats)",
 				p, src, dst, sent, at, want, repeats)
 		}
 	}
 	if plain < 200 {
 		t.Fatalf("only %d of 300 routes avoid the self-loops", plain)
+	}
+	// PE48->PE3 at P=60 stays on node 0 for two hops: 6 hops, the
+	// ejection cycle and one repeat.
+	_, n, _ := build(t, 60)
+	if got := n.UnloadedLatency(48, 3); got != 8 {
+		t.Fatalf("P=60 UnloadedLatency(48, 3) = %d, want 8", got)
 	}
 }
 
