@@ -52,7 +52,13 @@ func run(args []string, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	return serve(addr, opts, log.New(stderr, "", log.LstdFlags))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	logger := log.New(stderr, "", log.LstdFlags)
+	srv := service.New(opts)
+	logger.Printf("emxd: serving on %s (workers=%d queue=%d cache=%d scale=%d)",
+		addr, srv.Scheduler().Stats().Workers, opts.Sched.QueueSize, opts.Sched.CacheSize, opts.Scale)
+	return serve(ctx, addr, srv, logger)
 }
 
 // parseFlags turns emxd's flags into a listen address and server
@@ -108,19 +114,19 @@ func parseFlags(args []string, stderr io.Writer) (string, service.Options, bool)
 	}, true
 }
 
-// serve runs the daemon on addr until SIGINT/SIGTERM.
-func serve(addr string, opts service.Options, logger *log.Logger) int {
-	srv := service.New(opts)
-	defer srv.Close()
+// shutdownGrace bounds how long serve waits for HTTP requests in
+// flight once its context ends.
+const shutdownGrace = 10 * time.Second
 
+// serve runs srv's API on addr until ctx ends, then shuts the HTTP
+// server down, waiting at most shutdownGrace for requests in flight. It
+// does not close srv: simulations still running or queued are abandoned
+// with the process, which loses nothing, because results are
+// deterministic and every cache lives in memory.
+func serve(ctx context.Context, addr string, srv *service.Server, logger *log.Logger) int {
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Printf("emxd: serving on %s (workers=%d queue=%d cache=%d scale=%d)",
-		addr, srv.Scheduler().Stats().Workers, opts.Sched.QueueSize, opts.Sched.CacheSize, opts.Scale)
 
 	select {
 	case err := <-errc:
@@ -128,7 +134,7 @@ func serve(addr string, opts service.Options, logger *log.Logger) int {
 		return 1
 	case <-ctx.Done():
 		logger.Print("emxd: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			logger.Printf("emxd: shutdown: %v", err)

@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"log"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"emx/internal/labd"
+	"emx/internal/labd/service"
 )
 
 func TestFlagValidation(t *testing.T) {
@@ -68,5 +75,36 @@ func TestListenFailureExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "address already in use") {
 		t.Fatalf("stderr %q does not name the listen error", stderr.String())
+	}
+}
+
+// TestServeDoesNotWaitForSimulations: once its context ends, serve
+// returns after the HTTP shutdown even though the only worker holds a
+// job that never finishes.
+func TestServeDoesNotWaitForSimulations(t *testing.T) {
+	srv := service.New(service.Options{Scale: 1 << 20, Sched: labd.Options{Workers: 1}})
+	hold, started := make(chan struct{}), make(chan struct{})
+	go srv.Scheduler().Exec(context.Background(), func() error {
+		close(started)
+		<-hold
+		return nil
+	})
+	<-started
+	defer func() {
+		close(hold)
+		srv.Close()
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan int, 1)
+	go func() { done <- serve(ctx, "127.0.0.1:0", srv, log.New(io.Discard, "", 0)) }()
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit %d, want 0", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve still running 5 s after its context ended")
 	}
 }

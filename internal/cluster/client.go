@@ -342,7 +342,7 @@ func (e errBusy) Error() string {
 // wins. The loser's attempt is cancelled via its context.
 func (c *Client) hedged(ctx context.Context, key, path string, body []byte, owner, backup string) (*Result, error) {
 	delay := c.opts.HedgeDelay
-	if full, _, ok := c.members.Load(owner); ok && full >= hedgeQueueFraction {
+	if full, ok := c.members.Load(owner); ok && full >= hedgeQueueFraction {
 		delay = 0
 	}
 

@@ -127,17 +127,16 @@ func (m *Membership) Snapshot() []NodeStatus {
 	return out
 }
 
-// Load returns the last probed load of url: queue fullness in [0,1]
-// and cache hit-ratio. ok is false when the node is unknown or has
-// never been probed.
-func (m *Membership) Load(url string) (queueFullness, hitRatio float64, ok bool) {
+// Load returns the last probed queue fullness of url, in [0,1]. ok is
+// false when the node is unknown or has never been probed.
+func (m *Membership) Load(url string) (queueFullness float64, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n, found := m.nodes[url]
 	if !found || n.load.QueueCap == 0 {
-		return 0, 0, false
+		return 0, false
 	}
-	return float64(n.load.QueueDepth) / float64(n.load.QueueCap), n.load.CacheHitRatio, true
+	return float64(n.load.QueueDepth) / float64(n.load.QueueCap), true
 }
 
 // MarkFailure records a failed request against url (passive health from

@@ -56,11 +56,11 @@ func TestMembershipProbe(t *testing.T) {
 		}
 	}
 
-	full, _, ok := m.Load(ts.URL)
+	full, ok := m.Load(ts.URL)
 	if !ok || full < 0 || full > 1 {
 		t.Errorf("Load(%s) = %v, %v", ts.URL, full, ok)
 	}
-	if _, _, ok := m.Load(dead.URL); ok {
+	if _, ok := m.Load(dead.URL); ok {
 		t.Error("Load must report !ok for a never-probed node")
 	}
 }

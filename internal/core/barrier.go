@@ -108,8 +108,8 @@ func (tc *TC) Barrier(b *Barrier) {
 		b.complete(t.pe) // one PE: no rounds
 		return
 	}
-	t.opBar, t.opN, t.cont = b, 0, contBarrier
-	t.yieldOp(opCont{})
+	t.opBar, t.opN = b, 0
+	t.yieldOp(opBarrier)
 }
 
 // partner returns the PE that pe's round-r token goes to.

@@ -45,7 +45,7 @@ func refBarrier(tc *TC, b *Barrier) {
 func refSendSync(tc *TC, b *Barrier, partner packet.PE, round int) {
 	tc.t.opAddr = packet.GlobalAddr{PE: partner, Off: b.id}
 	tc.t.opData = packet.Word(round)
-	tc.t.yieldOp(opWriteSync{})
+	tc.t.yieldOp(opWriteSync)
 }
 
 // form is one way of writing the operations under test.

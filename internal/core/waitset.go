@@ -82,5 +82,5 @@ func (tc *TC) waitCount(kind metrics.SwitchKind, ws *WaitSet, ctr *uint64, want 
 // wait stages w and suspends the thread on ws once.
 func (t *thr) wait(kind metrics.SwitchKind, ws *WaitSet, w waiter) {
 	t.opKind, t.opWS, t.opWaiter = kind, ws, w
-	t.yieldOp(opWait{})
+	t.yieldOp(opWait)
 }

@@ -114,7 +114,7 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	inflight map[string]*job
-	cache    *lruCache
+	cache    *LRU[*metrics.Run]
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -177,7 +177,7 @@ func New(o Options) *Scheduler {
 		fill:     o.Fill,
 		onFill:   o.OnFill,
 		inflight: map[string]*job{},
-		cache:    newLRU(o.CacheSize),
+		cache:    NewLRU[*metrics.Run](o.CacheSize),
 		reg:      reg,
 	}
 	s.started = reg.Counter("emxd_runs_started_total", "simulator executions started")
@@ -239,7 +239,7 @@ func (s *Scheduler) DoContext(ctx context.Context, key string, fn func() (*metri
 			s.mu.Unlock()
 			return nil, Executed, ErrClosed
 		}
-		if run, ok := s.cache.get(key); ok {
+		if run, ok := s.cache.Get(key); ok {
 			s.mu.Unlock()
 			s.cacheHits.Inc()
 			return run, Cached, nil
@@ -263,7 +263,7 @@ func (s *Scheduler) DoContext(ctx context.Context, key string, fn func() (*metri
 			s.mu.Unlock()
 			if run := s.fill(ctx, key); run != nil {
 				s.mu.Lock()
-				s.cache.add(key, run)
+				s.cache.Add(key, run)
 				s.mu.Unlock()
 				s.filled.Inc()
 				return run, Replicated, nil
@@ -377,7 +377,7 @@ func (s *Scheduler) worker() {
 			delete(s.inflight, j.key)
 		}
 		if cached {
-			s.cache.add(j.key, j.run)
+			s.cache.Add(j.key, j.run)
 		}
 		s.mu.Unlock()
 		if j.err != nil {
@@ -490,9 +490,8 @@ func (s *Scheduler) Stats() Stats {
 
 // CacheHitRatio is the fraction of resolved requests served from the
 // result cache: hits / (hits + coalesced + executed). Requests still in
-// the queue are not counted. The cluster membership prober reads this
-// for load-aware hedging — a cold node resolves most requests by
-// executing and is a worse hedge target than a warm one.
+// the queue are not counted. It is an observability figure: /v1/status
+// reports it and the gateway's node status copies it from there.
 func (st Stats) CacheHitRatio() float64 {
 	total := st.CacheHits + st.Coalesced + st.Started
 	if total == 0 {
@@ -515,7 +514,7 @@ func (st Stats) Throughput() (cyclesPerSec, eventsPerSec float64) {
 func (s *Scheduler) CacheLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cache.len()
+	return s.cache.Len()
 }
 
 // CacheCap returns the cache bound in entries.
@@ -539,7 +538,7 @@ func (s *Scheduler) RunsExecuted() uint64 { return s.started.Value() }
 func (s *Scheduler) CacheGet(key string) (*metrics.Run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cache.get(key)
+	return s.cache.Get(key)
 }
 
 // CachePut installs a replicated result. It reports false — and stores
@@ -555,47 +554,56 @@ func (s *Scheduler) CachePut(key string, run *metrics.Run) bool {
 	if _, ok := s.cache.items[key]; ok {
 		return false
 	}
-	s.cache.add(key, run)
+	s.cache.Add(key, run)
 	return true
 }
 
-// lruCache is a plain LRU over *metrics.Run, guarded by Scheduler.mu.
-type lruCache struct {
+// LRU is a plain least-recently-used cache of at most a fixed number
+// of values by key. It is not safe for concurrent use: the scheduler's
+// run cache is guarded by Scheduler.mu, the service's profile cache by
+// its own lock.
+type LRU[V any] struct {
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	run *metrics.Run
+	val V
 }
 
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+// NewLRU returns an empty LRU that holds at most capacity values.
+func NewLRU[V any](capacity int) *LRU[V] {
+	return &LRU[V]{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-func (c *lruCache) get(key string) (*metrics.Run, bool) {
+// Get returns the value under key and marks it most recently used.
+func (c *LRU[V]) Get(key string) (V, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).run, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *lruCache) add(key string, run *metrics.Run) {
+// Add stores val under key as the most recently used value and evicts
+// the least recently used ones beyond the capacity.
+func (c *LRU[V]) Add(key string, val V) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).run = run
+		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key, run})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key, val})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry).key)
+		delete(c.items, back.Value.(*lruEntry[V]).key)
 	}
 }
 
-func (c *lruCache) len() int { return c.ll.Len() }
+// Len returns the number of values held.
+func (c *LRU[V]) Len() int { return c.ll.Len() }

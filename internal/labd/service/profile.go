@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"emx/internal/harness"
+	"emx/internal/labd"
 	"emx/internal/obs"
 )
 
@@ -40,55 +41,29 @@ const (
 // scheduler's run cache.
 type profileCache struct {
 	mu  sync.Mutex
-	cap int
-	seq uint64
-	m   map[string]*profEntry
-}
-
-type profEntry struct {
-	pt   *harness.ProfiledPoint
-	used uint64
+	lru *labd.LRU[*harness.ProfiledPoint]
 }
 
 func newProfileCache(capacity int) *profileCache {
-	return &profileCache{cap: capacity, m: map[string]*profEntry{}}
+	return &profileCache{lru: labd.NewLRU[*harness.ProfiledPoint](capacity)}
 }
 
 func (c *profileCache) get(key string) (*harness.ProfiledPoint, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.seq++
-	e.used = c.seq
-	return e.pt, true
+	return c.lru.Get(key)
 }
 
 func (c *profileCache) put(key string, pt *harness.ProfiledPoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq++
-	c.m[key] = &profEntry{pt: pt, used: c.seq}
-	for len(c.m) > c.cap {
-		var oldest string
-		var min uint64
-		// Minimum of unique use-stamps: the same entry wins in any visit
-		// order.
-		for k, e := range c.m { //emx:orderinvariant
-			if oldest == "" || e.used < min {
-				oldest, min = k, e.used
-			}
-		}
-		delete(c.m, oldest)
-	}
+	c.lru.Add(key, pt)
 }
 
 func (c *profileCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return c.lru.Len()
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {

@@ -125,3 +125,56 @@ func TestProfileValidation(t *testing.T) {
 		t.Errorf("negative slice status %d, want 400", neg.StatusCode)
 	}
 }
+
+// TestProfileCacheBound: the profile cache keeps the 32 most recently
+// used points; the 33rd distinct point evicts the least recently used,
+// which is executed again when asked for.
+func TestProfileCacheBound(t *testing.T) {
+	_, ts := newTestServer(t)
+	profile := func(seed int64) string {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/profile", ProfileRequest{
+			RunRequest: RunRequest{Workload: "bitonic", P: 2, H: 1, N: 1024, Seed: seed},
+		})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d", seed, resp.StatusCode)
+		}
+		return resp.Header.Get(SourceHeader)
+	}
+	entries := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "emxd_profile_cache_entries "); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics has no emxd_profile_cache_entries")
+		return ""
+	}
+
+	for seed := int64(1); seed <= 33; seed++ {
+		if src := profile(seed); src != "executed" {
+			t.Fatalf("seed %d: first profile source %q, want executed", seed, src)
+		}
+	}
+	if got := entries(); got != "32" {
+		t.Fatalf("emxd_profile_cache_entries = %s after 33 points, want 32", got)
+	}
+	if src := profile(33); src != "cache" {
+		t.Fatalf("most recent point: source %q, want cache", src)
+	}
+	if src := profile(1); src != "executed" {
+		t.Fatalf("least recently used point: source %q, want executed", src)
+	}
+	if got := entries(); got != "32" {
+		t.Fatalf("emxd_profile_cache_entries = %s, want 32", got)
+	}
+}

@@ -366,9 +366,10 @@ type Throughput struct {
 
 	// QueueDepth and CacheHitRatio describe current load: runs admitted
 	// but not started, and the fraction of resolved requests served from
-	// the result cache. The cluster membership prober reads both for
-	// load-aware hedging (a backed-up or cold node is a poor hedge
-	// target), so they live here with the other host-side rates.
+	// the result cache. The cluster membership prober reads the queue
+	// depth for load-aware hedging (a backed-up owner is hedged at once)
+	// and copies the hit ratio into the gateway's node status, where it
+	// is only observed.
 	QueueDepth    int     `json:"queue_depth"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 

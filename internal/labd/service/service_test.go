@@ -354,8 +354,9 @@ func TestBackpressure503(t *testing.T) {
 }
 
 // TestStatusThroughputLoadFields: the throughput block carries queue
-// depth and cache hit-ratio — the load signals the cluster membership
-// prober reads for load-aware hedging.
+// depth, which the cluster membership prober reads for load-aware
+// hedging, and the cache hit-ratio, which the gateway's node status
+// shows.
 func TestStatusThroughputLoadFields(t *testing.T) {
 	srv, ts := newTestServer(t)
 	req := RunRequest{Workload: "bitonic", P: 4, H: 2, N: 64 << 10}

@@ -27,7 +27,7 @@ func TestBitonicSortProperty(t *testing.T) {
 		BitonicSort(xs)
 		return IsSorted(xs) && IsPermutation(orig, xs)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(18))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,7 +106,7 @@ func TestMergeSplitProperty(t *testing.T) {
 		got := append(append([]uint32(nil), low...), high...)
 		return IsPermutation(all, got)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(76))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,7 +174,7 @@ func TestFFTParsevalProperty(t *testing.T) {
 		}
 		return math.Abs(eX-ex*float64(n)) < 1e-6*(1+eX)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(159))}); err != nil {
 		t.Fatal(err)
 	}
 }
