@@ -2,15 +2,15 @@
 // speaking the same HTTP API. Requests are routed to their owning node
 // by rendezvous hashing over the experiment's content identity, so the
 // per-node result caches partition across the cluster instead of
-// duplicating; node failures are absorbed by bounded retries, hedged
-// attempts, and failover to the next-ranked peer. Because every node
-// computes byte-identical results for a given run identity, failover is
-// invisible to clients.
+// duplicating; node failures are absorbed by bounded retries against
+// the next-ranked peers, then (with -local) in-process execution.
+// Because every node computes byte-identical results for a given run
+// identity, failover is invisible to clients.
 //
 // Usage:
 //
 //	emxcluster -nodes http://a:8484,http://b:8484,http://c:8484
-//	emxcluster -addr :9000 -nodes ... -hedge 500ms -local
+//	emxcluster -addr :9000 -nodes ... -attempt-timeout 30s -local
 //
 // Endpoints (same shapes as emxd):
 //
@@ -61,7 +61,6 @@ func run(args []string, stderr io.Writer, start func(addr string, h http.Handler
 		probe   = fs.Duration("probe", 5*time.Second, "health-probe interval (0 disables background probing)")
 		timeout = fs.Duration("attempt-timeout", 0, "per-attempt request timeout (0: none)")
 		retries = fs.Int("retries", 2, "additional attempts after a failed first one")
-		hedge   = fs.Duration("hedge", 0, "hedge a second request if the owner is silent this long (0: off)")
 		scale   = fs.Int("scale", harness.DefaultScale, "default scale-down factor; MUST match the nodes' -scale")
 		seed    = fs.Int64("seed", 1, "default input seed; MUST match the nodes' -seed")
 		local   = fs.Bool("local", false, "serve in-process when every node is unreachable")
@@ -95,7 +94,7 @@ func run(args []string, stderr io.Writer, start func(addr string, h http.Handler
 		fmt.Fprintf(stderr, "emxcluster: -scale must be >= 1, got %d\n", *scale)
 		return 2
 	}
-	if *probe < 0 || *timeout < 0 || *hedge < 0 {
+	if *probe < 0 || *timeout < 0 {
 		fmt.Fprintln(stderr, "emxcluster: durations must be >= 0")
 		return 2
 	}
@@ -108,7 +107,6 @@ func run(args []string, stderr io.Writer, start func(addr string, h http.Handler
 	copts := cluster.ClientOptions{
 		AttemptTimeout: *timeout,
 		Retries:        *retries,
-		HedgeDelay:     *hedge,
 		Replicas:       *reps,
 	}
 	if *retries == 0 {

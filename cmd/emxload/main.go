@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaosStr = fs.String("chaos", "", `fault schedule, e.g. "kill:1@10,restart:1@40" or "kill:owner@10" or JSON (lab only)`)
 		replicas = fs.Int("replicas", 1, "cache replication factor across lab nodes (1: off; lab only)")
 		format   = fs.String("format", "text", "report format: text or json")
-		hedge    = fs.Duration("hedge", 0, "hedge a second attempt after this delay (0: off)")
 		retries  = fs.Int("retries", 2, "failover retries per request (0: none)")
 		quiet    = fs.Bool("quiet", false, "suppress progress lines")
 
@@ -120,9 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer members.Close()
 	members.ProbeAll()
 	copts := cluster.ClientOptions{
-		Retries:    *retries,
-		HedgeDelay: *hedge,
-		Replicas:   *replicas,
+		Retries:  *retries,
+		Replicas: *replicas,
 	}
 	if *retries == 0 {
 		copts.Retries = -1 // ClientOptions uses -1 for explicit zero

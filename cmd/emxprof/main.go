@@ -117,14 +117,9 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, opts harnes
 		fmt.Fprintf(stderr, "emxprof: -p, -n, and -h must be >= 1 (got p=%d n=%d h=%d)\n", p, n, h)
 		return 2
 	}
-	var svc proc.ServiceMode
-	switch strings.ToLower(mode) {
-	case "bypass":
-		svc = proc.ServiceBypass
-	case "exu", "em4", "em-4":
-		svc = proc.ServiceEXU
-	default:
-		fmt.Fprintf(stderr, "emxprof: unknown service mode %q (want bypass or exu)\n", mode)
+	svc, err := proc.ParseServiceMode(mode)
+	if err != nil {
+		fmt.Fprintln(stderr, "emxprof:", err)
 		return 2
 	}
 	if format == "timeline" {

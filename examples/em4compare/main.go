@@ -18,13 +18,13 @@ import (
 	"emx/internal/proc"
 )
 
-func run(mode proc.ServiceMode) *metrics.Run {
+func run(mode proc.ServiceMode) (*metrics.Run, error) {
 	cfg := core.DefaultConfig(8)
 	cfg.MemWords = 1 << 12
 	cfg.Proc.Mode = mode
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	// PE 0 is a busy compute node; every other PE hammers it with reads.
 	m.SpawnAt(0, "compute", 0, func(tc *core.TC) {
@@ -40,18 +40,29 @@ func run(mode proc.ServiceMode) *metrics.Run {
 			}
 		})
 	}
-	r, err := m.Run()
-	if err != nil {
-		log.Fatal(err)
+	return m.Run()
+}
+
+// compare runs the workload under both service modes and returns the
+// two runs and EM-4 servicing's slowdown, a fraction of the bypass
+// makespan.
+func compare() (bypass, exu *metrics.Run, slowdown float64, err error) {
+	if bypass, err = run(proc.ServiceBypass); err != nil {
+		return nil, nil, 0, err
 	}
-	return r
+	if exu, err = run(proc.ServiceEXU); err != nil {
+		return nil, nil, 0, err
+	}
+	return bypass, exu, float64(exu.Makespan)/float64(bypass.Makespan) - 1, nil
 }
 
 func main() {
+	bypass, exu, slow, err := compare()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("EM-X by-passing DMA vs EM-4 EXU servicing (700 remote reads at PE0)")
 	fmt.Println()
-	bypass := run(proc.ServiceBypass)
-	exu := run(proc.ServiceEXU)
 
 	report := func(name string, r *metrics.Run) {
 		pe0 := r.PEs[0]
@@ -62,7 +73,6 @@ func main() {
 	report("EM-X (bypass)", bypass)
 	report("EM-4 (EXU)", exu)
 
-	slow := float64(exu.Makespan)/float64(bypass.Makespan) - 1
 	fmt.Printf("\nEM-4-style servicing slows this workload down by %.1f%%:\n", 100*slow)
 	fmt.Println("request servicing steals the victim EXU's cycles, which is exactly")
 	fmt.Println("why the EM-X routes remote memory traffic through the IBU/OBU path.")

@@ -18,6 +18,7 @@ import (
 
 	"emx/internal/core"
 	"emx/internal/isa"
+	"emx/internal/metrics"
 )
 
 const latencySrc = `
@@ -53,45 +54,88 @@ loop:
     halt
 `
 
-func runProg(name, src string, p int) {
+// latencyReads and nullPackets are the loop counts of the two programs:
+// the divisors of their per-read and per-packet figures.
+const (
+	latencyReads = 64
+	nullPackets  = 256
+)
+
+// result is one program's run on PE 0 of a P-PE machine.
+type result struct {
+	name string
+	p    int
+	run  *metrics.Run
+}
+
+// perUnit is the figure main reports for r: cycles per exposed remote
+// read for the latency probe, overhead cycles per generated packet for
+// the null loop.
+func (r result) perUnit() float64 {
+	if r.name == "latency" {
+		return float64(r.run.Makespan) / latencyReads
+	}
+	return float64(r.run.PEs[0].Times.Overhead) / nullPackets
+}
+
+func runProg(name, src string, p int) (result, error) {
 	prog, err := isa.Assemble(name, src)
 	if err != nil {
-		log.Fatal(err)
+		return result{}, err
 	}
 	cfg := core.DefaultConfig(p)
 	cfg.MemWords = 1 << 12
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return result{}, err
 	}
 	if err := isa.Spawn(m, 0, prog, "main", 0); err != nil {
-		log.Fatal(err)
+		return result{}, err
 	}
 	run, err := m.Run()
 	if err != nil {
-		log.Fatal(err)
+		return result{}, err
 	}
-	b := run.PEs[0].Times
-	fmt.Printf("%-10s P=%-3d makespan %6d cyc | compute %5d, overhead %4d, comm %5d, switch %5d\n",
-		name, p, run.Makespan, b.Compute, b.Overhead, b.Comm, b.Switch)
-	switch name {
-	case "latency":
-		perRead := float64(run.Makespan) / 64
-		fmt.Printf("           -> %.1f cycles (%.2f us) per exposed remote read; paper: 20-40 cycles\n",
-			perRead, perRead*0.05)
-	case "nulloop":
-		perPkt := float64(b.Overhead) / 256
-		fmt.Printf("           -> %.2f overhead cycles per generated packet; paper: 1-clock send instruction\n",
-			perPkt)
+	return result{name, p, run}, nil
+}
+
+// measure runs the latency probe at P=16 and P=64, then the null loop
+// at P=16.
+func measure() ([]result, error) {
+	var out []result
+	for _, pr := range []struct {
+		name, src string
+		p         int
+	}{{"latency", latencySrc, 16}, {"latency", latencySrc, 64}, {"nulloop", nullLoopSrc, 16}} {
+		r, err := runProg(pr.name, pr.src, pr.p)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
+	return out, nil
 }
 
 func main() {
+	results, err := measure()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("EMC-Y assembly microbenchmarks (paper Section 4 methodology)")
 	fmt.Println()
-	for _, p := range []int{16, 64} {
-		runProg("latency", latencySrc, p)
+	for _, r := range results {
+		if r.name == "nulloop" { // a blank line sets the null loop apart
+			fmt.Println()
+		}
+		b := r.run.PEs[0].Times
+		fmt.Printf("%-10s P=%-3d makespan %6d cyc | compute %5d, overhead %4d, comm %5d, switch %5d\n",
+			r.name, r.p, r.run.Makespan, b.Compute, b.Overhead, b.Comm, b.Switch)
+		if r.name == "latency" {
+			fmt.Printf("           -> %.1f cycles (%.2f us) per exposed remote read; paper: 20-40 cycles\n",
+				r.perUnit(), r.perUnit()*0.05)
+		} else {
+			fmt.Printf("           -> %.2f overhead cycles per generated packet; paper: 1-clock send instruction\n",
+				r.perUnit())
+		}
 	}
-	fmt.Println()
-	runProg("nulloop", nullLoopSrc, 16)
 }

@@ -22,12 +22,12 @@ import (
 
 const P = 80
 
-func run(h int) *metrics.Run {
+func run(h int) (*metrics.Run, error) {
 	cfg := core.DefaultConfig(P)
 	cfg.MemWords = 1 << 12
 	m, err := core.NewMachine(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	bar := m.NewBarrier("iter", h)
 	for pe := packet.PE(0); pe < P; pe++ {
@@ -48,11 +48,32 @@ func run(h int) *metrics.Run {
 			})
 		}
 	}
-	r, err := m.Run()
-	if err != nil {
-		log.Fatal(err)
+	return m.Run()
+}
+
+// row is the kernel at h threads per PE and its overlap efficiency (a
+// percentage) against the single-threaded run.
+type row struct {
+	h       int
+	run     *metrics.Run
+	overlap float64
+}
+
+// sweep runs the kernel at h = 1, 2, 4 and 8; h=1 is the baseline.
+func sweep() ([]row, error) {
+	var rows []row
+	for _, h := range []int{1, 2, 4, 8} {
+		r, err := run(h)
+		if err != nil {
+			return nil, err
+		}
+		base := r
+		if len(rows) > 0 {
+			base = rows[0].run
+		}
+		rows = append(rows, row{h, r, metrics.Efficiency(base, r)})
 	}
-	return r
+	return rows, nil
 }
 
 func main() {
@@ -63,13 +84,15 @@ func main() {
 	fmt.Printf("unloaded remote read: %d cycles (%.2f us)\n\n",
 		analytic.MeasureLatency(cfg), analytic.MeasureLatency(cfg).Micros())
 
-	base := run(1)
+	rows, err := sweep()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-8s %-14s %-14s %-10s %-14s\n",
 		"threads", "makespan(cyc)", "comm/PE(cyc)", "overlap E", "packets")
-	for _, h := range []int{1, 2, 4, 8} {
-		r := run(h)
+	for _, r := range rows {
 		fmt.Printf("%-8d %-14d %-14.0f %8.1f%%  %-14d\n",
-			h, r.Makespan, r.MeanCommTime(), metrics.Efficiency(base, r), r.PacketsSent)
+			r.h, r.run.Makespan, r.run.MeanCommTime(), r.overlap, r.run.PacketsSent)
 	}
 	fmt.Println("\n80 processors synchronize through ceil(log2(80)) = 7 dissemination")
 	fmt.Println("rounds per barrier; every per-PE cycle decomposition still sums to")

@@ -1,16 +1,12 @@
 // Package cluster federates N emxd nodes into one experiment service:
 // a rendezvous-hashing ring (internal/ring) routes each
 // content-addressed run to an owner node (so the per-node LRU caches
-// shard instead of duplicating), a membership layer probes /v1/status and tracks node health and load,
-// and a failover-aware client issues requests with per-attempt
-// timeouts, bounded retries, hedged second attempts, and graceful
-// degradation to any healthy peer — or local in-process execution —
-// when the owner is down.
+// shard instead of duplicating), a membership layer probes /v1/status
+// and tracks node health and load, and a failover-aware client issues
+// each request along one path: the ranked candidate nodes under
+// per-attempt timeouts and bounded retries that honour a node's
+// Retry-After, then local in-process execution when every node failed.
 //
-// The design practices what the simulated machine preaches: the EM-X
-// tolerates remote latency by overlapping useful work with outstanding
-// split-phase requests, and the cluster client tolerates slow or dead
-// owners by overlapping a hedged request with the outstanding one.
 // Failover never changes results: runs are deterministic, so any node
 // (or the local fallback) produces byte-identical measurements for a
 // given run identity.
@@ -34,8 +30,8 @@ import (
 )
 
 // ClientOptions tunes the failover policy. The zero value is usable:
-// no per-attempt timeout, two retries, 100ms base backoff, hedging
-// disabled, no local fallback.
+// no per-attempt timeout, two retries, 100ms base backoff, no local
+// fallback.
 type ClientOptions struct {
 	// AttemptTimeout bounds one request attempt (0: no timeout — figure
 	// sweeps at large scale legitimately run for minutes).
@@ -55,10 +51,6 @@ type ClientOptions struct {
 	// MaxRetryWait caps any single inter-attempt wait, including waits
 	// requested by a node's Retry-After backpressure header (default 2s).
 	MaxRetryWait time.Duration
-	// HedgeDelay, when positive, launches a second request to the
-	// next-ranked node if the owner has not answered within it. 0
-	// disables time-based hedging.
-	HedgeDelay time.Duration
 	// Local, when set, serves requests in-process (an emxd
 	// service.Server handler) after every remote candidate has failed —
 	// graceful degradation to local execution. Results are byte-identical
@@ -70,10 +62,6 @@ type ClientOptions struct {
 	// Registry receives the client's operational counters (nil: private).
 	Registry *metrics.Registry
 }
-
-// hedgeQueueFraction is the owner's last probed queue fullness at or
-// above which a hedge launches immediately instead of after HedgeDelay.
-const hedgeQueueFraction = 0.9
 
 // LocalNode is the Node name reported for responses served by the
 // in-process fallback handler.
@@ -91,21 +79,17 @@ type Result struct {
 }
 
 // Client routes requests across a membership's nodes by rendezvous
-// hashing with bounded retries, hedging, and failover. Safe for
-// concurrent use.
+// hashing with bounded retries and failover. Safe for concurrent use.
 type Client struct {
 	members *Membership
 	opts    ClientOptions
 	http    *http.Client
 
-	attempts    *metrics.Counter
-	retries     *metrics.Counter
-	failovers   *metrics.Counter
-	hedges      *metrics.Counter
-	hedgeWins   *metrics.Counter
-	hedgeLosses *metrics.Counter
-	localRuns   *metrics.Counter
-	nodeErrs    func(node string) *metrics.Counter
+	attempts  *metrics.Counter
+	retries   *metrics.Counter
+	failovers *metrics.Counter
+	localRuns *metrics.Counter
+	nodeErrs  func(node string) *metrics.Counter
 }
 
 // Stats is a point-in-time snapshot of the client's per-attempt outcome
@@ -114,20 +98,20 @@ type Client struct {
 // expose via the Registry for /metrics).
 type Stats struct {
 	// Attempts counts every request issued to a member node, including
-	// retries and hedges.
+	// retries.
 	Attempts uint64
 	// Retries counts attempts beyond the first for a request.
 	Retries uint64
 	// Failovers counts requests answered by a node other than the ring
 	// owner (including local-fallback rescues).
 	Failovers uint64
-	// Hedges counts hedged second attempts launched against slow owners;
-	// HedgeWins those answered before the owner, HedgeLosses those the
-	// owner beat anyway.
-	Hedges, HedgeWins, HedgeLosses uint64
 	// LocalFallbacks counts requests served by in-process execution
 	// after every remote candidate failed.
 	LocalFallbacks uint64
+	// Hedges is always 0: the client sends no hedged requests. It is
+	// kept only because the benchmark module (perfbench) still reports
+	// it, and goes when that module stops reading it.
+	Hedges uint64
 }
 
 // Stats returns the client's current outcome counters.
@@ -136,9 +120,6 @@ func (c *Client) Stats() Stats {
 		Attempts:       c.attempts.Value(),
 		Retries:        c.retries.Value(),
 		Failovers:      c.failovers.Value(),
-		Hedges:         c.hedges.Value(),
-		HedgeWins:      c.hedgeWins.Value(),
-		HedgeLosses:    c.hedgeLosses.Value(),
 		LocalFallbacks: c.localRuns.Value(),
 	}
 }
@@ -149,9 +130,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Attempts:       s.Attempts - o.Attempts,
 		Retries:        s.Retries - o.Retries,
 		Failovers:      s.Failovers - o.Failovers,
-		Hedges:         s.Hedges - o.Hedges,
-		HedgeWins:      s.HedgeWins - o.HedgeWins,
-		HedgeLosses:    s.HedgeLosses - o.HedgeLosses,
 		LocalFallbacks: s.LocalFallbacks - o.LocalFallbacks,
 	}
 }
@@ -179,16 +157,13 @@ func NewClient(m *Membership, opts ClientOptions) *Client {
 		reg = metrics.NewRegistry()
 	}
 	return &Client{
-		members:     m,
-		opts:        opts,
-		http:        hc,
-		attempts:    reg.Counter("emxcluster_attempts_total", "request attempts issued to member nodes"),
-		retries:     reg.Counter("emxcluster_retries_total", "attempts beyond the first for a request"),
-		failovers:   reg.Counter("emxcluster_failovers_total", "requests answered by a node other than the ring owner"),
-		hedges:      reg.Counter("emxcluster_hedges_total", "hedged second attempts launched against slow owners"),
-		hedgeWins:   reg.Counter("emxcluster_hedge_wins_total", "hedged attempts that answered before the owner"),
-		hedgeLosses: reg.Counter("emxcluster_hedge_losses_total", "hedged attempts the owner answered ahead of"),
-		localRuns:   reg.Counter("emxcluster_local_fallback_total", "requests served by local in-process execution"),
+		members:   m,
+		opts:      opts,
+		http:      hc,
+		attempts:  reg.Counter("emxcluster_attempts_total", "request attempts issued to member nodes"),
+		retries:   reg.Counter("emxcluster_retries_total", "attempts beyond the first for a request"),
+		failovers: reg.Counter("emxcluster_failovers_total", "requests answered by a node other than the ring owner"),
+		localRuns: reg.Counter("emxcluster_local_fallback_total", "requests served by local in-process execution"),
 		nodeErrs: func(node string) *metrics.Counter {
 			return reg.Labeled("emxcluster_node_errors_total",
 				"failed attempts by member node", "node", node)
@@ -211,8 +186,7 @@ func (e errPermanent) Error() string {
 // Do routes one POST to the cluster: the ring owner of key first, then
 // — across bounded retries with jittered exponential backoff — each
 // next-ranked healthy node, then any node at all, then the local
-// fallback. A slow owner is hedged with a concurrent second attempt.
-// 503 responses (queue backpressure) wait out the node's Retry-After
+// fallback. 503 responses (queue backpressure) wait out the node's Retry-After
 // hint (capped) before the next candidate; 4xx responses return as-is.
 //
 // ctx bounds the whole request: every attempt runs under it, its
@@ -250,16 +224,7 @@ func (c *Client) Do(ctx context.Context, key, path string, body []byte) (*Result
 		if len(candidates) == 0 {
 			break
 		}
-		node := candidates[i%len(candidates)]
-		var (
-			res *Result
-			err error
-		)
-		if i == 0 && c.opts.HedgeDelay > 0 && len(candidates) > 1 {
-			res, err = c.hedged(ctx, key, path, body, candidates[0], candidates[1])
-		} else {
-			res, err = c.attempt(ctx, node, path, body)
-		}
+		res, err := c.attempt(ctx, candidates[i%len(candidates)], path, body)
 		if err == nil {
 			if res.Node != owner {
 				c.failovers.Inc()
@@ -336,77 +301,6 @@ func (e errBusy) Error() string {
 	return fmt.Sprintf("node %s: busy (Retry-After %s)", e.node, e.retryAfter)
 }
 
-// hedged races the owner against the next-ranked node: the backup
-// launches after HedgeDelay — or immediately when the owner's probed
-// queue is at least hedgeQueueFraction full — and the first success
-// wins. The loser's attempt is cancelled via its context.
-func (c *Client) hedged(ctx context.Context, key, path string, body []byte, owner, backup string) (*Result, error) {
-	delay := c.opts.HedgeDelay
-	if full, ok := c.members.Load(owner); ok && full >= hedgeQueueFraction {
-		delay = 0
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res    *Result
-		err    error
-		backup bool
-	}
-	results := make(chan outcome, 2)
-	try := func(node string, isBackup bool) {
-		res, err := c.attempt(ctx, node, path, body)
-		results <- outcome{res, err, isBackup}
-	}
-	go try(owner, false)
-
-	timer := time.NewTimer(delay) //emx:hostclock hedge trigger against a slow owner
-	defer timer.Stop()
-	launched := false
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !launched {
-				launched = true
-				pending++
-				c.hedges.Inc()
-				go try(backup, true)
-			}
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				if launched {
-					if out.backup {
-						c.hedgeWins.Inc()
-					} else {
-						c.hedgeLosses.Inc()
-					}
-				}
-				return out.res, nil
-			}
-			var perm errPermanent
-			if errors.As(out.err, &perm) {
-				return nil, out.err
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if !launched {
-				// Owner failed outright before the hedge fired: launch
-				// the backup now rather than waiting for the timer.
-				launched = true
-				pending++
-				c.hedges.Inc()
-				go try(backup, true)
-			} else if pending == 0 {
-				return nil, firstErr
-			}
-		}
-	}
-}
-
 // attempt issues one POST to one node under parent, further bounded
 // by AttemptTimeout.
 func (c *Client) attempt(parent context.Context, node, path string, body []byte) (*Result, error) {
@@ -431,18 +325,18 @@ func (c *Client) attempt(parent context.Context, node, path string, body []byte)
 	resp, err := c.http.Do(req)
 	var b []byte
 	if err == nil {
-		// Always drain and close the body — including a hedge loser's —
-		// so the transport can reuse the connection instead of leaking
-		// it under sustained hedging.
+		// Always drain and close the body — also when the caller gave up
+		// mid-read — so the transport can reuse or drop the connection
+		// instead of leaking it.
 		b, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
 	}
 	if err != nil {
 		if parent.Err() != nil {
-			// The parent context ended — the hedge race resolved
-			// elsewhere, or the caller gave up. The abort says nothing
-			// about this node's health, so don't poison the membership
-			// view or the per-node error counters with it.
+			// The caller gave up (hung up, or its deadline passed). The
+			// abort says nothing about this node's health, so don't
+			// poison the membership view or the per-node error counters
+			// with it.
 			return nil, fmt.Errorf("node %s: attempt canceled: %w", node, parent.Err())
 		}
 		c.nodeErrs(node).Inc()

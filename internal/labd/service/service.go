@@ -366,10 +366,9 @@ type Throughput struct {
 
 	// QueueDepth and CacheHitRatio describe current load: runs admitted
 	// but not started, and the fraction of resolved requests served from
-	// the result cache. The cluster membership prober reads the queue
-	// depth for load-aware hedging (a backed-up owner is hedged at once)
-	// and copies the hit ratio into the gateway's node status, where it
-	// is only observed.
+	// the result cache. The cluster membership prober copies both,
+	// with the queue's capacity, into the gateway's node status, where
+	// they are only observed: routing does not read them.
 	QueueDepth    int     `json:"queue_depth"`
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 
@@ -535,7 +534,7 @@ func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.Po
 	if seed == 0 {
 		seed = defaultSeed
 	}
-	mode, err := parseMode(req.Mode)
+	mode, err := proc.ParseServiceMode(req.Mode)
 	if err != nil {
 		return harness.PointSpec{}, 0, err
 	}
@@ -634,14 +633,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.sched.Registry().WriteProm(w)
-}
-
-func parseMode(mode string) (proc.ServiceMode, error) {
-	switch strings.ToLower(mode) {
-	case "", "bypass":
-		return proc.ServiceBypass, nil
-	case "exu", "em4", "em-4":
-		return proc.ServiceEXU, nil
-	}
-	return 0, fmt.Errorf("unknown service mode %q (want bypass or exu)", mode)
 }

@@ -353,9 +353,8 @@ func TestBackpressure503(t *testing.T) {
 	<-done
 }
 
-// TestStatusThroughputLoadFields: the throughput block carries queue
-// depth, which the cluster membership prober reads for load-aware
-// hedging, and the cache hit-ratio, which the gateway's node status
+// TestStatusThroughputLoadFields: the throughput block carries the
+// queue depth and the cache hit-ratio, which the gateway's node status
 // shows.
 func TestStatusThroughputLoadFields(t *testing.T) {
 	srv, ts := newTestServer(t)

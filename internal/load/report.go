@@ -93,9 +93,6 @@ type ClientStats struct {
 	Attempts       uint64 `json:"attempts"`
 	Retries        uint64 `json:"retries"`
 	Failovers      uint64 `json:"failovers"`
-	Hedges         uint64 `json:"hedges"`
-	HedgeWins      uint64 `json:"hedge_wins"`
-	HedgeLosses    uint64 `json:"hedge_losses"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 }
 
@@ -104,9 +101,6 @@ func clientStats(s cluster.Stats) ClientStats {
 		Attempts:       s.Attempts,
 		Retries:        s.Retries,
 		Failovers:      s.Failovers,
-		Hedges:         s.Hedges,
-		HedgeWins:      s.HedgeWins,
-		HedgeLosses:    s.HedgeLosses,
 		LocalFallbacks: s.LocalFallbacks,
 	}
 }
@@ -197,8 +191,8 @@ func (r *Report) WriteText(w io.Writer) error {
 			ep, s.P50Seconds, s.P95Seconds, s.P99Seconds, s.ErrorRate)
 	}
 	c := r.Host.Client
-	fmt.Fprintf(w, "  client: attempts=%d retries=%d failovers=%d hedges=%d (won=%d lost=%d) local=%d\n",
-		c.Attempts, c.Retries, c.Failovers, c.Hedges, c.HedgeWins, c.HedgeLosses, c.LocalFallbacks)
+	fmt.Fprintf(w, "  client: attempts=%d retries=%d failovers=%d local=%d\n",
+		c.Attempts, c.Retries, c.Failovers, c.LocalFallbacks)
 	if rp := r.Host.Replication; rp != nil {
 		fmt.Fprintf(w, "  replication: pushes=%d (errors=%d) stores=%d fills=%d (misses=%d) mismatches=%d drops=%d\n",
 			rp.Pushes, rp.PushErrors, rp.Stores, rp.Fills, rp.FillMisses, rp.DigestMismatches, rp.QueueDrops)

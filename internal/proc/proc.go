@@ -12,6 +12,7 @@ package proc
 
 import (
 	"fmt"
+	"strings"
 
 	"emx/internal/memory"
 	"emx/internal/metrics"
@@ -37,6 +38,19 @@ func (m ServiceMode) String() string {
 		return "bypass"
 	}
 	return "exu"
+}
+
+// ParseServiceMode parses a service mode name, case-insensitively: ""
+// or "bypass" is the EM-X by-passing DMA, "exu", "em4" or "em-4" the
+// EM-4's EXU servicing.
+func ParseServiceMode(mode string) (ServiceMode, error) {
+	switch strings.ToLower(mode) {
+	case "", "bypass":
+		return ServiceBypass, nil
+	case "exu", "em4", "em-4":
+		return ServiceEXU, nil
+	}
+	return 0, fmt.Errorf("unknown service mode %q (want bypass or exu)", mode)
 }
 
 // Config holds the packet-unit timing parameters (cycles).

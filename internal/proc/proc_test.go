@@ -250,3 +250,21 @@ func TestReplyPriorityConfig(t *testing.T) {
 		t.Fatalf("resume-first: popped %v at prio %d", got, prio)
 	}
 }
+
+// TestParseServiceMode: every front end (emxd, emxprof, emxsim) accepts
+// these names, and only these.
+func TestParseServiceMode(t *testing.T) {
+	for in, want := range map[string]ServiceMode{
+		"": ServiceBypass, "bypass": ServiceBypass, "BYPASS": ServiceBypass,
+		"exu": ServiceEXU, "em4": ServiceEXU, "EM-4": ServiceEXU,
+	} {
+		if got, err := ParseServiceMode(in); err != nil || got != want {
+			t.Errorf("ParseServiceMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"warp", "em-x", " exu"} {
+		if _, err := ParseServiceMode(in); err == nil {
+			t.Errorf("ParseServiceMode(%q) accepted", in)
+		}
+	}
+}
