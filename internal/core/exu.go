@@ -19,9 +19,9 @@ import (
 // through the PE's OBU.
 //
 // Continuation events use the engine's handler lane; per-event context
-// (the thread, the packet to inject, the resume payload) is staged on
-// the thr or passed through EventArg, so steady-state execution does
-// not allocate closures.
+// (the packet to inject, the resume payload) is staged on the thr, and
+// the event's argument is the thr or packet itself, so steady-state
+// execution does not allocate closures.
 type exu struct {
 	m  *Machine
 	pe packet.PE
@@ -67,8 +67,8 @@ func newEXU(m *Machine, pe packet.PE) *exu {
 // thread (remote writes, spawn and sync sends do not suspend).
 type injectResumeH struct{ x *exu }
 
-func (h injectResumeH) OnEvent(arg sim.EventArg) {
-	t := arg.Ptr.(*thr)
+func (h injectResumeH) OnEvent(arg any) {
+	t := arg.(*thr)
 	pkt := t.pendingPkt
 	t.pendingPkt = nil
 	h.x.p.Inject(pkt)
@@ -79,13 +79,13 @@ func (h injectResumeH) OnEvent(arg sim.EventArg) {
 // local memory access.
 type resumeH struct{ x *exu }
 
-func (h resumeH) OnEvent(arg sim.EventArg) { h.x.execResume(arg.Ptr.(*thr)) }
+func (h resumeH) OnEvent(arg any) { h.x.execResume(arg.(*thr)) }
 
 // startH begins a freshly invoked thread after frame setup.
 type startH struct{ x *exu }
 
-func (h startH) OnEvent(arg sim.EventArg) {
-	t := arg.Ptr.(*thr)
+func (h startH) OnEvent(arg any) {
+	t := arg.(*thr)
 	h.x.m.trace(obs.ThreadStart, t)
 	h.x.execResume(t)
 }
@@ -93,8 +93,8 @@ func (h startH) OnEvent(arg sim.EventArg) {
 // runH continues a suspended thread after the register restore.
 type runH struct{ x *exu }
 
-func (h runH) OnEvent(arg sim.EventArg) {
-	t := arg.Ptr.(*thr)
+func (h runH) OnEvent(arg any) {
+	t := arg.(*thr)
 	h.x.m.trace(obs.ThreadRun, t)
 	h.x.execResume(t)
 }
@@ -102,13 +102,13 @@ func (h runH) OnEvent(arg sim.EventArg) {
 // dispatchH pops the next queue packet.
 type dispatchH struct{ x *exu }
 
-func (h dispatchH) OnEvent(sim.EventArg) { h.x.dispatch() }
+func (h dispatchH) OnEvent(any) { h.x.dispatch() }
 
 // pushDispatchH requeues an explicitly yielded thread, then dispatches.
 type pushDispatchH struct{ x *exu }
 
-func (h pushDispatchH) OnEvent(arg sim.EventArg) {
-	h.x.p.PushLocal(thread.Low, arg.Ptr.(*packet.Packet))
+func (h pushDispatchH) OnEvent(arg any) {
+	h.x.p.PushLocal(thread.Low, arg.(*packet.Packet))
 	h.x.dispatch()
 }
 
@@ -116,24 +116,24 @@ func (h pushDispatchH) OnEvent(arg sim.EventArg) {
 // and dispatches the next thread (the split-phase suspension).
 type injectSaveDispatchH struct{ x *exu }
 
-func (h injectSaveDispatchH) OnEvent(arg sim.EventArg) {
+func (h injectSaveDispatchH) OnEvent(arg any) {
 	x := h.x
-	x.p.Inject(arg.Ptr.(*packet.Packet))
+	x.p.Inject(arg.(*packet.Packet))
 	x.st.Times.Switch += x.m.Cfg.SaveCycles
 	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SaveCycles))
-	x.m.Eng.AfterHandler(x.m.Cfg.SaveCycles, x.hDispatch, sim.EventArg{})
+	x.m.Eng.AfterHandler(x.m.Cfg.SaveCycles, x.hDispatch, nil)
 }
 
 // handleH interprets a dequeued packet after the Matching Unit delay.
 type handleH struct{ x *exu }
 
-func (h handleH) OnEvent(arg sim.EventArg) { h.x.handle(arg.Ptr.(*packet.Packet)) }
+func (h handleH) OnEvent(arg any) { h.x.handle(arg.(*packet.Packet)) }
 
 // serviceH services a remote-memory request on the EXU (EM-4 mode).
 type serviceH struct{ x *exu }
 
-func (h serviceH) OnEvent(arg sim.EventArg) {
-	h.x.p.ServiceOnEXU(arg.Ptr.(*packet.Packet))
+func (h serviceH) OnEvent(arg any) {
+	h.x.p.ServiceOnEXU(arg.(*packet.Packet))
 	h.x.dispatch()
 }
 
@@ -173,7 +173,7 @@ func (x *exu) dispatch() {
 	x.st.Times.Switch += cost + spill
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSwitch, int64(cost))
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSpill, int64(spill))
-	x.m.Eng.AfterHandler(cost+spill, x.hHandle, sim.EventArg{Ptr: pkt})
+	x.m.Eng.AfterHandler(cost+spill, x.hHandle, pkt)
 }
 
 // handle interprets one dequeued packet. Replies, resumes, syncs and
@@ -195,7 +195,7 @@ func (x *exu) handle(pkt *packet.Packet) {
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
 		x.m.obs.ThreadName(int32(x.pe), frame, info.name)
 		t.resumeVal = arg
-		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, sim.EventArg{Ptr: t})
+		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, t)
 
 	case packet.KindReadReply:
 		t := x.threadOf(pkt.Cont.Frame)
@@ -243,7 +243,7 @@ func (x *exu) handle(pkt *packet.Packet) {
 		// ServiceEXU mode (EM-4): the request steals EXU cycles.
 		x.st.Times.Overhead += x.m.Cfg.EXUServiceCycles
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(x.m.Cfg.EXUServiceCycles))
-		x.m.Eng.AfterHandler(x.m.Cfg.EXUServiceCycles, x.hService, sim.EventArg{Ptr: pkt})
+		x.m.Eng.AfterHandler(x.m.Cfg.EXUServiceCycles, x.hService, pkt)
 
 	default:
 		x.m.fail(fmt.Errorf("core: PE%d cannot handle %v", x.pe, pkt))
@@ -262,7 +262,7 @@ func (x *exu) threadOf(frame uint32) *thr {
 func (x *exu) resumeThread(t *thr) {
 	x.st.Times.Switch += x.m.Cfg.RestoreCycles
 	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.RestoreCycles))
-	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, sim.EventArg{Ptr: t})
+	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, t)
 }
 
 // execResume runs the step staged in t.then if there is one;
@@ -290,7 +290,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		}
 		x.st.Times.Compute += t.opCycles
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(t.opCycles))
-		eng.AfterHandler(t.opCycles, x.hResume, sim.EventArg{Ptr: t})
+		eng.AfterHandler(t.opCycles, x.hResume, t)
 
 	case opRead:
 		x.issueRead(t, t.opAddr, nil)
@@ -328,7 +328,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, t.opOff, t.opData)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
-		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
+		eng.AtHandler(done, x.hResume, t)
 
 	case opWriteSync:
 		x.send(t, packet.Packet{
@@ -358,14 +358,14 @@ func (x *exu) perform(t *thr, op opCode) {
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
 		x.m.trace(obs.ThreadYield, t)
-		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, sim.EventArg{Ptr: x.m.resumePacket(t)})
+		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, x.m.resumePacket(t))
 
 	case opLocalLoad:
 		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, t.opOff)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		t.resumeVal = v
-		eng.AtHandler(done, x.hResume, sim.EventArg{Ptr: t})
+		eng.AtHandler(done, x.hResume, t)
 
 	case opDone:
 		t.state = stDone
@@ -430,7 +430,7 @@ func (x *exu) send(t *thr, p packet.Packet) {
 	pkt := x.m.free.Get()
 	*pkt = p
 	t.pendingPkt = pkt
-	x.m.Eng.AfterHandler(gen, x.hInjectResume, sim.EventArg{Ptr: t})
+	x.m.Eng.AfterHandler(gen, x.hInjectResume, t)
 }
 
 // block suspends t on ws until w is ready: the failed check and the
@@ -447,7 +447,7 @@ func (x *exu) block(t *thr, kind metrics.SwitchKind, ws *WaitSet, w waiter) {
 	x.m.trace(obs.ThreadYield, t)
 	w.t = t
 	ws.waiters = append(ws.waiters, w)
-	x.m.Eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, sim.EventArg{})
+	x.m.Eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, nil)
 }
 
 // issueRead sends a read request for addr and suspends the thread until
@@ -480,7 +480,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, buf []packet.Word) {
 		Block: block,
 		Cont:  packet.Continuation{PE: x.pe, Frame: t.frame},
 	}
-	x.m.Eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, sim.EventArg{Ptr: pkt})
+	x.m.Eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, pkt)
 }
 
 // closeAccounting attributes trailing idle time (after the PE's last

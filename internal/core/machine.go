@@ -40,8 +40,6 @@ type Machine struct {
 	allThreads []*thr
 	failure    error
 	ran        bool
-
-	hLoopback sim.Handler
 }
 
 type spawnInfo struct {
@@ -59,7 +57,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Cfg:    cfg,
 		spawns: make(map[uint64]spawnInfo),
 	}
-	m.hLoopback = loopbackH{m}
 	if cfg.P > 1 {
 		net, err := network.New(m.Eng, cfg.P)
 		if err != nil {
@@ -117,19 +114,19 @@ func (m *Machine) trace(k obs.ThreadKind, t *thr) {
 // short-circuits everything: it leaves the OBU at time at and reaches
 // the IBU HopCycles later, as two engine events.
 func (m *Machine) loopback(pkt *packet.Packet, at sim.Time) {
-	m.Eng.AtHandler(at, m.hLoopback, sim.EventArg{Ptr: pkt})
+	m.Eng.AtHandler(at, loopOutH{m}, pkt)
 }
 
-// loopbackH runs the two loopback events: N is 0 as the packet leaves
-// the OBU and 1 as it reaches the IBU.
-type loopbackH struct{ m *Machine }
+// loopOutH runs as a loopback packet leaves the OBU.
+type loopOutH struct{ m *Machine }
 
-func (h loopbackH) OnEvent(arg sim.EventArg) {
-	pkt := arg.Ptr.(*packet.Packet)
-	if arg.N == 0 {
-		h.m.Eng.AfterHandler(network.HopCycles, h, sim.EventArg{Ptr: pkt, N: 1})
-		return
-	}
+func (h loopOutH) OnEvent(arg any) { h.m.Eng.AfterHandler(network.HopCycles, loopInH(h), arg) }
+
+// loopInH runs as a loopback packet reaches the IBU.
+type loopInH struct{ m *Machine }
+
+func (h loopInH) OnEvent(arg any) {
+	pkt := arg.(*packet.Packet)
 	h.m.Procs[pkt.Dst()].Deliver(pkt)
 }
 

@@ -20,6 +20,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"emx/internal/obs"
@@ -81,13 +82,15 @@ func (n *Network) SetObs(t *obs.Tracer) { n.obs = t }
 
 // step is one pending network action on a packet: leaving its source's
 // OBU, a switch hop, entering the destination's processor port, or
-// reaching the PE. A hop carries the switch node the head is at and the
-// route bits left (at least 1); the other steps carry one of the codes
-// below in left.
+// reaching the PE. Every step but the first carries the packet's
+// destination, so a step never reads the packet to route it. A hop
+// carries the switch node the head is at and the route bits left (at
+// least 1); the other steps carry one of the codes below in left.
 type step struct {
 	p    *packet.Packet
 	v    int32
-	left int32
+	dst  int16
+	left int16
 }
 
 const (
@@ -105,14 +108,14 @@ func (l lane) Fire() {
 		s := n.cal.Pop()
 		switch {
 		case s.left > 0:
-			n.hop(s.p, int(s.v), int(s.left))
+			n.hop(s)
 		case s.left == stepArrive:
-			n.arriveDst(s.p)
+			n.arriveDst(s)
 		case s.left == stepLeave:
 			n.Send(s.p)
 		default:
 			n.Stats.Delivered++
-			if fn := n.deliver[s.p.Dst()]; fn != nil {
+			if fn := n.deliver[s.dst]; fn != nil {
 				fn(s.p)
 			}
 		}
@@ -123,12 +126,16 @@ func (l lane) Fire() {
 }
 
 // New builds the network for p PEs on the given engine, attaching its
-// step calendar to it.
+// step calendar to it. The switch fabric's node numbers must fit a
+// step's int16 destination.
 func New(eng *sim.Engine, p int) (*Network, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("network: need at least 2 PEs, got %d", p)
 	}
 	nodes := 1 << uint(bits.Len(uint(p-1)))
+	if nodes-1 > math.MaxInt16 {
+		return nil, fmt.Errorf("network: %d PEs need a %d-node fabric, more than %d", p, nodes, math.MaxInt16+1)
+	}
 	n := &Network{
 		eng:     eng,
 		p:       p,
@@ -183,17 +190,17 @@ func (n *Network) Send(p *packet.Packet) {
 		// The SU short-circuits self-addressed packets from the OBU to the
 		// IBU through the crossbar processor port: one cycle, no links.
 		n.Stats.LocalShort++
-		n.cal.At(n.eng.Now(), step{p: p, left: stepArrive})
+		n.cal.At(n.eng.Now(), step{p: p, dst: int16(dst), left: stepArrive})
 		return
 	}
-	n.hop(p, int(p.Src), n.l)
+	n.hop(step{p: p, v: int32(p.Src), dst: int16(dst), left: int16(n.l)})
 }
 
-// hop forwards the packet from node v with hopsLeft route bits
-// remaining.
-func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
+// hop forwards the packet of hop step s from its node s.v, with s.left
+// route bits remaining.
+func (n *Network) hop(s step) {
 	now := n.eng.Now()
-	dst := int(p.Dst())
+	v, dst, hopsLeft := int(s.v), int(s.dst), int(s.left)
 	bit := (dst >> (hopsLeft - 1)) & 1
 	next := ((v << 1) | bit) & n.mask
 
@@ -211,16 +218,16 @@ func (n *Network) hop(p *packet.Packet, v, hopsLeft int) {
 	if hopsLeft == 1 {
 		// next == dst: the last route bit lands the packet on the
 		// destination's own switch node.
-		n.cal.At(headAt, step{p: p, left: stepArrive})
+		n.cal.At(headAt, step{p: s.p, dst: s.dst, left: stepArrive})
 		return
 	}
-	n.cal.At(headAt, step{p: p, v: int32(next), left: int32(hopsLeft - 1)})
+	n.cal.At(headAt, step{p: s.p, v: int32(next), dst: s.dst, left: s.left - 1})
 }
 
-// arriveDst moves the packet through the destination switch's processor
-// port into the PE.
-func (n *Network) arriveDst(p *packet.Packet) {
-	dst := p.Dst()
+// arriveDst moves the packet of arrival step s through the destination
+// switch's processor port into the PE.
+func (n *Network) arriveDst(s step) {
+	dst := s.dst
 	now := n.eng.Now()
 	port := &n.eject[dst]
 	start := now
@@ -230,7 +237,7 @@ func (n *Network) arriveDst(p *packet.Packet) {
 	}
 	port.Acquire(start, PortCycles)
 	n.obs.Hop(int64(now), int32(dst), obs.NetEject, int64(start-now))
-	n.cal.At(start+HopCycles, step{p: p, left: stepDeliver})
+	n.cal.At(start+HopCycles, step{p: s.p, dst: dst, left: stepDeliver})
 }
 
 // UnloadedLatency returns the cycles from injection to delivery on an idle

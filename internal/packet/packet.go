@@ -112,17 +112,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Words reports the architectural size of a packet of this kind in 32-bit
-// words. Every EM-X packet is two words; a block read request carries a
-// third word holding the block length (the hardware encodes it in the
-// data word; we count it as payload for bandwidth purposes anyway).
-func (k Kind) Words() int {
-	if k == KindBlockReadReq {
-		return 2
-	}
-	return 2
-}
-
 // Packet is one network message.
 type Packet struct {
 	Kind Kind

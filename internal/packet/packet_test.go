@@ -88,14 +88,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestKindWords(t *testing.T) {
-	for k := Kind(0); k < nKinds; k++ {
-		if k.Words() != 2 {
-			t.Errorf("%v.Words() = %d, want 2 (fixed-size packets)", k, k.Words())
-		}
-	}
-}
-
 func TestStringsNonEmpty(t *testing.T) {
 	p := Packet{Kind: KindReadReq, Src: 1, Addr: GlobalAddr{PE: 2, Off: 3}, Cont: Continuation{PE: 1, Frame: 4, Slot: 5}}
 	if p.String() == "" || p.Addr.String() == "" || p.Cont.String() == "" {

@@ -130,13 +130,13 @@ func (p *Proc) SetObs(t *obs.Tracer) { p.obs = t }
 // the OBU.
 type injectH struct{ p *Proc }
 
-func (h injectH) OnEvent(arg sim.EventArg) { h.p.Inject(arg.Ptr.(*packet.Packet)) }
+func (h injectH) OnEvent(arg any) { h.p.Inject(arg.(*packet.Packet)) }
 
 // dmaH performs the memory side of a by-passing DMA request once the
 // IBU grant time arrives.
 type dmaH struct{ p *Proc }
 
-func (h dmaH) OnEvent(arg sim.EventArg) { h.p.serviceDMA(arg.Ptr.(*packet.Packet)) }
+func (h dmaH) OnEvent(arg any) { h.p.serviceDMA(arg.(*packet.Packet)) }
 
 // New creates the packet units for one PE. free is the machine's packet
 // free list; out takes each packet leaving the OBU, with the time its
@@ -216,7 +216,7 @@ func (p *Proc) serviceBypass(pkt *packet.Packet) {
 	grant := p.ibu.Acquire(now, p.cfg.IBUServiceCycles)
 	p.Stats.ServicedDMA++
 	p.obs.Packet(int64(now), int32(p.pe), obs.PktBypassDMA, int64(grant-now))
-	p.eng.AtHandler(grant, p.hDMA, sim.EventArg{Ptr: pkt})
+	p.eng.AtHandler(grant, p.hDMA, pkt)
 }
 
 // serviceDMA runs at the IBU grant time: the memory side of a by-passed
@@ -229,7 +229,7 @@ func (p *Proc) serviceDMA(pkt *packet.Packet) {
 		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortDMA, pkt.Addr.Off)
-		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.toReply(pkt, v)})
+		p.eng.AtHandler(done, p.hInject, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
 		words, _ := p.Mem.ReadBlock(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
@@ -237,7 +237,7 @@ func (p *Proc) serviceDMA(pkt *packet.Packet) {
 		// port rate, which models the block-transfer burst.
 		for i, w := range words {
 			rd := p.eng.Now() + memory.AccessCycles*sim.Time(i+1)
-			p.eng.AtHandler(rd, p.hInject, sim.EventArg{Ptr: p.blockReply(pkt, i, w)})
+			p.eng.AtHandler(rd, p.hInject, p.blockReply(pkt, i, w))
 		}
 		p.free.Put(pkt)
 	}
@@ -278,12 +278,12 @@ func (p *Proc) ServiceOnEXU(pkt *packet.Packet) {
 		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortEXU, pkt.Addr.Off)
-		p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.toReply(pkt, v)})
+		p.eng.AtHandler(done, p.hInject, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
 		words, done := p.Mem.ReadBlock(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
 		for i, w := range words {
-			p.eng.AtHandler(done, p.hInject, sim.EventArg{Ptr: p.blockReply(pkt, i, w)})
+			p.eng.AtHandler(done, p.hInject, p.blockReply(pkt, i, w))
 		}
 		p.free.Put(pkt)
 	default:

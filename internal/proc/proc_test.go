@@ -64,6 +64,31 @@ func TestBypassReadService(t *testing.T) {
 	}
 }
 
+// TestBypassServiceDoesNotAllocate: a by-passed read request, from its
+// delivery to its reply's injection, allocates nothing once the engine's
+// slab has grown.
+func TestBypassServiceDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	var replied *packet.Packet
+	p := New(eng, 3, 1<<12, DefaultConfig(), &metrics.PE{}, new(packet.Free),
+		func(pkt *packet.Packet, _ sim.Time) { replied = pkt })
+	req := new(packet.Packet)
+	serve := func() {
+		*req = packet.Packet{Kind: packet.KindReadReq, Src: 1,
+			Addr: packet.GlobalAddr{PE: 3, Off: 100}, Cont: packet.Continuation{PE: 1}}
+		replied = nil
+		p.Deliver(req)
+		eng.Run()
+	}
+	serve()
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+		t.Fatalf("a bypass read service allocated %.1f times, want 0", allocs)
+	}
+	if replied != req || req.Kind != packet.KindReadReply {
+		t.Fatalf("reply %v, want the request turned into its reply", replied)
+	}
+}
+
 func TestBypassWriteService(t *testing.T) {
 	eng, p, cap, _ := newProc(t, ServiceBypass)
 	w := &packet.Packet{

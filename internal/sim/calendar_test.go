@@ -49,13 +49,13 @@ func TestLaneEqualTimeOrdering(t *testing.T) {
 	l := attachTestLane(e, func(n int64) { got = append(got, n) })
 	h := recordH{&got}
 	const far = ringSize + 10
-	e.AtHandler(far, h, EventArg{N: 0}) // engine heap
-	l.cal.At(far, 1)                    // lane heap
-	e.AtHandler(far, h, EventArg{N: 2}) // engine heap
+	e.AtHandler(far, h, num(0)) // engine heap
+	l.cal.At(far, 1)            // lane heap
+	e.AtHandler(far, h, num(2)) // engine heap
 	e.At(20, func() {
 		// The window now covers far: these go to the rings.
 		l.cal.At(far, 3)
-		e.AtHandler(far, h, EventArg{N: 4})
+		e.AtHandler(far, h, num(4))
 		l.cal.At(far, 5)
 		got = append(got, 100)
 	})

@@ -20,10 +20,11 @@
 //
 // The closure API (At, After) is convenient but each call site allocates
 // a closure. Hot components implement Handler and schedule themselves
-// with AtHandler/AfterHandler, passing context through EventArg — a
-// pointer plus an integer, enough for "this packet, this hop" without
-// heap traffic. Closures are routed through the same path internally, so
-// both lanes share one ordering domain.
+// with AtHandler/AfterHandler, passing the one pointer they need (a
+// packet, a thread) as the event's argument; a pointer stored in an
+// interface does not allocate. An event is a handler and that argument,
+// 32 bytes. Closures ride the same event, with the func as its argument,
+// so both lanes share one ordering domain.
 //
 // # Attached calendars
 //
@@ -49,28 +50,19 @@ func (t Time) Seconds() float64 { return float64(t) * CycleNS * 1e-9 }
 // Micros converts a cycle count to simulated microseconds.
 func (t Time) Micros() float64 { return float64(t) * CycleNS * 1e-3 }
 
-// EventArg carries a handler's per-event context without allocating:
-// one pointer-shaped value and one integer. Components pack whatever
-// they need (a packet and a hop count, a thread, a node index).
-type EventArg struct {
-	// Ptr holds a pointer-shaped value (pointer, func, channel). Storing
-	// such values in an interface does not allocate.
-	Ptr any
-	// N holds a small integer payload (a node index, a count).
-	N int64
-}
-
-// Handler is the allocation-free event callback. Implementations are
-// typically single-field wrapper structs around a component pointer, so
-// converting them to Handler does not allocate either.
+// Handler is the allocation-free event callback. arg is the value the
+// event was scheduled with; a pointer-shaped one (pointer, func,
+// channel) is stored without allocating. Implementations are typically
+// single-field wrapper structs around a component pointer, so converting
+// them to Handler does not allocate either.
 type Handler interface {
-	OnEvent(arg EventArg)
+	OnEvent(arg any)
 }
 
 // funcRunner adapts the closure API onto the handler lane.
 type funcRunner struct{}
 
-func (funcRunner) OnEvent(arg EventArg) { arg.Ptr.(func())() }
+func (funcRunner) OnEvent(arg any) { arg.(func())() }
 
 var runFunc Handler = funcRunner{}
 
@@ -78,7 +70,7 @@ var runFunc Handler = funcRunner{}
 // in the calendar that holds it.
 type event struct {
 	h   Handler
-	arg EventArg
+	arg any
 }
 
 // maxTime is later than any schedulable time.
@@ -139,7 +131,7 @@ func (e *Engine) Pending() int {
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it indicates a causality bug in a component model.
 func (e *Engine) At(t Time, fn func()) {
-	e.AtHandler(t, runFunc, EventArg{Ptr: fn})
+	e.AtHandler(t, runFunc, fn)
 }
 
 // After schedules fn to run d cycles from now. A negative delay panics:
@@ -148,12 +140,12 @@ func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: After called with negative delay")
 	}
-	e.AtHandler(e.now+d, runFunc, EventArg{Ptr: fn})
+	e.AtHandler(e.now+d, runFunc, fn)
 }
 
 // AtHandler schedules h.OnEvent(arg) at absolute time t without
 // allocating. Scheduling in the past panics.
-func (e *Engine) AtHandler(t Time, h Handler, arg EventArg) {
+func (e *Engine) AtHandler(t Time, h Handler, arg any) {
 	e.q.push(e.now, e.nextKey(t), event{h: h, arg: arg})
 }
 
@@ -168,7 +160,7 @@ func (e *Engine) nextKey(t Time) key {
 
 // AfterHandler schedules h.OnEvent(arg) d cycles from now without
 // allocating. A negative delay panics.
-func (e *Engine) AfterHandler(d Time, h Handler, arg EventArg) {
+func (e *Engine) AfterHandler(d Time, h Handler, arg any) {
 	if d < 0 {
 		panic("sim: AfterHandler called with negative delay")
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineEmptyRun(t *testing.T) {
@@ -298,14 +299,30 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	mustPanic("After", "sim: After called with negative delay",
 		func() { e.After(-1, func() {}) })
 	mustPanic("AfterHandler", "sim: AfterHandler called with negative delay",
-		func() { e.AfterHandler(-1, runFunc, EventArg{Ptr: func() {}}) })
+		func() { e.AfterHandler(-1, runFunc, func() {}) })
 }
 
-// recordH appends its integer payload to a shared slice — the test
-// double for a hot component on the handler lane.
+// recordH appends the integer its argument points at to a shared
+// slice — the test double for a hot component on the handler lane.
 type recordH struct{ out *[]int64 }
 
-func (h recordH) OnEvent(arg EventArg) { *h.out = append(*h.out, arg.N) }
+func (h recordH) OnEvent(arg any) { *h.out = append(*h.out, *arg.(*int64)) }
+
+// num returns a pointer to n: the pointer-shaped argument recordH takes.
+func num(n int64) *int64 { return &n }
+
+// TestScheduledItemSizes pins an engine event at a handler and one
+// interface argument, 32 bytes (48 with its slab slot's sequence number
+// and link), so the event, which every push and pop copies, does not
+// regrow unnoticed.
+func TestScheduledItemSizes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("sim.event is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(slot[event]{}); got != 48 {
+		t.Errorf("its slab slot is %d bytes, want 48", got)
+	}
+}
 
 func TestEngineHandlerLaneOrdering(t *testing.T) {
 	// The closure and handler lanes share one ordering domain: same-cycle
@@ -314,11 +331,11 @@ func TestEngineHandlerLaneOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int64
 	h := recordH{&got}
-	e.AtHandler(5, h, EventArg{N: 0})
+	e.AtHandler(5, h, num(0))
 	e.At(5, func() { got = append(got, 1) })
-	e.AtHandler(5, h, EventArg{N: 2})
+	e.AtHandler(5, h, num(2))
 	e.After(5, func() { got = append(got, 3) })
-	e.AtHandler(3, h, EventArg{N: 10})
+	e.AtHandler(3, h, num(10))
 	e.Run()
 	want := []int64{10, 0, 1, 2, 3}
 	if len(got) != len(want) {
@@ -339,10 +356,10 @@ func TestEngineRingHeapBoundary(t *testing.T) {
 	var got []int64
 	h := recordH{&got}
 	const far = ringSize + 10
-	e.AtHandler(far, h, EventArg{N: 0}) // heap: outside the window at t=0
-	e.AtHandler(1, h, EventArg{N: 1})   // ring
+	e.AtHandler(far, h, num(0)) // heap: outside the window at t=0
+	e.AtHandler(1, h, num(1))   // ring
 	e.At(1, func() {
-		e.AtHandler(far, h, EventArg{N: 2}) // ring: window now covers far
+		e.AtHandler(far, h, num(2)) // ring: window now covers far
 		got = append(got, 100)
 	})
 	e.Run()
@@ -391,7 +408,7 @@ func TestEngineRingHeapRandomized(t *testing.T) {
 				}
 			}
 			if seq < len(lanes) && lanes[seq] {
-				e.AtHandler(at, runFunc, EventArg{Ptr: fire})
+				e.AtHandler(at, runFunc, fire)
 			} else {
 				e.At(at, fire)
 			}
@@ -437,7 +454,7 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 // nopH is the cheapest possible handler, isolating scheduler cost.
 type nopH struct{}
 
-func (nopH) OnEvent(EventArg) {}
+func (nopH) OnEvent(any) {}
 
 // BenchmarkEngineHandlerLane is the allocs/event gate for the handler
 // fast lane: steady-state near-future scheduling must report 0 allocs/op
@@ -445,9 +462,10 @@ func (nopH) OnEvent(EventArg) {}
 func BenchmarkEngineHandlerLane(b *testing.B) {
 	e := NewEngine()
 	var h nopH
+	var n int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.AfterHandler(Time(i%64), h, EventArg{N: int64(i)})
+		e.AfterHandler(Time(i%64), h, &n)
 		if e.Pending() > 1024 {
 			e.RunUntil(e.Now() + 16)
 		}
@@ -460,9 +478,10 @@ func BenchmarkEngineHandlerLane(b *testing.B) {
 func BenchmarkEngineFarFuture(b *testing.B) {
 	e := NewEngine()
 	var h nopH
+	var n int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.AfterHandler(ringSize+Time(i%64), h, EventArg{N: int64(i)})
+		e.AfterHandler(ringSize+Time(i%64), h, &n)
 		if e.Pending() > 1024 {
 			e.RunUntil(e.Now() + ringSize + 64)
 		}
@@ -476,8 +495,10 @@ func BenchmarkEngineFarFuture(b *testing.B) {
 func TestWindowedDriverZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	h := &selfTickH{e: e}
-	for i := 0; i < 8; i++ {
-		e.AtHandler(Time(i), h, EventArg{N: 1 << 40})
+	var left [8]int64
+	for i := range left {
+		left[i] = 1 << 40
+		e.AtHandler(Time(i), h, &left[i])
 	}
 	deadline := Time(0)
 	// Let the node slab reach its peak.
@@ -502,8 +523,10 @@ func TestFarFutureEventsDoNotAllocate(t *testing.T) {
 		return func() {
 			e := NewEngine()
 			h := &farTickH{e: e}
-			for i := 0; i < 8; i++ {
-				e.AtHandler(ringSize+Time(i), h, EventArg{N: events})
+			left := make([]int64, 8)
+			for i := range left {
+				left[i] = events
+				e.AtHandler(ringSize+Time(i), h, &left[i])
 			}
 			e.Run()
 		}
@@ -516,20 +539,26 @@ func TestFarFutureEventsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// farTickH reschedules itself arg.N more times, each beyond the ring.
+// farTickH reschedules its chain as many more times as the counter its
+// argument points at says, each beyond the ring.
 type farTickH struct{ e *Engine }
 
-func (h *farTickH) OnEvent(arg EventArg) {
-	if arg.N > 0 {
-		h.e.AfterHandler(ringSize+Time(arg.N%7), h, EventArg{N: arg.N - 1})
+func (h *farTickH) OnEvent(arg any) {
+	if left := arg.(*int64); *left > 0 {
+		d := ringSize + Time(*left%7)
+		*left--
+		h.e.AfterHandler(d, h, left)
 	}
 }
 
+// selfTickH reschedules its chain one cycle ahead as many more times as
+// the counter its argument points at says.
 type selfTickH struct{ e *Engine }
 
-func (h *selfTickH) OnEvent(arg EventArg) {
-	if arg.N > 0 {
-		h.e.AtHandler(h.e.Now()+1, h, EventArg{N: arg.N - 1})
+func (h *selfTickH) OnEvent(arg any) {
+	if left := arg.(*int64); *left > 0 {
+		*left--
+		h.e.AtHandler(h.e.Now()+1, h, left)
 	}
 }
 
@@ -537,8 +566,10 @@ func (h *selfTickH) OnEvent(arg EventArg) {
 func BenchmarkWindowedDriver(b *testing.B) {
 	e := NewEngine()
 	h := &selfTickH{e: e}
-	for i := 0; i < 8; i++ {
-		e.AtHandler(Time(i), h, EventArg{N: 1 << 60})
+	var left [8]int64
+	for i := range left {
+		left[i] = 1 << 60
+		e.AtHandler(Time(i), h, &left[i])
 	}
 	deadline := Time(0)
 	b.ReportAllocs()
