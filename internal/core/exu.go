@@ -37,30 +37,10 @@ type exu struct {
 	// frame). A finished thread's slot goes nil, so a packet for a dead
 	// frame is caught.
 	frames []*thr
-
-	hInjectResume  sim.Handler
-	hResume        sim.Handler
-	hStart         sim.Handler
-	hRun           sim.Handler
-	hDispatch      sim.Handler
-	hPushDispatch  sim.Handler
-	hInjectSaveDsp sim.Handler
-	hHandle        sim.Handler
-	hService       sim.Handler
 }
 
 func newEXU(m *Machine, pe packet.PE) *exu {
-	x := &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0, frames: []*thr{nil}}
-	x.hInjectResume = injectResumeH{x}
-	x.hResume = resumeH{x}
-	x.hStart = startH{x}
-	x.hRun = runH{x}
-	x.hDispatch = dispatchH{x}
-	x.hPushDispatch = pushDispatchH{x}
-	x.hInjectSaveDsp = injectSaveDispatchH{x}
-	x.hHandle = handleH{x}
-	x.hService = serviceH{x}
-	return x
+	return &exu{m: m, pe: pe, p: m.Procs[pe], st: &m.stats[pe], idleSince: 0, frames: []*thr{nil}}
 }
 
 // injectResumeH injects the thread's staged packet, then resumes the
@@ -121,7 +101,7 @@ func (h injectSaveDispatchH) OnEvent(arg any) {
 	x.p.Inject(arg.(*packet.Packet))
 	x.st.Times.Switch += x.m.Cfg.SaveCycles
 	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SaveCycles))
-	x.m.Eng.AfterHandler(x.m.Cfg.SaveCycles, x.hDispatch, nil)
+	x.m.Eng.AfterHandler(x.m.Cfg.SaveCycles, dispatchH{x}, nil)
 }
 
 // handleH interprets a dequeued packet after the Matching Unit delay.
@@ -173,7 +153,7 @@ func (x *exu) dispatch() {
 	x.st.Times.Switch += cost + spill
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSwitch, int64(cost))
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSpill, int64(spill))
-	x.m.Eng.AfterHandler(cost+spill, x.hHandle, pkt)
+	x.m.Eng.AfterHandler(cost+spill, handleH{x}, pkt)
 }
 
 // handle interprets one dequeued packet. Replies, resumes, syncs and
@@ -195,7 +175,7 @@ func (x *exu) handle(pkt *packet.Packet) {
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.SpawnCycles))
 		x.m.obs.ThreadName(int32(x.pe), frame, info.name)
 		t.resumeVal = arg
-		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, x.hStart, t)
+		x.m.Eng.AfterHandler(x.m.Cfg.SpawnCycles, startH{x}, t)
 
 	case packet.KindReadReply:
 		t := x.threadOf(pkt.Cont.Frame)
@@ -243,7 +223,7 @@ func (x *exu) handle(pkt *packet.Packet) {
 		// ServiceEXU mode (EM-4): the request steals EXU cycles.
 		x.st.Times.Overhead += x.m.Cfg.EXUServiceCycles
 		x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseService, int64(x.m.Cfg.EXUServiceCycles))
-		x.m.Eng.AfterHandler(x.m.Cfg.EXUServiceCycles, x.hService, pkt)
+		x.m.Eng.AfterHandler(x.m.Cfg.EXUServiceCycles, serviceH{x}, pkt)
 
 	default:
 		x.m.fail(fmt.Errorf("core: PE%d cannot handle %v", x.pe, pkt))
@@ -262,7 +242,7 @@ func (x *exu) threadOf(frame uint32) *thr {
 func (x *exu) resumeThread(t *thr) {
 	x.st.Times.Switch += x.m.Cfg.RestoreCycles
 	x.m.obs.Cycle(int64(x.m.Eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(x.m.Cfg.RestoreCycles))
-	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, x.hRun, t)
+	x.m.Eng.AfterHandler(x.m.Cfg.RestoreCycles, runH{x}, t)
 }
 
 // execResume runs the step staged in t.then if there is one;
@@ -290,7 +270,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		}
 		x.st.Times.Compute += t.opCycles
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(t.opCycles))
-		eng.AfterHandler(t.opCycles, x.hResume, t)
+		eng.AfterHandler(t.opCycles, resumeH{x}, t)
 
 	case opRead:
 		x.issueRead(t, t.opAddr, nil)
@@ -328,7 +308,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, t.opOff, t.opData)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
-		eng.AtHandler(done, x.hResume, t)
+		eng.AtHandler(done, resumeH{x}, t)
 
 	case opWriteSync:
 		x.send(t, packet.Packet{
@@ -358,14 +338,14 @@ func (x *exu) perform(t *thr, op opCode) {
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
 		x.m.trace(obs.ThreadYield, t)
-		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hPushDispatch, x.m.resumePacket(t))
+		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, pushDispatchH{x}, x.m.resumePacket(t))
 
 	case opLocalLoad:
 		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, t.opOff)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		t.resumeVal = v
-		eng.AtHandler(done, x.hResume, t)
+		eng.AtHandler(done, resumeH{x}, t)
 
 	case opDone:
 		t.state = stDone
@@ -430,7 +410,7 @@ func (x *exu) send(t *thr, p packet.Packet) {
 	pkt := x.m.free.Get()
 	*pkt = p
 	t.pendingPkt = pkt
-	x.m.Eng.AfterHandler(gen, x.hInjectResume, t)
+	x.m.Eng.AfterHandler(gen, injectResumeH{x}, t)
 }
 
 // block suspends t on ws until w is ready: the failed check and the
@@ -447,7 +427,7 @@ func (x *exu) block(t *thr, kind metrics.SwitchKind, ws *WaitSet, w waiter) {
 	x.m.trace(obs.ThreadYield, t)
 	w.t = t
 	ws.waiters = append(ws.waiters, w)
-	x.m.Eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, x.hDispatch, nil)
+	x.m.Eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, dispatchH{x}, nil)
 }
 
 // issueRead sends a read request for addr and suspends the thread until
@@ -480,7 +460,7 @@ func (x *exu) issueRead(t *thr, addr packet.GlobalAddr, buf []packet.Word) {
 		Block: block,
 		Cont:  packet.Continuation{PE: x.pe, Frame: t.frame},
 	}
-	x.m.Eng.AfterHandler(cfg.PacketGenCycles, x.hInjectSaveDsp, pkt)
+	x.m.Eng.AfterHandler(cfg.PacketGenCycles, injectSaveDispatchH{x}, pkt)
 }
 
 // closeAccounting attributes trailing idle time (after the PE's last

@@ -1,11 +1,13 @@
 package memory
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"emx/internal/packet"
+	"emx/internal/sim"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -124,27 +126,180 @@ func TestDefaultSize(t *testing.T) {
 	}
 }
 
+// model is the reference a Local must match: one flat zeroed array, the
+// port counters and the MCU's busy-until time.
+type model struct {
+	words  []packet.Word
+	reads  [2]uint64
+	writes [2]uint64
+	freeAt sim.Time
+	busy   sim.Time
+}
+
+func (r *model) mcu(now sim.Time, words int) sim.Time {
+	r.freeAt = max(now, r.freeAt) + AccessCycles*sim.Time(words)
+	r.busy += AccessCycles * sim.Time(words)
+	return r.freeAt
+}
+
+// rangePanic is the message check gives for the access [off, off+n).
+func rangePanic(m *Local, off uint32, n int) string {
+	return fmt.Sprintf("memory: PE%d access [%#x,%#x) out of range (size %#x words)",
+		m.PE(), off, int(off)+n, m.Size())
+}
+
+// panicOf runs fn and returns what it panicked with, or nil.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
 func TestMemoryContentProperty(t *testing.T) {
-	// Property: after an arbitrary sequence of pokes, peeks observe the
-	// last value written per cell.
-	check := func(ops []struct {
-		Off uint16
-		Val uint32
-	}) bool {
-		m := New(0, 1<<16)
-		shadow := map[uint32]packet.Word{}
-		for _, op := range ops {
-			m.Poke(uint32(op.Off), packet.Word(op.Val))
-			shadow[uint32(op.Off)] = packet.Word(op.Val)
+	// Model test: random operations on memories of random sizes (most
+	// not a multiple of the growth step) observe exactly what a flat
+	// zeroed array with the same operations holds, count the same port
+	// accesses, charge the same MCU time and panic on the same
+	// out-of-range accesses with the same message.
+	rng := rand.New(rand.NewSource(126))
+	sizes := []int{1, 2, minWords - 1, minWords, minWords + 1, 3*minWords + 5, 5000}
+	for range 20 {
+		sizes = append(sizes, 1+rng.Intn(4*minWords))
+	}
+	for _, size := range sizes {
+		m := New(packet.PE(size%7), size)
+		ref := &model{words: make([]packet.Word, size)}
+		if m.Size() != size {
+			t.Fatalf("size %d: Size() = %d", size, m.Size())
 		}
-		for off, want := range shadow {
-			if m.Peek(off) != want {
-				return false
+		if w := m.Peek(uint32(size - 1)); w != 0 {
+			t.Fatalf("size %d: unwritten top word reads %d", size, w)
+		}
+		// offset draws a word offset: the top word, the bottom word or
+		// any in range, and now and then one out of range.
+		offset := func() uint32 {
+			switch rng.Intn(8) {
+			case 0:
+				return uint32(size - 1)
+			case 1:
+				return 0
+			case 2:
+				return uint32(size + rng.Intn(3))
+			default:
+				return uint32(rng.Intn(size))
 			}
 		}
-		return true
+		var now sim.Time
+		for op := range 400 {
+			now += sim.Time(rng.Intn(4))
+			off := offset()
+			n := 1 + rng.Intn(9)
+			port := Port(rng.Intn(2))
+			w := packet.Word(rng.Uint32())
+			var (
+				name string
+				fn   func()
+				want string
+			)
+			switch rng.Intn(7) {
+			case 0:
+				name, n = "Read", 1
+				fn = func() {
+					got, done := m.Read(now, port, off)
+					ref.reads[port]++
+					if want := ref.mcu(now, 1); got != ref.words[off] || done != want {
+						t.Fatalf("size %d op %d: Read(%d) = %d at %d, want %d at %d",
+							size, op, off, got, done, ref.words[off], want)
+					}
+				}
+			case 1:
+				name, n = "Write", 1
+				fn = func() {
+					done := m.Write(now, port, off, w)
+					ref.writes[port]++
+					ref.words[off] = w
+					if want := ref.mcu(now, 1); done != want {
+						t.Fatalf("size %d op %d: Write(%d) done at %d, want %d", size, op, off, done, want)
+					}
+				}
+			case 2:
+				name = "ReadBlock"
+				buf := make([]packet.Word, rng.Intn(12))
+				for i := range buf {
+					buf[i] = 0xbad
+				}
+				fn = func() {
+					got, done := m.ReadBlock(now, port, off, n, buf)
+					ref.reads[port] += uint64(n)
+					if want := ref.mcu(now, n); done != want || !slices.Equal(got, ref.words[off:int(off)+n]) {
+						t.Fatalf("size %d op %d: ReadBlock(%d, %d) = %v at %d, want %v at %d",
+							size, op, off, n, got, done, ref.words[off:int(off)+n], want)
+					}
+				}
+			case 3:
+				name, n = "Peek", 1
+				fn = func() {
+					if got := m.Peek(off); got != ref.words[off] {
+						t.Fatalf("size %d op %d: Peek(%d) = %d, want %d", size, op, off, got, ref.words[off])
+					}
+				}
+			case 4:
+				name, n = "Poke", 1
+				fn = func() {
+					m.Poke(off, w)
+					ref.words[off] = w
+				}
+			case 5:
+				name = "PeekBlock"
+				fn = func() {
+					if got := m.PeekBlock(off, n); !slices.Equal(got, ref.words[off:int(off)+n]) {
+						t.Fatalf("size %d op %d: PeekBlock(%d, %d) = %v, want %v",
+							size, op, off, n, got, ref.words[off:int(off)+n])
+					}
+				}
+			case 6:
+				name = "PokeBlock"
+				ws := make([]packet.Word, n)
+				for i := range ws {
+					ws[i] = packet.Word(rng.Uint32())
+				}
+				fn = func() {
+					m.PokeBlock(off, ws)
+					copy(ref.words[off:], ws)
+				}
+			}
+			if int(off)+n > size {
+				want = rangePanic(m, off, n)
+			}
+			if got := panicOf(fn); got != nil && got != any(want) || got == nil && want != "" {
+				t.Fatalf("size %d op %d: %s(%d, %d) panicked with %v, want %q", size, op, name, off, n, got, want)
+			}
+			if m.Reads != ref.reads || m.Writes != ref.writes || m.MCUBusy() != ref.busy {
+				t.Fatalf("size %d op %d after %s: reads %v writes %v busy %d, want %v %v %d",
+					size, op, name, m.Reads, m.Writes, m.MCUBusy(), ref.reads, ref.writes, ref.busy)
+			}
+		}
+		if got := m.PeekBlock(0, size); !slices.Equal(got, ref.words) {
+			t.Fatalf("size %d: final contents differ from the reference", size)
+		}
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(126))}); err != nil {
-		t.Fatal(err)
+}
+
+func TestMemoryAccessDoesNotAllocate(t *testing.T) {
+	// Once the slice covers the offsets, word and block accesses through
+	// a caller buffer allocate nothing, nor do reads past the slice.
+	m := New(0, DefaultWords)
+	m.Poke(4095, 1)
+	buf := make([]packet.Word, 16)
+	var now sim.Time
+	allocs := testing.AllocsPerRun(100, func() {
+		now = m.Write(now, PortEXU, 100, 7)
+		_, now = m.Read(now, PortDMA, 100)
+		_, now = m.Read(now, PortEXU, DefaultWords-1)
+		_, now = m.ReadBlock(now, PortDMA, 4090, 16, buf)
+		m.Poke(4095, m.Peek(4094))
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per round of accesses, want 0", allocs)
 	}
 }

@@ -111,10 +111,6 @@ type Proc struct {
 	// are copied into the replies before the next service.
 	block []packet.Word
 
-	// Prepared handlers for the engine's allocation-free event lane.
-	hInject sim.Handler
-	hDMA    sim.Handler
-
 	// Stats points at the PE's metrics record (owned by the machine).
 	Stats *metrics.PE
 
@@ -143,7 +139,7 @@ func (h dmaH) OnEvent(arg any) { h.p.serviceDMA(arg.(*packet.Packet)) }
 // OBU slot completes (network.Network.Inject).
 func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
 	stats *metrics.PE, free *packet.Free, out func(*packet.Packet, sim.Time)) *Proc {
-	p := &Proc{
+	return &Proc{
 		eng:   eng,
 		pe:    pe,
 		cfg:   cfg,
@@ -152,9 +148,6 @@ func New(eng *sim.Engine, pe packet.PE, memWords int, cfg Config,
 		free:  free,
 		Stats: stats,
 	}
-	p.hInject = injectH{p}
-	p.hDMA = dmaH{p}
-	return p
 }
 
 // PE returns the processor number.
@@ -216,7 +209,7 @@ func (p *Proc) serviceBypass(pkt *packet.Packet) {
 	grant := p.ibu.Acquire(now, p.cfg.IBUServiceCycles)
 	p.Stats.ServicedDMA++
 	p.obs.Packet(int64(now), int32(p.pe), obs.PktBypassDMA, int64(grant-now))
-	p.eng.AtHandler(grant, p.hDMA, pkt)
+	p.eng.AtHandler(grant, dmaH{p}, pkt)
 }
 
 // serviceDMA runs at the IBU grant time: the memory side of a by-passed
@@ -229,7 +222,7 @@ func (p *Proc) serviceDMA(pkt *packet.Packet) {
 		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortDMA, pkt.Addr.Off)
-		p.eng.AtHandler(done, p.hInject, p.toReply(pkt, v))
+		p.eng.AtHandler(done, injectH{p}, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
 		words, _ := p.Mem.ReadBlock(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
@@ -237,7 +230,7 @@ func (p *Proc) serviceDMA(pkt *packet.Packet) {
 		// port rate, which models the block-transfer burst.
 		for i, w := range words {
 			rd := p.eng.Now() + memory.AccessCycles*sim.Time(i+1)
-			p.eng.AtHandler(rd, p.hInject, p.blockReply(pkt, i, w))
+			p.eng.AtHandler(rd, injectH{p}, p.blockReply(pkt, i, w))
 		}
 		p.free.Put(pkt)
 	}
@@ -278,12 +271,12 @@ func (p *Proc) ServiceOnEXU(pkt *packet.Packet) {
 		p.free.Put(pkt)
 	case packet.KindReadReq:
 		v, done := p.Mem.Read(p.eng.Now(), memory.PortEXU, pkt.Addr.Off)
-		p.eng.AtHandler(done, p.hInject, p.toReply(pkt, v))
+		p.eng.AtHandler(done, injectH{p}, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
 		words, done := p.Mem.ReadBlock(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
 		for i, w := range words {
-			p.eng.AtHandler(done, p.hInject, p.blockReply(pkt, i, w))
+			p.eng.AtHandler(done, injectH{p}, p.blockReply(pkt, i, w))
 		}
 		p.free.Put(pkt)
 	default:
