@@ -42,6 +42,20 @@ func TestFigure4ReportGolden(t *testing.T) {
 	}
 }
 
+// TestSpillReportGolden pins the report for a point whose queues spill
+// and whose remote requests are serviced on the EXU (EM-4 mode), so the
+// spill phase, the spill count and the exu-serviced count, all zero in
+// the Figure-4 golden, are pinned too.
+func TestSpillReportGolden(t *testing.T) {
+	code, out, errOut := runCLI(t, "-workload", "bitonic", "-p", "4", "-n", "256", "-h", "16", "-mode", "exu")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if want := golden(t, "spill.report.txt"); out != want {
+		t.Errorf("report drifted from golden:\n--- got ---\n%s--- want ---\n%s", out, want)
+	}
+}
+
 // TestFigure4PerfettoGolden pins the trace-event JSON byte-for-byte and
 // checks it is well-formed for ui.perfetto.dev.
 func TestFigure4PerfettoGolden(t *testing.T) {
