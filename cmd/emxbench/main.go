@@ -33,6 +33,7 @@ import (
 	"emx/internal/cluster"
 	"emx/internal/harness"
 	"emx/internal/labd"
+	"emx/internal/obs"
 	"emx/internal/ring"
 )
 
@@ -168,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "emxbench: -profile needs one panel (-fig all spans machine sizes; use -tracefile)")
 			return 2
 		}
-		observe = harness.NewProfileCollector(harness.ObsOptions{})
+		observe = harness.NewProfileCollector(obs.Options{})
 	}
 
 	// sched is non-nil only for in-process runs; it supplies the host

@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "emxprof: -slice must be >= 0, got %d\n", *slice)
 		return 2
 	}
-	opts := harness.ObsOptions{Capacity: *capacity, SliceCycles: *slice}
+	opts := obs.Options{Capacity: *capacity, SliceCycles: *slice}
 
 	if *fig != "" {
 		return runPanel(*fig, *scale, *seed, *workers, opts, *format, dst, stderr)
@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runPoint profiles one directly-specified simulation point.
-func runPoint(workload string, p, n, h int, seed int64, mode string, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
+func runPoint(workload string, p, n, h int, seed int64, mode string, opts obs.Options, format string, dst io.Writer, stderr io.Writer) int {
 	w, err := harness.ParseWorkload(strings.ToLower(workload))
 	if err != nil {
 		fmt.Fprintln(stderr, "emxprof:", err)
@@ -148,7 +148,7 @@ func runPoint(workload string, p, n, h int, seed int64, mode string, opts harnes
 
 // runPanel profiles every point of one emxbench figure panel and merges
 // the result into a whole-panel profile.
-func runPanel(fig string, scale int, seed int64, workers int, opts harness.ObsOptions, format string, dst io.Writer, stderr io.Writer) int {
+func runPanel(fig string, scale int, seed int64, workers int, opts obs.Options, format string, dst io.Writer, stderr io.Writer) int {
 	name := strings.ToLower(fig)
 	if !harness.ValidPanel(name) {
 		fmt.Fprintf(stderr, "emxprof: unknown figure %q\nvalid panels: %s\n",

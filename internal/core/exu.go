@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"emx/internal/memory"
 	"emx/internal/metrics"
 	"emx/internal/obs"
 	"emx/internal/packet"
@@ -128,7 +127,7 @@ func (x *exu) wake() {
 // it. When the queue is empty the EXU goes idle; idle time is attributed
 // to communication (exposed latency) when it ends.
 func (x *exu) dispatch() {
-	pkt, _, _, ok := x.p.Queue.Pop()
+	pkt, ok := x.p.Queue.Pop()
 	if !ok {
 		x.busy = false
 		x.idleSince = x.m.Eng.Now()
@@ -141,7 +140,6 @@ func (x *exu) dispatch() {
 		x.busy = true
 	}
 	x.st.Dispatches++
-	x.m.obs.MUDispatch(int64(now), int32(x.pe))
 	cost := x.m.Cfg.DispatchCycles
 	// Spilled packets are restored from the on-memory buffer by extra MCU
 	// traffic; charge it to the dispatch that consumed the restore.
@@ -305,7 +303,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		})
 
 	case opLocalStore:
-		done := x.p.Mem.Write(eng.Now(), memory.PortEXU, t.opOff, t.opData)
+		done := x.p.Mem.Write(eng.Now(), t.opOff, t.opData)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		eng.AtHandler(done, resumeH{x}, t)
@@ -341,7 +339,7 @@ func (x *exu) perform(t *thr, op opCode) {
 		eng.AfterHandler(cfg.SpinCheckCycles+cfg.SaveCycles, pushDispatchH{x}, x.m.resumePacket(t))
 
 	case opLocalLoad:
-		v, done := x.p.Mem.Read(eng.Now(), memory.PortEXU, t.opOff)
+		v, done := x.p.Mem.Read(eng.Now(), t.opOff)
 		x.st.Times.Compute += done - eng.Now()
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseRun, int64(done-eng.Now()))
 		t.resumeVal = v

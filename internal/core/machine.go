@@ -235,14 +235,45 @@ func (m *Machine) collect(end sim.Time) *metrics.Run {
 		m.exus[pe].closeAccounting(end)
 		r.PEs[pe] = m.stats[pe]
 	}
-	m.obs.Finish(int64(end))
 	if m.Net != nil {
 		r.PacketsSent = m.Net.Stats.Sent
 		r.PacketsHops = m.Net.Stats.Hops
 		r.NetQueueDelay = m.Net.Stats.QueueDelay
 	}
 	r.SimEvents = m.Eng.Events()
+	if m.obs != nil {
+		m.obs.Finish(int64(end), r.SimEvents, m.profile(r))
+	}
 	return r
+}
+
+// profile returns each PE's phases and counters for the tracer, from
+// the run's own accounting: run is compute, service is overhead, idle
+// is communication, and switch time splits into the spill phase (the
+// restores dispatch charged, SpillCycles each) and the switch phase.
+func (m *Machine) profile(r *metrics.Run) []obs.PEProfile {
+	pes := make([]obs.PEProfile, len(r.PEs))
+	for i := range r.PEs {
+		st := &r.PEs[i]
+		spill := sim.Time(m.exus[i].restoredSeen) * m.Procs[i].Config().SpillCycles
+		pes[i] = obs.PEProfile{
+			Phases: [obs.NumPhases]int64{
+				obs.PhaseRun:     int64(st.Times.Compute),
+				obs.PhaseSwitch:  int64(st.Times.Switch - spill),
+				obs.PhaseSpill:   int64(spill),
+				obs.PhaseService: int64(st.Times.Overhead),
+				obs.PhaseIdle:    int64(st.Times.Comm),
+			},
+			// metrics.SwitchKind and obs.SwitchCause are numerically
+			// aligned, and the arrays have the same length.
+			Switches:    st.Switches,
+			Dispatches:  st.Dispatches,
+			Spills:      st.Spills,
+			ServicedDMA: st.ServicedDMA,
+			ServicedEXU: st.ServicedEXU,
+		}
+	}
+	return pes
 }
 
 // wakeBlocked requeues a thread whose wait condition was satisfied.

@@ -8,6 +8,7 @@ import (
 	"emx/internal/metrics"
 	"emx/internal/obs"
 	"emx/internal/packet"
+	"emx/internal/proc"
 	"emx/internal/sim"
 )
 
@@ -41,17 +42,75 @@ func spawnObsWorkload(m *Machine) {
 
 func it0(pe packet.PE) bool { return pe == 0 }
 
+// spawnSpillWorkload queues far more threads on each PE than its
+// 8-packet on-chip FIFO holds, each reading from the mate PE, so both
+// the invocations and the read replies spill.
+func spawnSpillWorkload(m *Machine) {
+	p := m.Cfg.P
+	for pe := packet.PE(0); pe < packet.PE(p); pe++ {
+		for th := 0; th < 24; th++ {
+			mate := (pe + 1) % packet.PE(p)
+			m.SpawnAt(pe, "s", 0, func(tc *TC) {
+				for it := 0; it < 3; it++ {
+					tc.Read(packet.GlobalAddr{PE: mate, Off: uint32(th*4 + it)})
+					tc.Compute(5)
+				}
+			})
+		}
+	}
+}
+
 // TestObservedRunMatchesMetrics pins the profile model to the existing
 // metrics: the obs phase decomposition must tie out exactly against the
-// Figure 8/9 accounting the simulator already produces.
+// Figure 8/9 accounting the simulator already produces, and the
+// tracer's own charges, summed over its time slices, against both.
+// The points cover by-passing DMA, queues that spill, and EM-4
+// servicing on the EXU.
 func TestObservedRunMatchesMetrics(t *testing.T) {
-	m := newTestMachine(t, 8)
-	tr := obs.New(obs.Options{P: 8})
-	m.SetObs(tr)
-	spawnObsWorkload(m)
-	r := mustRun(t, m)
-	p := tr.Profile()
+	for _, c := range []struct {
+		name  string
+		p     int
+		exu   bool
+		spawn func(*Machine)
+		spill bool // every PE must have spill cycles
+	}{
+		{"mixed", 8, false, spawnObsWorkload, false},
+		{"spill", 4, false, spawnSpillWorkload, true},
+		{"exu-service", 4, true, spawnObsWorkload, false},
+		{"exu-service-spill", 2, true, spawnSpillWorkload, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(c.p)
+			cfg.MemWords = 1 << 16
+			if c.exu {
+				cfg.Proc.Mode = proc.ServiceEXU
+			}
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New(obs.Options{P: c.p, SliceCycles: 100})
+			m.SetObs(tr)
+			c.spawn(m)
+			r := mustRun(t, m)
+			checkProfileMatchesRun(t, tr.Profile(), r)
+			for pe := range r.PEs {
+				if got := tr.Profile().PEs[pe].Phases[obs.PhaseSpill]; c.spill && got <= 0 {
+					t.Errorf("PE%d spill phase = %d, want > 0", pe, got)
+				}
+				if st := &r.PEs[pe]; c.exu && (st.ServicedEXU == 0 || st.ServicedDMA != 0) {
+					t.Errorf("PE%d serviced %d on the EXU and %d by DMA under EM-4 servicing",
+						pe, st.ServicedEXU, st.ServicedDMA)
+				}
+			}
+		})
+	}
+}
 
+// checkProfileMatchesRun compares a traced run's profile with its
+// metrics.
+func checkProfileMatchesRun(t *testing.T, p *obs.Profile, r *metrics.Run) {
+	t.Helper()
 	if p.Makespan != int64(r.Makespan) {
 		t.Fatalf("profile makespan = %d, metrics %d", p.Makespan, r.Makespan)
 	}
@@ -91,6 +150,21 @@ func TestObservedRunMatchesMetrics(t *testing.T) {
 		if pp.Spills != st.Spills {
 			t.Errorf("PE%d spills = %d, metrics %d", pe, pp.Spills, st.Spills)
 		}
+	}
+	// The tracer's charges, slice by slice, add up to the same phases.
+	var sliced [obs.NumPhases]int64
+	for _, s := range p.Slices {
+		for ph, v := range s.Phases {
+			sliced[ph] += v
+		}
+	}
+	if whole := p.Machine(); sliced != whole.Phases {
+		t.Errorf("slices sum to %v, per-PE phases to %v", sliced, whole.Phases)
+	}
+	// Every packet passes one ejection port, and every remote one its
+	// link hops too.
+	if got, want := p.Machine().NetHops, r.PacketsHops+r.PacketsSent; got != want {
+		t.Errorf("traced hops and ejections = %d, want %d", got, want)
 	}
 }
 

@@ -10,19 +10,6 @@ import (
 	"emx/internal/obs"
 )
 
-// ObsOptions sizes the per-point tracers a ProfileCollector builds; the
-// zero value uses the obs defaults (64K-event ring, no time slices).
-type ObsOptions struct {
-	// Capacity bounds each point's event ring (<=0: obs.DefaultCapacity).
-	Capacity int
-	// SliceCycles, when >0, adds whole-machine time slices of this width
-	// to each point's profile.
-	SliceCycles int64
-	// Retain selects the event categories kept in each ring
-	// (0: obs.DefaultRetain).
-	Retain obs.CategoryMask
-}
-
 // ProfiledPoint is the observation of one executed grid point.
 type ProfiledPoint struct {
 	// Key is the point's content hash — the same key the executor
@@ -41,14 +28,15 @@ type ProfiledPoint struct {
 // hash and exports them in sorted order, so its outputs are byte-
 // deterministic regardless of worker count or completion order.
 type ProfileCollector struct {
-	opts ObsOptions
+	opts obs.Options
 
 	mu     sync.Mutex
 	points map[string]*ProfiledPoint
 }
 
-// NewProfileCollector returns an empty collector.
-func NewProfileCollector(opts ObsOptions) *ProfileCollector {
+// NewProfileCollector returns an empty collector whose per-point
+// tracers take opts, with P set to each point's machine size.
+func NewProfileCollector(opts obs.Options) *ProfileCollector {
 	return &ProfileCollector{opts: opts, points: map[string]*ProfiledPoint{}}
 }
 
@@ -56,12 +44,9 @@ func NewProfileCollector(opts ObsOptions) *ProfileCollector {
 // stores the resulting profile under the point's cache key. The
 // simulation is cycle-identical to an unobserved RunPoint.
 func (c *ProfileCollector) RunPointObserved(ps PointSpec) (*metrics.Run, error) {
-	tr := obs.New(obs.Options{
-		P:           ps.P,
-		Capacity:    c.opts.Capacity,
-		SliceCycles: c.opts.SliceCycles,
-		Retain:      c.opts.Retain,
-	})
+	opts := c.opts
+	opts.P = ps.P
+	tr := obs.New(opts)
 	run, err := runPoint(ps, tr)
 	if err != nil {
 		return nil, err

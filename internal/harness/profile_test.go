@@ -14,7 +14,7 @@ import (
 // trace.
 func profiledSweep(t *testing.T, workers int) (prof, report, trace []byte) {
 	t.Helper()
-	pc := NewProfileCollector(ObsOptions{SliceCycles: 1024})
+	pc := NewProfileCollector(obs.Options{SliceCycles: 1024})
 	s := smallSweep(Bitonic)
 	s.Observe = pc
 	if _, err := s.Run(workers); err != nil {
@@ -55,7 +55,7 @@ func TestProfiledSweepWorkerInvariant(t *testing.T) {
 }
 
 func TestProfileCollectorPoints(t *testing.T) {
-	pc := NewProfileCollector(ObsOptions{Retain: obs.DefaultRetain})
+	pc := NewProfileCollector(obs.Options{Retain: obs.DefaultRetain})
 	s := smallSweep(FFT)
 	s.Observe = pc
 	if _, err := s.Run(4); err != nil {
@@ -82,7 +82,7 @@ func TestProfileCollectorPoints(t *testing.T) {
 }
 
 func TestProfileCollectorEmpty(t *testing.T) {
-	pc := NewProfileCollector(ObsOptions{})
+	pc := NewProfileCollector(obs.Options{})
 	if _, err := pc.Merged(); err == nil {
 		t.Error("Merged on empty collector should fail")
 	}
@@ -99,7 +99,7 @@ func TestObservedSweepMatchesUnobserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Observe = NewProfileCollector(ObsOptions{})
+	s.Observe = NewProfileCollector(obs.Options{})
 	observed, err := s.Run(2)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestPointLabel(t *testing.T) {
 // sizes, thread counts and problem sizes, the running spans replayed
 // from the thread events never overlap on one PE.
 func TestNoTwoThreadsRunAtOncePerPE(t *testing.T) {
-	pc := NewProfileCollector(ObsOptions{Retain: obs.MaskOf(obs.CatThread)})
+	pc := NewProfileCollector(obs.Options{Retain: obs.MaskOf(obs.CatThread)})
 	for _, w := range []Workload{Bitonic, FFT, SpMV} {
 		for _, pt := range []struct{ p, h, n int }{
 			{2, 1, 16}, {2, 4, 64}, {4, 2, 32}, {4, 8, 256}, {8, 2, 128}, {16, 4, 1024},

@@ -135,7 +135,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // pool, outside the run cache (a profile is not a run, and a cached
 // run carries no profile), and stores it in the profile cache.
 func (s *Server) profilePoint(ctx context.Context, key string, ps harness.PointSpec, slice int64) (*harness.ProfiledPoint, error) {
-	pc := harness.NewProfileCollector(harness.ObsOptions{SliceCycles: slice})
+	pc := harness.NewProfileCollector(obs.Options{SliceCycles: slice})
 	if err := s.sched.Exec(ctx, func() error {
 		_, err := pc.RunPointObserved(ps)
 		return err

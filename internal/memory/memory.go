@@ -28,28 +28,15 @@ const AccessCycles sim.Time = 2
 // blocks a small bitonic point writes take one more doubling per PE.
 const minWords = 128
 
-// Port identifies which unit is requesting the MCU.
-type Port uint8
-
-const (
-	// PortEXU is the execution unit's load/store port.
-	PortEXU Port = iota
-	// PortDMA is the IBU by-passing DMA port used to service remote
-	// read/write requests without interrupting the EXU.
-	PortDMA
-)
-
 // Local is one PE's memory: the touched words plus an MCU arbiter. The
-// zero value is unusable; create with New.
+// EXU's load/store port and the IBU's by-passing DMA share the one MCU,
+// so their accesses serialize in request order. The zero value is
+// unusable; create with New.
 type Local struct {
 	pe    packet.PE
 	size  int
 	words []packet.Word // offsets [0, len(words)); the rest read as zero
 	mcu   sim.Resource
-
-	// Reads and Writes count word accesses by port.
-	Reads  [2]uint64
-	Writes [2]uint64
 }
 
 // New creates a local memory of n words for the given PE. It allocates
@@ -101,29 +88,18 @@ func (m *Local) grow(n int) {
 	m.words = words
 }
 
-// loadBlock copies the words [off, off+len(out)) into out.
-func (m *Local) loadBlock(off uint32, out []packet.Word) {
-	var n int
-	if int(off) < len(m.words) {
-		n = copy(out, m.words[off:])
-	}
-	clear(out[n:])
-}
-
 // Read performs an MCU-arbitrated single-word read at time now and returns
 // the value and the completion time.
-func (m *Local) Read(now sim.Time, port Port, off uint32) (packet.Word, sim.Time) {
+func (m *Local) Read(now sim.Time, off uint32) (packet.Word, sim.Time) {
 	m.check(off, 1)
-	m.Reads[port]++
 	done := m.mcu.Acquire(now, AccessCycles)
 	return m.load(off), done
 }
 
 // Write performs an MCU-arbitrated single-word write and returns its
 // completion time.
-func (m *Local) Write(now sim.Time, port Port, off uint32, w packet.Word) sim.Time {
+func (m *Local) Write(now sim.Time, off uint32, w packet.Word) sim.Time {
 	m.check(off, 1)
-	m.Writes[port]++
 	m.store(off, w)
 	return m.mcu.Acquire(now, AccessCycles)
 }
@@ -132,20 +108,20 @@ func (m *Local) Write(now sim.Time, port Port, off uint32, w packet.Word) sim.Ti
 // the MCU (AccessCycles per word), returning the data and completion time.
 // The words go into buf when it has room for them (a caller that
 // services one block at a time reuses its buffer), else into a new slice.
-func (m *Local) ReadBlock(now sim.Time, port Port, off uint32, n int, buf []packet.Word) ([]packet.Word, sim.Time) {
+func (m *Local) ReadBlock(now sim.Time, off uint32, n int, buf []packet.Word) ([]packet.Word, sim.Time) {
 	m.check(off, n)
-	m.Reads[port] += uint64(n)
 	done := m.mcu.Acquire(now, AccessCycles*sim.Time(n))
 	if cap(buf) < n {
 		buf = make([]packet.Word, n)
 	}
 	out := buf[:n]
-	m.loadBlock(off, out)
+	var k int
+	if int(off) < len(m.words) {
+		k = copy(out, m.words[off:])
+	}
+	clear(out[k:])
 	return out, done
 }
-
-// MCUBusy returns total cycles the MCU has been occupied.
-func (m *Local) MCUBusy() sim.Time { return m.mcu.Busy }
 
 // Peek reads a word with no simulated cost. For workload setup and result
 // verification outside simulated time.
@@ -158,20 +134,4 @@ func (m *Local) Peek(off uint32) packet.Word {
 func (m *Local) Poke(off uint32, w packet.Word) {
 	m.check(off, 1)
 	m.store(off, w)
-}
-
-// PeekBlock copies n words starting at off with no simulated cost.
-func (m *Local) PeekBlock(off uint32, n int) []packet.Word {
-	m.check(off, n)
-	out := make([]packet.Word, n)
-	m.loadBlock(off, out)
-	return out
-}
-
-// PokeBlock stores the words starting at off with no simulated cost.
-func (m *Local) PokeBlock(off uint32, ws []packet.Word) {
-	m.check(off, len(ws))
-	for i, w := range ws {
-		m.store(off+uint32(i), w)
-	}
 }

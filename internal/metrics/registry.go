@@ -144,24 +144,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Sample is one metric value under its exposition name.
-type Sample struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-// Sorted returns every metric as (name, value) pairs in ascending name
-// order — the deterministic companion to Snapshot for dumps and logs,
-// where output is compared byte-for-byte across runs.
-func (r *Registry) Sorted() []Sample {
-	snap := r.Snapshot()
-	out := make([]Sample, 0, len(snap))
-	for _, name := range sortedKeys(snap) {
-		out = append(out, Sample{Name: name, Value: snap[name]})
-	}
-	return out
-}
-
 // WriteProm renders the registry in the Prometheus text format, metrics
 // sorted by name (and label value within a metric) so output is stable.
 func (r *Registry) WriteProm(w io.Writer) error {

@@ -124,30 +124,6 @@ func TestWritePromDeterministic(t *testing.T) {
 	}
 }
 
-func TestSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z_total", "").Add(1)
-	r.Counter("a_total", "").Add(2)
-	r.Labeled("m_total", "", "k", "v").Add(3)
-	r.Gauge("g", "", func() float64 { return 1.5 })
-
-	got := r.Sorted()
-	want := []Sample{
-		{Name: "a_total", Value: 2},
-		{Name: "g", Value: 1.5},
-		{Name: `m_total{k="v"}`, Value: 3},
-		{Name: "z_total", Value: 1},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Sorted() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Sorted()[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(4)

@@ -41,10 +41,8 @@ type DeliverFunc func(p *packet.Packet)
 // Stats aggregates network-wide counters.
 type Stats struct {
 	Sent       uint64   // packets injected
-	Delivered  uint64   // packets handed to destination PEs
 	Hops       uint64   // total link hops traversed
 	QueueDelay sim.Time // total cycles packets waited for busy ports
-	LocalShort uint64   // self-addressed packets short-circuited OBU->IBU
 }
 
 // Network is the circular Omega interconnect for P processors. P may be
@@ -114,7 +112,6 @@ func (l lane) Fire() {
 		case s.left == stepLeave:
 			n.Send(s.p)
 		default:
-			n.Stats.Delivered++
 			if fn := n.deliver[s.dst]; fn != nil {
 				fn(s.p)
 			}
@@ -189,7 +186,6 @@ func (n *Network) Send(p *packet.Packet) {
 	if p.Src == dst {
 		// The SU short-circuits self-addressed packets from the OBU to the
 		// IBU through the crossbar processor port: one cycle, no links.
-		n.Stats.LocalShort++
 		n.cal.At(n.eng.Now(), step{p: p, dst: int16(dst), left: stepArrive})
 		return
 	}

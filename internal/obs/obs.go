@@ -15,11 +15,11 @@
 // Design for the hot path: instrumented components hold a *Tracer that
 // is nil by default, and every record method is nil-receiver-safe, so
 // the disabled case costs one predictable branch and zero allocations.
-// When tracing is on, profile aggregation is incremental (plain counter
-// adds) and event retention goes through a preallocated ring buffer
-// with per-category drop counters — multi-million-cycle runs cannot
-// exhaust host memory, and the profile stays exact even when the ring
-// wraps.
+// When tracing is on, event retention goes through a preallocated ring
+// buffer with per-category drop counters, so multi-million-cycle runs
+// cannot exhaust host memory. The profile's phases and counters are
+// the run's own accounting, handed over at Finish, so they stay exact
+// even when the ring wraps.
 package obs
 
 // Category classifies an event by the subsystem that produced it. The
@@ -216,12 +216,9 @@ func MaskOf(cats ...Category) CategoryMask {
 	return m
 }
 
-// Has reports whether the mask includes c.
-func (m CategoryMask) Has(c Category) bool { return m&(1<<c) != 0 }
-
 // DefaultRetain is the default ring-retention mask: everything except
 // the two high-volume firehoses (per-dispatch scheduler events and
-// per-charge cycle events), which are aggregated into the profile but
-// not kept as individual events unless asked for.
+// per-charge cycle events), which are not kept as individual events
+// unless asked for.
 const DefaultRetain = CategoryMask(1<<CatThread | 1<<CatSwitch | 1<<CatPacket |
 	1<<CatNet)

@@ -9,16 +9,16 @@ import (
 
 func TestRingFIFO(t *testing.T) {
 	r := NewRing[int](4)
-	if r.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", r.Cap())
-	}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 4; i++ {
 		if _, dropped := r.Push(i); dropped {
 			t.Fatalf("Push(%d) dropped below capacity", i)
 		}
 	}
+	if _, dropped := r.Push(5); !dropped {
+		t.Fatal("Push beyond capacity 4 dropped nothing")
+	}
 	got := r.Snapshot()
-	want := []int{1, 2, 3}
+	want := []int{2, 3, 4, 5}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Snapshot = %v, want %v", got, want)
@@ -52,8 +52,14 @@ func TestRingEvictsOldest(t *testing.T) {
 }
 
 func TestRingDefaultCapacity(t *testing.T) {
-	if got := NewRing[Event](0).Cap(); got != DefaultCapacity {
-		t.Fatalf("NewRing(0).Cap() = %d, want %d", got, DefaultCapacity)
+	r := NewRing[int](0)
+	for i := 0; i < DefaultCapacity; i++ {
+		if _, dropped := r.Push(i); dropped {
+			t.Fatalf("NewRing(0) dropped at %d elements, want room for %d", i, DefaultCapacity)
+		}
+	}
+	if old, dropped := r.Push(DefaultCapacity); !dropped || old != 0 || r.Len() != DefaultCapacity {
+		t.Fatalf("NewRing(0) holds more than %d elements", DefaultCapacity)
 	}
 }
 
@@ -67,7 +73,6 @@ func TestNilTracerNoAllocs(t *testing.T) {
 		tr.Thread(10, 0, ThreadStart, 7)
 		tr.Packet(10, 0, PktBypassDMA, 8)
 		tr.Hop(10, 0, NetHop, 0)
-		tr.MUDispatch(10, 0)
 		tr.Dispatch(10)
 	})
 	if allocs != 0 {
@@ -88,7 +93,6 @@ func TestEnabledTracerSteadyStateNoAllocs(t *testing.T) {
 		tr.Thread(1000, 1, ThreadStart, 700)
 		tr.Packet(1000, 0, PktSpill, 400)
 		tr.Hop(1000, 1, NetHop, 400)
-		tr.MUDispatch(1000, 0)
 		tr.Dispatch(1000)
 	})
 	if allocs != 0 {
@@ -96,50 +100,53 @@ func TestEnabledTracerSteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
-func TestTracerAggregation(t *testing.T) {
+// TestFinishMergesTracerCounts: Finish keeps the per-PE table it is
+// given, with the threads, hops and stall cycles the tracer counted
+// merged in, and takes the makespan and engine events as given. The
+// other record methods only feed the ring and the slices: they change
+// no per-PE figure.
+func TestFinishMergesTracerCounts(t *testing.T) {
 	tr := New(Options{P: 2, Capacity: 8})
-	tr.Cycle(0, 0, PhaseRun, 100)
-	tr.Cycle(50, 0, PhaseSwitch, 10)
-	tr.Cycle(60, 1, PhaseIdle, 40)
-	tr.Switch(50, 0, CauseRemoteRead, 3)
-	tr.Switch(55, 0, CauseIterSync, 3)
 	tr.Thread(0, 0, ThreadStart, 3)
+	tr.Thread(5, 1, ThreadStart, 4)
+	tr.Thread(9, 1, ThreadStart, 5)
 	tr.Thread(90, 0, ThreadEnd, 3)
-	tr.Packet(75, 1, PktBypassDMA, 8)
-	tr.Packet(76, 1, PktEXUService, 9)
-	tr.Packet(77, 1, PktSpill, 0)
 	tr.Hop(80, 1, NetHop, 2)
-	tr.MUDispatch(81, 0)
+	tr.Hop(81, 1, NetEject, 3)
+	tr.Hop(82, 0, NetHop, 0)
+	tr.Cycle(0, 0, PhaseRun, 100)
+	tr.Switch(50, 0, CauseRemoteRead, 3)
+	tr.Packet(75, 1, PktSpill, 4)
 	tr.Dispatch(82)
-	tr.Finish(100)
+
+	given := []PEProfile{
+		{Phases: [NumPhases]int64{60, 20, 8, 4, 8}, Switches: [NumSwitchCauses]uint64{2, 1, 0, 0},
+			Dispatches: 5, Spills: 2, ServicedDMA: 3, Threads: 99},
+		{Phases: [NumPhases]int64{0, 0, 0, 0, 100}, ServicedEXU: 1, NetHops: 99, NetStall: 99},
+	}
+	want := []PEProfile{given[0], given[1]}
+	want[0].Threads, want[0].NetHops, want[0].NetStall = 1, 1, 0
+	want[1].Threads, want[1].NetHops, want[1].NetStall = 2, 2, 5
+	tr.Finish(100, 7, given)
 
 	p := tr.Profile()
-	if p.Makespan != 100 || p.P != 2 || p.Points != 1 {
-		t.Fatalf("header = P=%d points=%d makespan=%d", p.P, p.Points, p.Makespan)
+	if p.Makespan != 100 || p.Dispatched != 7 || p.P != 2 || p.Points != 1 {
+		t.Fatalf("header = P=%d points=%d makespan=%d events=%d", p.P, p.Points, p.Makespan, p.Dispatched)
 	}
-	if got := p.PEs[0].Phases[PhaseRun]; got != 100 {
-		t.Errorf("PE0 run = %d, want 100", got)
+	for pe := range want {
+		if p.PEs[pe] != want[pe] {
+			t.Errorf("PE%d = %+v, want %+v", pe, p.PEs[pe], want[pe])
+		}
 	}
-	if got := p.PEs[1].Phases[PhaseIdle]; got != 40 {
-		t.Errorf("PE1 idle = %d, want 40", got)
+	if p.Recorded != 10 {
+		t.Errorf("Recorded = %d, want 10 (Dispatch records only when CatSched is retained)", p.Recorded)
 	}
-	if p.PEs[0].Switches[CauseRemoteRead] != 1 || p.PEs[0].Switches[CauseIterSync] != 1 {
-		t.Errorf("PE0 switches = %v", p.PEs[0].Switches)
-	}
-	if p.PEs[0].Threads != 1 {
-		t.Errorf("PE0 threads = %d, want 1", p.PEs[0].Threads)
-	}
-	m := p.Machine()
-	if m.ServicedDMA != 1 || m.ServicedEXU != 1 ||
-		m.Spills != 1 || m.NetHops != 1 || m.NetStall != 2 || m.Dispatches != 1 {
-		t.Errorf("machine counters = %+v", m)
-	}
-	if p.Dispatched != 1 {
-		t.Errorf("Dispatched = %d, want 1", p.Dispatched)
-	}
-	if m.Total() != 150 {
-		t.Errorf("machine total = %d, want 150", m.Total())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Finish accepted a table of the wrong size")
+		}
+	}()
+	New(Options{P: 2}).Finish(1, 0, make([]PEProfile, 1))
 }
 
 func TestTracerDropCounting(t *testing.T) {
@@ -148,7 +155,7 @@ func TestTracerDropCounting(t *testing.T) {
 		tr.Switch(int64(i), 0, CauseExplicit, 1)
 	}
 	tr.Cycle(9, 0, PhaseRun, 1) // CatCycle not retained: counted, not ringed
-	tr.Finish(10)
+	tr.Finish(10, 0, []PEProfile{{Switches: [NumSwitchCauses]uint64{CauseExplicit: 5}}})
 	p := tr.Profile()
 	if p.Recorded != 6 {
 		t.Errorf("Recorded = %d, want 6", p.Recorded)
@@ -159,7 +166,7 @@ func TestTracerDropCounting(t *testing.T) {
 	if p.Dropped[CatSwitch] != 3 || p.TotalDropped() != 3 {
 		t.Errorf("Dropped = %v", p.Dropped)
 	}
-	// Aggregates stay exact despite the drops.
+	// The per-PE counts are the run's own, whatever the ring dropped.
 	if p.PEs[0].Switches[CauseExplicit] != 5 {
 		t.Errorf("switches = %d, want 5", p.PEs[0].Switches[CauseExplicit])
 	}
@@ -172,7 +179,7 @@ func TestTracerSlices(t *testing.T) {
 	tr := New(Options{P: 1, SliceCycles: 100})
 	tr.Cycle(10, 0, PhaseRun, 5)
 	tr.Cycle(250, 0, PhaseIdle, 7)
-	tr.Finish(260)
+	tr.Finish(260, 0, make([]PEProfile, 1))
 	p := tr.Profile()
 	if len(p.Slices) != 3 {
 		t.Fatalf("%d slices, want 3", len(p.Slices))
@@ -189,14 +196,16 @@ func TestTracerSlices(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
+	// pes is a two-PE table with run cycles on PE0 and one thread-sync
+	// switch on PE1.
+	pes := func(run int64) []PEProfile {
+		return []PEProfile{{Phases: [NumPhases]int64{PhaseRun: run}},
+			{Switches: [NumSwitchCauses]uint64{CauseThreadSync: 1}}}
+	}
 	a := New(Options{P: 2})
-	a.Cycle(0, 0, PhaseRun, 10)
-	a.Switch(1, 1, CauseThreadSync, 2)
-	a.Finish(50)
+	a.Finish(50, 0, pes(10))
 	b := New(Options{P: 2})
-	b.Cycle(0, 0, PhaseRun, 30)
-	b.Switch(1, 1, CauseThreadSync, 2)
-	b.Finish(70)
+	b.Finish(70, 0, pes(30))
 
 	ab, err := Merge([]*Profile{a.Profile(), b.Profile()})
 	if err != nil {
@@ -234,7 +243,7 @@ func TestMerge(t *testing.T) {
 func TestProfileJSONRoundTrip(t *testing.T) {
 	tr := New(Options{P: 1, SliceCycles: 50})
 	tr.Cycle(5, 0, PhaseService, 12)
-	tr.Finish(40)
+	tr.Finish(40, 0, []PEProfile{{Phases: [NumPhases]int64{PhaseService: 12}}})
 	var buf bytes.Buffer
 	if err := tr.Profile().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -243,7 +252,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PEs[0].Phases[PhaseService] != 12 || p.Makespan != 40 {
+	if p.PEs[0].Phases[PhaseService] != 12 || p.Makespan != 40 || p.Slices[0].Phases[PhaseService] != 12 {
 		t.Errorf("round trip lost data: %+v", p)
 	}
 
@@ -260,7 +269,10 @@ func TestReportFormat(t *testing.T) {
 	tr.Cycle(0, 0, PhaseRun, 300)
 	tr.Cycle(0, 1, PhaseIdle, 700)
 	tr.Switch(1, 0, CauseRemoteRead, 1)
-	tr.Finish(500)
+	tr.Finish(500, 0, []PEProfile{
+		{Phases: [NumPhases]int64{PhaseRun: 300}, Switches: [NumSwitchCauses]uint64{CauseRemoteRead: 1}},
+		{Phases: [NumPhases]int64{PhaseIdle: 700}},
+	})
 	rep := tr.Profile().Report()
 
 	for _, want := range []string{
@@ -284,11 +296,9 @@ func TestReportFormat(t *testing.T) {
 
 func TestWriteDiff(t *testing.T) {
 	a := New(Options{P: 1})
-	a.Cycle(0, 0, PhaseRun, 100)
-	a.Finish(100)
+	a.Finish(100, 0, []PEProfile{{Phases: [NumPhases]int64{PhaseRun: 100}}})
 	b := New(Options{P: 1})
-	b.Cycle(0, 0, PhaseRun, 150)
-	b.Finish(150)
+	b.Finish(150, 0, []PEProfile{{Phases: [NumPhases]int64{PhaseRun: 150}}})
 	var buf bytes.Buffer
 	if err := WriteDiff(&buf, a.Profile(), b.Profile()); err != nil {
 		t.Fatal(err)
@@ -335,7 +345,7 @@ func TestAppendTraceReconstructsRuns(t *testing.T) {
 	tr.Switch(20, 0, CauseRemoteRead, 7)
 	tr.Thread(60, 0, ThreadRun, 7)
 	tr.Thread(80, 0, ThreadEnd, 7)
-	tr.Finish(90)
+	tr.Finish(90, 0, make([]PEProfile, 1))
 
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)

@@ -90,12 +90,12 @@ type Profile struct {
 	// cycles, not wall-clock extent, once Points > 1.
 	Points   int   `json:"points"`
 	Makespan int64 `json:"makespan_cycles"`
-	// Dispatched counts engine events dispatched (the sim hook).
+	// Dispatched counts the engine events the run dispatched.
 	Dispatched uint64 `json:"engine_events"`
 	// Recorded counts every event offered to the tracer; Retained is
 	// how many the ring still holds; Dropped counts ring evictions by
-	// category. Aggregates (phases, switches) always cover all
-	// Recorded events regardless of drops.
+	// category. The per-PE records do not depend on drops: their
+	// phases and counters are the run's own accounting.
 	Recorded uint64                `json:"events_recorded"`
 	Retained int                   `json:"events_retained"`
 	Dropped  [NumCategories]uint64 `json:"events_dropped"`

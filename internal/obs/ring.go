@@ -48,9 +48,6 @@ func (r *Ring[T]) Push(v T) (evicted T, dropped bool) {
 // Len returns the number of retained elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Snapshot returns the retained elements oldest-first in a fresh slice.
 func (r *Ring[T]) Snapshot() []T {
 	out := make([]T, r.n)

@@ -109,7 +109,7 @@ func TestThreadRingBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Thread(int64(1000+i), 0, ThreadRun, 1)
 	}
-	tr.Finish(1100)
+	tr.Finish(1100, 0, make([]PEProfile, 1))
 	evs := tr.Events()
 	if len(evs) != 8 {
 		t.Fatalf("retained %d events, want 8", len(evs))

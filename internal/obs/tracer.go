@@ -13,8 +13,7 @@ type Options struct {
 	// sim time". 0 disables slicing.
 	SliceCycles int64
 	// Retain selects which categories are kept as individual events in
-	// the ring (0: DefaultRetain). Profile aggregation is unaffected:
-	// every category is accounted whether or not it is retained.
+	// the ring (0: DefaultRetain). The profile does not depend on it.
 	Retain CategoryMask
 }
 
@@ -28,11 +27,13 @@ type NameEntry struct {
 	Name  string `json:"name"`
 }
 
-// Tracer collects events from an instrumented simulation and aggregates
-// them into a Profile on the fly. The zero *Tracer (nil) is the
-// disabled state: every record method is nil-receiver-safe and returns
-// immediately, so uninstrumented runs pay one branch per call site and
-// allocate nothing.
+// Tracer collects events from an instrumented simulation into a bounded
+// ring and time slices. It counts only what the simulator does not:
+// threads started and each PE's network hops and stall cycles; Finish
+// takes every other profile figure from the run's own accounting. The
+// zero *Tracer (nil) is the disabled state: every record method is
+// nil-receiver-safe and returns immediately, so uninstrumented runs pay
+// one branch per call site and allocate nothing.
 //
 // A Tracer serves exactly one Machine run; like the Machine it is
 // single-use and not safe for concurrent use.
@@ -85,12 +86,12 @@ func (t *Tracer) record(ev Event) {
 	}
 }
 
-// Cycle charges cycles to one phase of a PE's decomposition.
+// Cycle records a charge of cycles to one phase of a PE's
+// decomposition, adding it to the time slice it falls in.
 func (t *Tracer) Cycle(at int64, pe int32, ph Phase, cycles int64) {
 	if t == nil || cycles <= 0 {
 		return
 	}
-	t.prof.PEs[pe].Phases[ph] += cycles
 	if t.sliceCycles > 0 {
 		t.slice(at).Phases[ph] += cycles
 	}
@@ -113,7 +114,6 @@ func (t *Tracer) Switch(at int64, pe int32, cause SwitchCause, frame uint32) {
 	if t == nil {
 		return
 	}
-	t.prof.PEs[pe].Switches[cause]++
 	t.record(Event{At: at, PE: pe, Cat: CatSwitch, Code: uint8(cause), A: int64(frame)})
 }
 
@@ -142,14 +142,6 @@ func (t *Tracer) Packet(at int64, pe int32, kind PacketKind, cycles int64) {
 	if t == nil {
 		return
 	}
-	switch kind {
-	case PktSpill:
-		t.prof.PEs[pe].Spills++
-	case PktBypassDMA:
-		t.prof.PEs[pe].ServicedDMA++
-	case PktEXUService:
-		t.prof.PEs[pe].ServicedEXU++
-	}
 	t.record(Event{At: at, PE: pe, Cat: CatPacket, Code: uint8(kind), A: cycles})
 }
 
@@ -164,32 +156,33 @@ func (t *Tracer) Hop(at int64, pe int32, kind NetKind, stall int64) {
 	t.record(Event{At: at, PE: pe, Cat: CatNet, Code: uint8(kind), A: stall})
 }
 
-// MUDispatch records one Matching Unit packet dispatch on a PE.
-func (t *Tracer) MUDispatch(at int64, pe int32) {
-	if t == nil {
-		return
-	}
-	t.prof.PEs[pe].Dispatches++
-}
-
-// Dispatch records one engine event dispatch (the sim scheduler hook).
+// Dispatch records one engine event dispatch (the sim scheduler hook)
+// when CatSched events are retained.
 func (t *Tracer) Dispatch(at int64) {
-	if t == nil {
-		return
-	}
-	t.prof.Dispatched++
-	if t.retain&(1<<CatSched) != 0 {
+	if t != nil && t.retain&(1<<CatSched) != 0 {
 		t.record(Event{At: at, Cat: CatSched})
 	}
 }
 
-// Finish seals the profile at the run's makespan: trailing empty slices
-// are trimmed and the last slice is clamped to the makespan.
-func (t *Tracer) Finish(makespan int64) {
+// Finish seals the profile with the run's own accounting: its makespan,
+// its engine event count and one PEProfile per PE holding the phases
+// and counters the simulator keeps, into which Finish merges the
+// tracer's thread, hop and stall counts. Trailing empty slices are
+// trimmed and the last slice is clamped to the makespan.
+func (t *Tracer) Finish(makespan int64, events uint64, pes []PEProfile) {
 	if t == nil {
 		return
 	}
+	if len(pes) != t.prof.P {
+		panic(fmt.Sprintf("obs: Finish given %d PE records for P=%d", len(pes), t.prof.P))
+	}
+	for i := range pes {
+		own := &t.prof.PEs[i]
+		pes[i].Threads, pes[i].NetHops, pes[i].NetStall = own.Threads, own.NetHops, own.NetStall
+	}
+	t.prof.PEs = pes
 	t.prof.Makespan = makespan
+	t.prof.Dispatched = events
 	t.prof.Retained = t.ring.Len()
 	if t.sliceCycles > 0 {
 		for len(t.prof.Slices) > 0 {

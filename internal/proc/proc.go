@@ -218,13 +218,13 @@ func (p *Proc) serviceBypass(pkt *packet.Packet) {
 func (p *Proc) serviceDMA(pkt *packet.Packet) {
 	switch pkt.Kind {
 	case packet.KindWrite:
-		p.Mem.Write(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, pkt.Data)
+		p.Mem.Write(p.eng.Now(), pkt.Addr.Off, pkt.Data)
 		p.free.Put(pkt)
 	case packet.KindReadReq:
-		v, done := p.Mem.Read(p.eng.Now(), memory.PortDMA, pkt.Addr.Off)
+		v, done := p.Mem.Read(p.eng.Now(), pkt.Addr.Off)
 		p.eng.AtHandler(done, injectH{p}, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
-		words, _ := p.Mem.ReadBlock(p.eng.Now(), memory.PortDMA, pkt.Addr.Off, int(pkt.Block), p.block)
+		words, _ := p.Mem.ReadBlock(p.eng.Now(), pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
 		// Stream one reply per word; the OBU pipelines them at its
 		// port rate, which models the block-transfer burst.
@@ -267,13 +267,13 @@ func (p *Proc) ServiceOnEXU(pkt *packet.Packet) {
 	p.obs.Packet(int64(p.eng.Now()), int32(p.pe), obs.PktEXUService, 0)
 	switch pkt.Kind {
 	case packet.KindWrite:
-		p.Mem.Write(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, pkt.Data)
+		p.Mem.Write(p.eng.Now(), pkt.Addr.Off, pkt.Data)
 		p.free.Put(pkt)
 	case packet.KindReadReq:
-		v, done := p.Mem.Read(p.eng.Now(), memory.PortEXU, pkt.Addr.Off)
+		v, done := p.Mem.Read(p.eng.Now(), pkt.Addr.Off)
 		p.eng.AtHandler(done, injectH{p}, p.toReply(pkt, v))
 	case packet.KindBlockReadReq:
-		words, done := p.Mem.ReadBlock(p.eng.Now(), memory.PortEXU, pkt.Addr.Off, int(pkt.Block), p.block)
+		words, done := p.Mem.ReadBlock(p.eng.Now(), pkt.Addr.Off, int(pkt.Block), p.block)
 		p.block = words
 		for i, w := range words {
 			p.eng.AtHandler(done, injectH{p}, p.blockReply(pkt, i, w))
@@ -283,9 +283,3 @@ func (p *Proc) ServiceOnEXU(pkt *packet.Packet) {
 		panic(fmt.Sprintf("proc: ServiceOnEXU got %v", pkt))
 	}
 }
-
-// OBUBusy reports the OBU's accumulated occupancy.
-func (p *Proc) OBUBusy() sim.Time { return p.obu.Busy }
-
-// IBUBusy reports the IBU's accumulated occupancy.
-func (p *Proc) IBUBusy() sim.Time { return p.ibu.Busy }

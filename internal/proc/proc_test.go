@@ -138,21 +138,29 @@ func TestEXUModeQueuesRequests(t *testing.T) {
 	eng, p, cap, _ := newProc(t, ServiceEXU)
 	woken := 0
 	p.SetWake(func() { woken++ })
+	// A resume queued first at Low priority: the request, queued at
+	// High, must still pop first.
+	resume := &packet.Packet{Kind: packet.KindResume, Cont: packet.Continuation{PE: 3}}
 	req := &packet.Packet{
 		Kind: packet.KindReadReq, Src: 1,
 		Addr: packet.GlobalAddr{PE: 3, Off: 1}, Cont: packet.Continuation{PE: 1},
 	}
-	eng.At(0, func() { p.Deliver(req) })
+	eng.At(0, func() {
+		p.PushLocal(thread.Low, resume)
+		p.Deliver(req)
+	})
 	eng.Run()
 	if len(cap.pkts) != 0 {
 		t.Fatal("EXU mode serviced without the EXU")
 	}
-	if woken != 1 {
-		t.Fatalf("wake called %d times, want 1", woken)
+	if woken != 2 {
+		t.Fatalf("wake called %d times, want 2", woken)
 	}
-	got, prio, _, ok := p.Queue.Pop()
-	if !ok || got != req || prio != thread.High {
-		t.Fatalf("queued: pkt=%v prio=%d ok=%v", got, prio, ok)
+	if got, ok := p.Queue.Pop(); !ok || got != req {
+		t.Fatalf("first pop: pkt=%v ok=%v, want the request (High priority)", got, ok)
+	}
+	if got, ok := p.Queue.Pop(); !ok || got != resume {
+		t.Fatalf("second pop: pkt=%v ok=%v, want the resume", got, ok)
 	}
 }
 
@@ -216,8 +224,13 @@ func TestOBUSerializesInjections(t *testing.T) {
 			t.Fatalf("injection %d at %d, want %d", i, at, want)
 		}
 	}
-	if p.OBUBusy() != 3*p.cfg.OBUCycles {
-		t.Fatalf("OBU busy = %d", p.OBUBusy())
+	// Once the OBU has drained, a packet holds it for OBUCycles only.
+	eng.At(100, func() {
+		p.Inject(&packet.Packet{Kind: packet.KindWrite, Src: 3, Addr: packet.GlobalAddr{PE: 0}})
+	})
+	eng.Run()
+	if want := 100 + p.cfg.OBUCycles; cap.at[3] != want {
+		t.Fatalf("injection after idle at %d, want %d", cap.at[3], want)
 	}
 }
 
@@ -236,11 +249,13 @@ func TestIBUSerializesService(t *testing.T) {
 	if len(cap.at) != 2 {
 		t.Fatalf("replies = %d", len(cap.at))
 	}
-	if cap.at[1] <= cap.at[0] {
-		t.Fatalf("IBU did not serialize: %v", cap.at)
-	}
-	if p.IBUBusy() != 2*p.cfg.IBUServiceCycles {
-		t.Fatalf("IBU busy = %d", p.IBUBusy())
+	// Request i is granted the IBU (i+1) service times after arrival,
+	// then takes one memory access and one OBU slot.
+	for i, at := range cap.at {
+		want := 5 + sim.Time(i+1)*p.cfg.IBUServiceCycles + memory.AccessCycles + p.cfg.OBUCycles
+		if at != want {
+			t.Fatalf("reply %d injected at %d, want %d (IBU serialized)", i, at, want)
+		}
 	}
 }
 
@@ -270,9 +285,8 @@ func TestReplyPriorityConfig(t *testing.T) {
 	// A resume packet (Low) then a reply (High): the reply must pop first.
 	p.PushLocal(thread.Low, &packet.Packet{Kind: packet.KindResume, Cont: packet.Continuation{PE: 1}})
 	p.Deliver(&packet.Packet{Kind: packet.KindReadReply, Src: 0, Cont: packet.Continuation{PE: 1}})
-	got, prio, _, ok := p.Queue.Pop()
-	if !ok || got.Kind != packet.KindReadReply || prio != thread.High {
-		t.Fatalf("resume-first: popped %v at prio %d", got, prio)
+	if got, ok := p.Queue.Pop(); !ok || got.Kind != packet.KindReadReply {
+		t.Fatalf("resume-first: popped %v", got)
 	}
 }
 

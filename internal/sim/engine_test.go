@@ -238,25 +238,26 @@ func TestResourceFIFO(t *testing.T) {
 	if got := r.Acquire(100, 5); got != 105 {
 		t.Fatalf("idle acquire done at %d, want 105", got)
 	}
-	if r.Busy != 9 || r.Jobs != 3 {
-		t.Fatalf("busy=%d jobs=%d, want 9, 3", r.Busy, r.Jobs)
-	}
 }
 
-func TestResourceIdleAndUtilization(t *testing.T) {
+// TestResourceFreeAt: FreeAt is the end of the last reservation, the
+// time the network compares a hop's arrival with to count its stall.
+func TestResourceFreeAt(t *testing.T) {
 	var r Resource
+	if r.FreeAt() != 0 {
+		t.Fatalf("new resource free at %d, want 0", r.FreeAt())
+	}
 	r.Acquire(0, 10)
-	if r.IdleAt(5) {
-		t.Fatal("resource idle at 5 during a [0,10) reservation")
+	if r.FreeAt() != 10 {
+		t.Fatalf("free at %d after a [0,10) reservation, want 10", r.FreeAt())
 	}
-	if !r.IdleAt(10) {
-		t.Fatal("resource busy at 10 after reservation ended")
+	r.Acquire(4, 3)
+	if r.FreeAt() != 13 {
+		t.Fatalf("free at %d after a request queued behind it, want 13", r.FreeAt())
 	}
-	if got := r.Utilization(20); got != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("utilization over empty horizon = %v, want 0", got)
+	r.Acquire(20, 2)
+	if r.FreeAt() != 22 {
+		t.Fatalf("free at %d after an idle-time request, want 22", r.FreeAt())
 	}
 }
 

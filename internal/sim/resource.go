@@ -8,10 +8,6 @@ package sim
 // exact for FIFO servers and avoids simulating per-cycle arbitration.
 type Resource struct {
 	freeAt Time
-	// Busy accumulates total occupied cycles, for utilization metrics.
-	Busy Time
-	// Jobs counts accepted reservations.
-	Jobs uint64
 }
 
 // Acquire reserves the resource for dur cycles starting no earlier than
@@ -23,21 +19,8 @@ func (r *Resource) Acquire(now, dur Time) Time {
 		start = r.freeAt
 	}
 	r.freeAt = start + dur
-	r.Busy += dur
-	r.Jobs++
 	return r.freeAt
 }
 
 // FreeAt reports when the resource becomes idle given no further requests.
 func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// IdleAt reports whether the resource is idle at time now.
-func (r *Resource) IdleAt(now Time) bool { return r.freeAt <= now }
-
-// Utilization returns Busy divided by the elapsed horizon.
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.Busy) / float64(horizon)
-}

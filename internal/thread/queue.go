@@ -25,7 +25,9 @@ const (
 // Queue is the hardware packet queue feeding the Matching Unit. Packets
 // are dispatched in FIFO order within a priority level, High before Low.
 // Pushes beyond the on-chip capacity overflow to an on-memory buffer and
-// are restored to the on-chip FIFO as it drains, preserving order.
+// are restored to the on-chip FIFO as it drains, preserving order: a
+// level's spill buffer holds packets only while its on-chip FIFO is
+// full, so every packet leaves through the on-chip FIFO.
 //
 // Each on-chip FIFO is a fixed ring of OnChipCap slots and the spill
 // buffer reuses its backing array once it drains, so a queue in steady
@@ -34,12 +36,9 @@ type Queue struct {
 	onchip [nPrio]fifo
 	spill  [nPrio]spillBuf
 
-	// Spilled and Restored count overflow round-trips through memory;
-	// each costs extra MCU traffic that the processor model charges.
-	Spilled  uint64
+	// Restored counts spilled packets moved back on chip; each costs
+	// extra MCU traffic that the processor model charges.
 	Restored uint64
-	// MaxDepth tracks the high-water mark of total queued packets.
-	MaxDepth int
 }
 
 // fifo is one on-chip FIFO: a ring of OnChipCap slots.
@@ -107,39 +106,29 @@ func (q *Queue) Len() int {
 func (q *Queue) Empty() bool { return q.Len() == 0 }
 
 // Push enqueues a packet at the given priority, returning true if it had
-// to spill to the on-memory buffer.
+// to spill to the on-memory buffer. While the on-chip FIFO has room the
+// spill buffer is empty, so a packet goes on chip exactly then.
 func (q *Queue) Push(p Prio, pkt *packet.Packet) (spilled bool) {
-	if q.onchip[p].n < OnChipCap && q.spill[p].len() == 0 {
+	if q.onchip[p].n < OnChipCap {
 		q.onchip[p].push(pkt)
-	} else {
-		q.spill[p].push(pkt)
-		q.Spilled++
-		spilled = true
+		return false
 	}
-	if d := q.Len(); d > q.MaxDepth {
-		q.MaxDepth = d
-	}
-	return spilled
+	q.spill[p].push(pkt)
+	return true
 }
 
 // Pop dequeues the next packet: High FIFO first, then Low, FIFO within
-// each. fromSpill reports whether the returned packet had been spilled to
-// memory (the caller charges the restore cost). ok is false when empty.
-func (q *Queue) Pop() (pkt *packet.Packet, prio Prio, fromSpill bool, ok bool) {
+// each, refilling the freed on-chip slot from the spill buffer. ok is
+// false when empty.
+func (q *Queue) Pop() (pkt *packet.Packet, ok bool) {
 	for p := Prio(0); p < nPrio; p++ {
 		if q.onchip[p].n > 0 {
 			pkt = q.onchip[p].pop()
 			q.refill(p)
-			return pkt, p, false, true
-		}
-		// On-chip FIFO empty but spill holds packets (can happen only
-		// transiently between refills); serve the spill head directly.
-		if q.spill[p].len() > 0 {
-			q.Restored++
-			return q.spill[p].pop(), p, true, true
+			return pkt, true
 		}
 	}
-	return nil, 0, false, false
+	return nil, false
 }
 
 // refill moves spilled packets back into freed on-chip slots, as the IBU

@@ -18,12 +18,12 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 		q.Push(Low, pkt(uint64(i)))
 	}
 	for i := 0; i < 5; i++ {
-		p, prio, _, ok := q.Pop()
-		if !ok || p.Seq != uint64(i) || prio != Low {
-			t.Fatalf("pop %d: got seq=%d prio=%d ok=%v", i, p.Seq, prio, ok)
+		p, ok := q.Pop()
+		if !ok || p.Seq != uint64(i) {
+			t.Fatalf("pop %d: got seq=%d ok=%v", i, p.Seq, ok)
 		}
 	}
-	if _, _, _, ok := q.Pop(); ok {
+	if _, ok := q.Pop(); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
 }
@@ -36,7 +36,7 @@ func TestQueueHighBeforeLow(t *testing.T) {
 	q.Push(High, pkt(4))
 	want := []uint64{2, 4, 1, 3}
 	for i, w := range want {
-		p, _, _, ok := q.Pop()
+		p, ok := q.Pop()
 		if !ok || p.Seq != w {
 			t.Fatalf("pop %d = %d, want %d", i, p.Seq, w)
 		}
@@ -52,20 +52,17 @@ func TestQueueSpillAndRestore(t *testing.T) {
 			t.Fatalf("push %d: spilled=%v, want %v", i, spilled, want)
 		}
 	}
-	if q.Spilled != 5 {
-		t.Fatalf("spilled = %d, want 5", q.Spilled)
+	if q.Len() != n {
+		t.Fatalf("len = %d, want %d", q.Len(), n)
 	}
 	for i := 0; i < n; i++ {
-		p, _, _, ok := q.Pop()
+		p, ok := q.Pop()
 		if !ok || p.Seq != uint64(i) {
 			t.Fatalf("pop %d out of order: %d", i, p.Seq)
 		}
 	}
 	if q.Restored != 5 {
 		t.Fatalf("restored = %d, want 5", q.Restored)
-	}
-	if q.MaxDepth != n {
-		t.Fatalf("max depth = %d, want %d", q.MaxDepth, n)
 	}
 }
 
@@ -85,7 +82,7 @@ func TestQueueSpillKeepsOrderAfterPartialDrain(t *testing.T) {
 	var got []uint64
 	pop := func(k int) {
 		for i := 0; i < k; i++ {
-			p, _, _, ok := q.Pop()
+			p, ok := q.Pop()
 			if !ok {
 				t.Fatal("unexpected empty queue")
 			}
@@ -112,16 +109,21 @@ func TestQueueSpillBothPriorities(t *testing.T) {
 	// of High before any of Low, FIFO within each priority, and every
 	// spilled packet must round-trip through the restore path.
 	n := OnChipCap + 6
+	var spills uint64
 	for i := 0; i < n; i++ {
-		q.Push(High, pkt(uint64(1000+i)))
-		q.Push(Low, pkt(uint64(2000+i)))
+		if q.Push(High, pkt(uint64(1000+i))) {
+			spills++
+		}
+		if q.Push(Low, pkt(uint64(2000+i))) {
+			spills++
+		}
 	}
-	if want := uint64(2 * (n - OnChipCap)); q.Spilled != want {
-		t.Fatalf("spilled = %d, want %d", q.Spilled, want)
+	if want := uint64(2 * (n - OnChipCap)); spills != want {
+		t.Fatalf("spilled = %d, want %d", spills, want)
 	}
 	var got []uint64
 	for {
-		p, _, _, ok := q.Pop()
+		p, ok := q.Pop()
 		if !ok {
 			break
 		}
@@ -138,8 +140,8 @@ func TestQueueSpillBothPriorities(t *testing.T) {
 			t.Fatalf("low pop %d = %d, want %d", i, got[n+i], 2000+i)
 		}
 	}
-	if q.Restored != q.Spilled {
-		t.Fatalf("restored = %d, want %d (every spill restored)", q.Restored, q.Spilled)
+	if q.Restored != spills {
+		t.Fatalf("restored = %d, want %d (every spill restored)", q.Restored, spills)
 	}
 }
 
@@ -148,24 +150,34 @@ func TestQueueSpillBothPriorities(t *testing.T) {
 // op) or pops (odd op), long enough to wrap the on-chip rings and to
 // spill and drain repeatedly; prios picks the priority of each push.
 // Every pop must return the model's next packet (High before Low), Len
-// must match the model, and a final drain must restore every spill.
+// must match the model, a level's spill buffer may hold packets only
+// while its on-chip FIFO is full (so Pop never has to serve the spill
+// buffer itself), and a final drain must restore every spill.
 func checkQueueModel(ops []uint8, prios []bool) bool {
 	var q Queue
 	var model [nPrio][]uint64
-	var seq uint64
+	var seq, spills uint64
 	pop := func() bool {
 		want := Low
 		if len(model[High]) > 0 {
 			want = High
 		}
-		got, prio, _, ok := q.Pop()
+		got, ok := q.Pop()
 		if len(model[want]) == 0 {
 			return !ok
 		}
-		if !ok || prio != want || got.Seq != model[want][0] {
+		if !ok || got.Seq != model[want][0] {
 			return false
 		}
 		model[want] = model[want][1:]
+		return true
+	}
+	spillOnlyWhenFull := func() bool {
+		for p := Prio(0); p < nPrio; p++ {
+			if q.spill[p].len() > 0 && q.onchip[p].n < OnChipCap {
+				return false
+			}
+		}
 		return true
 	}
 	for _, op := range ops {
@@ -180,20 +192,25 @@ func checkQueueModel(ops []uint8, prios []bool) bool {
 			if seq < uint64(len(prios)) && prios[seq] {
 				p = High
 			}
-			q.Push(p, pkt(seq))
+			if q.Push(p, pkt(seq)) {
+				spills++
+			}
 			model[p] = append(model[p], seq)
 			seq++
+			if !spillOnlyWhenFull() {
+				return false
+			}
 		}
-		if q.Len() != len(model[High])+len(model[Low]) {
+		if q.Len() != len(model[High])+len(model[Low]) || !spillOnlyWhenFull() {
 			return false
 		}
 	}
 	for q.Len() > 0 {
-		if !pop() {
+		if !pop() || !spillOnlyWhenFull() {
 			return false
 		}
 	}
-	return len(model[High])+len(model[Low]) == 0 && q.Restored == q.Spilled
+	return len(model[High])+len(model[Low]) == 0 && q.Restored == spills
 }
 
 func TestQueueFIFOProperty(t *testing.T) {
