@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodesStr = fs.String("nodes", "", "comma-separated external emxd base URLs (default: in-process lab)")
 		scale    = fs.Int("scale", 1<<20, "simulation scale stamped into every request")
 		runSeed  = fs.Int64("run-seed", 1, "simulation input seed stamped into every request")
-		chaosStr = fs.String("chaos", "", `fault schedule, e.g. "kill:1@10,restart:1@40" or "kill:owner@10" or JSON (lab only)`)
+		chaosStr = fs.String("chaos", "", `fault schedule action:node@request[:duration], e.g. "kill:1@10,restart:1@40" or "kill:owner@10" (lab only)`)
 		replicas = fs.Int("replicas", 1, "cache replication factor across lab nodes (1: off; lab only)")
 		format   = fs.String("format", "text", "report format: text or json")
 		retries  = fs.Int("retries", 2, "failover retries per request (0: none)")

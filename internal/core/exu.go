@@ -27,9 +27,8 @@ type exu struct {
 	p  *proc.Proc
 	st *metrics.PE
 
-	busy         bool
-	idleSince    sim.Time // valid when !busy
-	restoredSeen uint64   // spill restores already charged
+	busy      bool
+	idleSince sim.Time // valid when !busy
 
 	// frames maps this PE's activation-frame IDs to their threads. IDs
 	// are the table index: per-PE, monotonic, from 1 (slot 0 is never a
@@ -127,6 +126,7 @@ func (x *exu) wake() {
 // it. When the queue is empty the EXU goes idle; idle time is attributed
 // to communication (exposed latency) when it ends.
 func (x *exu) dispatch() {
+	restored := x.p.Queue.Restored
 	pkt, ok := x.p.Queue.Pop()
 	if !ok {
 		x.busy = false
@@ -142,12 +142,8 @@ func (x *exu) dispatch() {
 	x.st.Dispatches++
 	cost := x.m.Cfg.DispatchCycles
 	// Spilled packets are restored from the on-memory buffer by extra MCU
-	// traffic; charge it to the dispatch that consumed the restore.
-	var spill sim.Time
-	if restored := x.p.Queue.Restored; restored > x.restoredSeen {
-		spill = sim.Time(restored-x.restoredSeen) * x.p.Config().SpillCycles
-		x.restoredSeen = restored
-	}
+	// traffic; charge it to the dispatch whose Pop restored them.
+	spill := sim.Time(x.p.Queue.Restored-restored) * x.p.Config().SpillCycles
 	x.st.Times.Switch += cost + spill
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSwitch, int64(cost))
 	x.m.obs.Cycle(int64(now), int32(x.pe), obs.PhaseSpill, int64(spill))

@@ -255,7 +255,7 @@ func (m *Machine) profile(r *metrics.Run) []obs.PEProfile {
 	pes := make([]obs.PEProfile, len(r.PEs))
 	for i := range r.PEs {
 		st := &r.PEs[i]
-		spill := sim.Time(m.exus[i].restoredSeen) * m.Procs[i].Config().SpillCycles
+		spill := sim.Time(m.Procs[i].Queue.Restored) * m.Procs[i].Config().SpillCycles
 		pes[i] = obs.PEProfile{
 			Phases: [obs.NumPhases]int64{
 				obs.PhaseRun:     int64(st.Times.Compute),

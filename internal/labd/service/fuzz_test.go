@@ -1,6 +1,8 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -52,28 +54,27 @@ func FuzzResolveRun(f *testing.F) {
 }
 
 // FuzzOpenEnvelope drives the receiving side of replication with
-// arbitrary envelopes, the bytes a peer (or anyone reaching
-// /v1/cache/put) controls. It must never panic; an accepted envelope
-// must carry the digest of its own run bytes; and re-encoding the
-// decoded run must give an envelope that opens to an equal run. The
+// arbitrary entries, the key and digest headers and the body a peer (or
+// anyone reaching /v1/cache/put) controls. It must never panic; an
+// accepted entry's body must hash to its digest; and re-encoding the
+// decoded run must give an entry that decodes to an equal run. The
 // seed corpus lives in testdata/fuzz/FuzzOpenEnvelope.
 func FuzzOpenEnvelope(f *testing.F) {
-	f.Fuzz(func(t *testing.T, key, digest string, runJSON []byte) {
-		env := CacheEnvelope{Key: key, Digest: digest, Run: runJSON}
-		run, err := openEnvelope(env)
+	f.Fuzz(func(t *testing.T, key, digest string, body []byte) {
+		run, err := decodeEntry(key, digest, body)
 		if err != nil {
 			return
 		}
-		if got := runDigest(env.Run); got != env.Digest {
-			t.Fatalf("accepted envelope with digest %q, run bytes hash to %q", env.Digest, got)
+		if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != digest {
+			t.Fatalf("accepted entry with digest %q, body hashes to %x", digest, sum)
 		}
-		again, err := envelope(key, run)
+		again, digest2, err := encodeEntry(run)
 		if err != nil {
 			t.Fatalf("decoded run does not re-encode: %v", err)
 		}
-		run2, err := openEnvelope(again)
+		run2, err := decodeEntry(key, digest2, again)
 		if err != nil {
-			t.Fatalf("re-encoded envelope rejected: %v", err)
+			t.Fatalf("re-encoded entry rejected: %v", err)
 		}
 		if !reflect.DeepEqual(run, run2) {
 			t.Fatalf("round trip changed the run: %+v vs %+v", run, run2)

@@ -28,8 +28,8 @@ type ProfileRequest struct {
 
 // RunKeyHeader and SourceHeader carry the point's content key and how
 // the profile was obtained ("executed" or "cache") on /v1/profile
-// responses, whose bodies are raw emxprof artifacts rather than
-// envelopes.
+// responses, whose bodies are raw emxprof artifacts. RunKeyHeader also
+// names the entry of a /v1/cache/put or /v1/cache/get.
 const (
 	RunKeyHeader = "X-Emx-Run-Key"
 	SourceHeader = "X-Emx-Source"

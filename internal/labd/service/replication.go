@@ -49,66 +49,56 @@ const (
 	fillTimeout = time.Second
 )
 
-// CacheEnvelope is the wire form of one replicated cache entry, used by
-// POST /v1/cache/put and returned by POST /v1/cache/get. Digest is the
-// hex SHA-256 of the Run JSON; the receiver recomputes it before
-// storing, so a corrupted or version-skewed copy is rejected rather
-// than cached.
-type CacheEnvelope struct {
-	Key    string          `json:"key"`
-	Digest string          `json:"digest"`
-	Run    json.RawMessage `json:"run"`
-}
+// DigestHeader carries the hex SHA-256 of a replicated entry's body on
+// a POST /v1/cache/put and on a 200 answer to POST /v1/cache/get. The
+// entry's key travels beside it in RunKeyHeader.
+const DigestHeader = "X-Emx-Digest"
 
-// cacheGetRequest is the body of POST /v1/cache/get.
-type cacheGetRequest struct {
-	Key string `json:"key"`
-}
-
-// runDigest is the digest both ends compute: hex SHA-256 over the
-// run's compacted JSON bytes. Compacting first makes the digest
-// whitespace-canonical — HTTP layers that re-encode the envelope (an
-// indenting JSON writer re-formats embedded RawMessage bytes) must not
-// read as corruption, only real content changes should.
-func runDigest(runJSON []byte) string {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, runJSON); err == nil {
-		runJSON = compact.Bytes()
-	}
-	sum := sha256.Sum256(runJSON)
-	return hex.EncodeToString(sum[:])
-}
-
-// envelope serializes a run into its replication wire form.
-func envelope(key string, run *metrics.Run) (CacheEnvelope, error) {
-	rj, err := json.Marshal(run)
+// encodeEntry is the one encoding of a replicated cache entry: the
+// run's own JSON bytes, which are the body on the wire, and the hex
+// SHA-256 of exactly those bytes.
+func encodeEntry(run *metrics.Run) (body []byte, digest string, err error) {
+	body, err = json.Marshal(run)
 	if err != nil {
-		return CacheEnvelope{}, err
+		return nil, "", err
 	}
-	return CacheEnvelope{Key: key, Digest: runDigest(rj), Run: rj}, nil
+	sum := sha256.Sum256(body)
+	return body, hex.EncodeToString(sum[:]), nil
 }
 
-// openEnvelope verifies an envelope's digest and decodes the run.
-func openEnvelope(env CacheEnvelope) (*metrics.Run, error) {
-	if env.Key == "" {
-		return nil, fmt.Errorf("replication envelope missing key")
+// decodeEntry checks a received entry before it can reach a cache: the
+// key must be present and body must hash to digest. Only then is the
+// run decoded, once.
+func decodeEntry(key, digest string, body []byte) (*metrics.Run, error) {
+	if key == "" {
+		return nil, fmt.Errorf("replicated entry missing key")
 	}
-	if got := runDigest(env.Run); got != env.Digest {
-		return nil, fmt.Errorf("replication digest mismatch for %s: got %s, want %s", env.Key, got, env.Digest)
+	sum := sha256.Sum256(body)
+	if got := hex.EncodeToString(sum[:]); got != digest {
+		return nil, fmt.Errorf("replication digest mismatch for %s: got %s, want %s", key, got, digest)
 	}
 	var run metrics.Run
-	if err := json.Unmarshal(env.Run, &run); err != nil {
-		return nil, fmt.Errorf("replication envelope for %s undecodable: %w", env.Key, err)
+	if err := json.Unmarshal(body, &run); err != nil {
+		return nil, fmt.Errorf("replicated entry for %s undecodable: %w", key, err)
 	}
 	return &run, nil
 }
 
-// pushTask is one queued replica push: a pre-marshaled envelope bound
-// for one peer.
+// readEntry reads a replicated entry's body, at most MaxEntryBytes of
+// it; a longer body is a *http.MaxBytesError. w is the handler's
+// ResponseWriter on the put side (so the server closes the connection
+// after an oversized body) and nil on the fill side.
+func readEntry(w http.ResponseWriter, body io.ReadCloser) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, body, MaxEntryBytes))
+}
+
+// pushTask is one queued replica push: an encoded entry bound for one
+// peer.
 type pushTask struct {
-	key  string
-	node string
-	body []byte
+	key    string
+	node   string
+	body   []byte
+	digest string
 }
 
 // replicator implements the two replication paths: asynchronous push
@@ -157,7 +147,7 @@ func newReplicator(o ReplicationOptions, reg *metrics.Registry) *replicator {
 		stores:     reg.Counter("emxd_cache_replica_stores_total", "replica cache entries accepted from peers"),
 		fills:      reg.Counter("emxd_cache_replica_fills_total", "cache misses served by fetching a peer replica"),
 		fillMisses: reg.Counter("emxd_cache_replica_fill_misses_total", "peer-fill attempts that found no replica"),
-		mismatches: reg.Counter("emxd_cache_replica_digest_mismatch_total", "replica envelopes rejected by the digest check"),
+		mismatches: reg.Counter("emxd_cache_replica_digest_mismatch_total", "replicated entries rejected by the digest check"),
 		drops:      reg.Counter("emxd_cache_replica_queue_drops_total", "replica pushes dropped because the queue was full"),
 	}
 	reg.Gauge("emxd_cache_replicas", "configured replica count per cache entry",
@@ -194,12 +184,7 @@ func (r *replicator) offer(key string, run *metrics.Run) {
 	if len(targets) == 0 {
 		return
 	}
-	env, err := envelope(key, run)
-	if err != nil {
-		r.pushErrors.Inc()
-		return
-	}
-	body, err := json.Marshal(env)
+	body, digest, err := encodeEntry(run)
 	if err != nil {
 		r.pushErrors.Inc()
 		return
@@ -209,7 +194,7 @@ func (r *replicator) offer(key string, run *metrics.Run) {
 		r.pending++
 		r.mu.Unlock()
 		select {
-		case r.queue <- pushTask{key: key, node: node, body: body}:
+		case r.queue <- pushTask{key: key, node: node, body: body, digest: digest}:
 		default:
 			r.mu.Lock()
 			r.pending--
@@ -244,6 +229,8 @@ func (r *replicator) push(t pushTask) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(RunKeyHeader, t.key)
+	req.Header.Set(DigestHeader, t.digest)
 	res, err := r.http.Do(req)
 	if err != nil {
 		r.pushErrors.Inc()
@@ -259,8 +246,8 @@ func (r *replicator) push(t pushTask) {
 
 // drainLimit bounds how much of a response body drainClose reads. Peer
 // replies that are not read to the end (a 404 fill miss, a push's
-// {"stored":...}, the newline after a decoded envelope) are a few
-// bytes; draining them lets the connection return to the pool.
+// {"stored":...}, a fill answer refused before its body was read) are
+// small; draining them lets the connection return to the pool.
 const drainLimit = 64 << 10
 
 // drainClose reads what is left of a peer's response body, up to
@@ -282,12 +269,8 @@ func (r *replicator) fill(ctx context.Context, key string) *metrics.Run {
 	}
 	ctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
-	body, err := json.Marshal(cacheGetRequest{Key: key})
-	if err != nil {
-		return nil
-	}
 	for _, node := range targets {
-		if run := r.fetch(ctx, node, key, body); run != nil {
+		if run := r.fetch(ctx, node, key); run != nil {
 			r.fills.Inc()
 			return run
 		}
@@ -296,28 +279,28 @@ func (r *replicator) fill(ctx context.Context, key string) *metrics.Run {
 	return nil
 }
 
-func (r *replicator) fetch(ctx context.Context, node, key string, body []byte) *metrics.Run {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/cache/get", bytes.NewReader(body))
+// fetch asks node for key's entry. An answer for another key, one
+// longer than MaxEntryBytes or one that fails decodeEntry is refused;
+// only a digest or decode failure counts as a mismatch.
+func (r *replicator) fetch(ctx context.Context, node, key string) *metrics.Run {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/cache/get", nil)
 	if err != nil {
 		return nil
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(RunKeyHeader, key)
 	res, err := r.http.Do(req)
 	if err != nil {
 		return nil
 	}
 	defer drainClose(res.Body)
-	if res.StatusCode != http.StatusOK {
+	if res.StatusCode != http.StatusOK || res.Header.Get(RunKeyHeader) != key {
 		return nil
 	}
-	var env CacheEnvelope
-	if err := json.NewDecoder(res.Body).Decode(&env); err != nil {
+	body, err := readEntry(nil, res.Body)
+	if err != nil {
 		return nil
 	}
-	if env.Key != key {
-		return nil
-	}
-	run, err := openEnvelope(env)
+	run, err := decodeEntry(key, res.Header.Get(DigestHeader), body)
 	if err != nil {
 		r.mismatches.Inc()
 		return nil

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -66,38 +65,26 @@ func validStep(s Step) error {
 	return nil
 }
 
-// ParseSchedule parses a fault schedule. Two forms are accepted: a
-// JSON array of Step objects, or the compact comma-separated form
-// "kill:1@10,restart:1@40,delay:2@5:50ms" (action:node@request, with
-// a trailing :duration for delay). The returned steps are sorted by
+// ParseSchedule parses a fault schedule in the compact comma-separated
+// form "kill:1@10,restart:1@40,delay:2@5:50ms" (action:node@request,
+// with a trailing :duration for delay, and "owner" in place of the
+// node for an owner-targeted step). The returned steps are sorted by
 // AtRequest (stably, so same-request steps keep their written order).
 func ParseSchedule(s string) ([]Step, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	var steps []Step
-	if strings.HasPrefix(s, "[") {
-		if err := json.Unmarshal([]byte(s), &steps); err != nil {
-			return nil, fmt.Errorf("load: bad chaos schedule JSON: %w", err)
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
 		}
-	} else {
-		for _, part := range strings.Split(s, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			step, err := parseCompactStep(part)
-			if err != nil {
-				return nil, err
-			}
-			steps = append(steps, step)
-		}
-	}
-	for _, st := range steps {
-		if err := validStep(st); err != nil {
+		step, err := parseCompactStep(part)
+		if err != nil {
 			return nil, err
 		}
+		if err := validStep(step); err != nil {
+			return nil, err
+		}
+		steps = append(steps, step)
 	}
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].AtRequest < steps[j].AtRequest })
 	return steps, nil

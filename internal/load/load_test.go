@@ -126,14 +126,6 @@ func TestParseSchedule(t *testing.T) {
 		t.Fatalf("compact parse:\ngot  %+v\nwant %+v", steps, want)
 	}
 
-	jsonSteps, err := ParseSchedule(`[{"action":"kill","node":0,"at_request":3}]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jsonSteps, []Step{{Action: "kill", Node: 0, AtRequest: 3}}) {
-		t.Fatalf("JSON parse: got %+v", jsonSteps)
-	}
-
 	// Owner-targeted steps: "owner" in the node slot resolves the victim
 	// from the request's routing key when the step fires.
 	ownerSteps, err := ParseSchedule("kill:owner@10")
@@ -146,19 +138,12 @@ func TestParseSchedule(t *testing.T) {
 	if got := ownerSteps[0].String(); got != "kill:owner@10" {
 		t.Fatalf("owner step renders as %q", got)
 	}
-	jsonOwner, err := ParseSchedule(`[{"action":"kill","owner":true,"at_request":7}]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jsonOwner, []Step{{Action: "kill", Owner: true, AtRequest: 7}}) {
-		t.Fatalf("JSON owner parse: got %+v", jsonOwner)
-	}
 
 	if steps, err := ParseSchedule(""); err != nil || steps != nil {
 		t.Fatalf("empty schedule: got %v, %v", steps, err)
 	}
 	for _, bad := range []string{"kill", "kill:x@1", "kill:1@x", "explode:1@1", "delay:1@1", "delay:1@1:xs", "kill:-1@1",
-		"kill:1@5:1ms", `[{"action":"kill","delay_ms":7}]`, `[{"action":"kill","node":3,"owner":true}]`, "delay:1@1:2h"} {
+		"kill:1@5:1ms", "delay:1@1:2h", `[{"action":"kill","node":0,"at_request":3}]`} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)
 		}

@@ -31,6 +31,25 @@ func newLabTarget(t *testing.T, nodes int) (*Lab, *cluster.Client) {
 	return lab, cluster.NewClient(m, cluster.ClientOptions{})
 }
 
+// TestNewControllerRejectsLossySteps: callers hand Options.Chaos steps
+// directly, so the controller refuses the steps the compact form cannot
+// write (a node on an owner step, a duration on a kill) as ParseSchedule
+// refuses their compact spellings.
+func TestNewControllerRejectsLossySteps(t *testing.T) {
+	lab, _ := newLabTarget(t, 1)
+	for _, bad := range []Step{
+		{Action: "kill", Node: 3, Owner: true, AtRequest: 1},
+		{Action: "kill", AtRequest: 1, DelayMS: 7},
+	} {
+		if _, err := NewController(lab, []Step{bad}); err == nil {
+			t.Errorf("NewController accepted %#v", bad)
+		}
+	}
+	if _, err := NewController(lab, []Step{{Action: "kill", Owner: true, AtRequest: 7}}); err != nil {
+		t.Errorf("owner step refused: %v", err)
+	}
+}
+
 // TestSeedDeterminism is the tentpole acceptance check: the same seed
 // must produce a byte-identical report outside the host block, no
 // matter how many clients issue the traffic or how many OS threads the
