@@ -70,14 +70,18 @@ var goldenPanelHashes = map[string][]struct{ id, sha string }{
 		{"xsched-bitonic", "9d98748fe8674783b7000c67d950190ef619589c344527eea087522737cc6d48"},
 		{"xsched-fft", "f3bee2d31f5831e01adf6309c7690fc6baf1101dbe69ceda4db4f51974f59e81"},
 	},
+	// The two P=64 panels perfbench's figures workload times, pinned
+	// before the calendar's slots were written field by field.
+	"6b": {{"fig6-bitonic-P64", "d26d84588a385ef4efdd5a5afa89eab10bf4f9d5615b3c20917418b84b8cac84"}},
+	"6d": {{"fig6-fft-P64", "4707fbb02b1067facf9693f0151c5162167eb6cede041ab10639ee06f6121252"}},
 }
 
 func TestFigureGoldenHashes(t *testing.T) {
-	heavy := map[string]bool{"em4": true, "irr": true}
+	heavy := map[string]bool{"em4": true, "irr": true, "6b": true, "6d": true}
 	sched := labd.New(labd.Options{})
 	defer sched.Close()
 	pr := NewPanelRunner(PanelOptions{Scale: 65536, Seed: 1}, sched)
-	for _, name := range []string{"6a", "model", "latency", "em4", "irr", "block", "sched"} {
+	for _, name := range []string{"6a", "model", "latency", "em4", "irr", "block", "sched", "6b", "6d"} {
 		if testing.Short() && heavy[name] {
 			continue
 		}
