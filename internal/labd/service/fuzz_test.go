@@ -53,13 +53,13 @@ func FuzzResolveRun(f *testing.F) {
 	})
 }
 
-// FuzzOpenEnvelope drives the receiving side of replication with
+// FuzzDecodeEntry drives the receiving side of replication with
 // arbitrary entries, the key and digest headers and the body a peer (or
 // anyone reaching /v1/cache/put) controls. It must never panic; an
 // accepted entry's body must hash to its digest; and re-encoding the
 // decoded run must give an entry that decodes to an equal run. The
-// seed corpus lives in testdata/fuzz/FuzzOpenEnvelope.
-func FuzzOpenEnvelope(f *testing.F) {
+// seed corpus lives in testdata/fuzz/FuzzDecodeEntry.
+func FuzzDecodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, digest string, body []byte) {
 		run, err := decodeEntry(key, digest, body)
 		if err != nil {
