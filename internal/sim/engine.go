@@ -146,16 +146,7 @@ func (e *Engine) After(d Time, fn func()) {
 // AtHandler schedules h.OnEvent(arg) at absolute time t without
 // allocating. Scheduling in the past panics.
 func (e *Engine) AtHandler(t Time, h Handler, arg any) {
-	e.q.push(e.now, e.nextKey(t), event{h: h, arg: arg})
-}
-
-// nextKey draws the next sequence number for an item scheduled at t.
-func (e *Engine) nextKey(t Time) key {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	e.seq++
-	return key{t, e.seq}
+	e.q.push(e, t, event{h: h, arg: arg})
 }
 
 // AfterHandler schedules h.OnEvent(arg) d cycles from now without
