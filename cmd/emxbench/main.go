@@ -7,7 +7,8 @@
 // Sweeps execute through the labd scheduler — the same pooling,
 // coalescing, and caching path the emxd daemon serves — either
 // in-process (the default) or against a running daemon via -remote,
-// where repeated panels are cache hits.
+// where repeated panels are cache hits. emxbench only renders figures;
+// emxprof -fig profiles and traces the same points.
 //
 // Usage:
 //
@@ -33,7 +34,6 @@ import (
 	"emx/internal/cluster"
 	"emx/internal/harness"
 	"emx/internal/labd"
-	"emx/internal/obs"
 	"emx/internal/ring"
 )
 
@@ -49,15 +49,11 @@ func main() {
 // measures how fast this host ran the simulations, not what they
 // computed.
 type Snapshot struct {
-	Paper string     `json:"paper"`
-	Scale int        `json:"scale"`
-	Seed  int64      `json:"seed"`
-	Host  *HostStats `json:"host,omitempty"`
-	// Fig6bP64 repeats the host block when the invocation rendered
-	// exactly the 6b panel (bitonic, P=64) — the pinned simulator
-	// throughput number BENCH_*.json tracks.
-	Fig6bP64 *HostStats       `json:"fig6b_p64,omitempty"`
-	Panels   []harness.Figure `json:"panels"`
+	Paper  string           `json:"paper"`
+	Scale  int              `json:"scale"`
+	Seed   int64            `json:"seed"`
+	Host   *HostStats       `json:"host,omitempty"`
+	Panels []harness.Figure `json:"panels"`
 }
 
 // HostStats is the simulator's host throughput for one emxbench
@@ -81,16 +77,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("emxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig       = fs.String("fig", "all", "panel to regenerate, or 'all'")
-		scale     = fs.Int("scale", harness.DefaultScale, "divide the paper's problem sizes by this factor")
-		format    = fs.String("format", "table", "output: table, csv, chart, or json")
-		workers   = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		seed      = fs.Int64("seed", 1, "input generator seed")
-		remote    = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
-		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		profile   = fs.String("profile", "", "write a merged emxprof cycle-accounting profile (JSON) of one panel to this file")
-		tracefile = fs.String("tracefile", "", "write a Perfetto trace of every simulated point to this file")
+		fig     = fs.String("fig", "all", "panel to regenerate, or 'all'")
+		scale   = fs.Int("scale", harness.DefaultScale, "divide the paper's problem sizes by this factor")
+		format  = fs.String("format", "table", "output: table, csv, chart, or json")
+		workers = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		seed    = fs.Int64("seed", 1, "input generator seed")
+		remote  = fs.String("remote", "", "comma-separated base URLs of running emxd nodes or an emxcluster gateway (empty: run in-process)")
+		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: emxbench [flags]")
@@ -156,22 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer writeMemProfile(*memprof, stderr)
 
-	// observe is non-nil when any emxprof output was requested.
-	var observe *harness.ProfileCollector
-	if *profile != "" || *tracefile != "" {
-		if *remote != "" {
-			fmt.Fprintln(stderr, "emxbench: -profile/-tracefile require an in-process run (use emxd's /v1/profile against -remote)")
-			return 2
-		}
-		if *profile != "" && name == "all" {
-			// Panels differ in machine size, and a merged profile sums
-			// PEs of one size; a Perfetto trace needs no merge.
-			fmt.Fprintln(stderr, "emxbench: -profile needs one panel (-fig all spans machine sizes; use -tracefile)")
-			return 2
-		}
-		observe = harness.NewProfileCollector(obs.Options{})
-	}
-
 	// sched is non-nil only for in-process runs; it supplies the host
 	// throughput counters for the JSON snapshot.
 	var (
@@ -181,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote != "" {
 		panel = remotePanels(*remote, *scale, *seed)
 	} else {
-		sched, panel = localPanels(*scale, *seed, *workers, observe, stderr)
+		sched, panel = localPanels(*scale, *seed, *workers, stderr)
 		defer sched.Close()
 	}
 
@@ -211,9 +189,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if sched != nil {
 			snap.Host = hostStats(sched.Stats(), wall)
-			if name == "6b" {
-				snap.Fig6bP64 = snap.Host
-			}
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -222,56 +197,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if observe != nil {
-		if err := writeProfiles(observe, *profile, *tracefile, stderr); err != nil {
-			fmt.Fprintln(stderr, "emxbench:", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// writeProfiles emits the collected emxprof artifacts and a greppable
-// summary line (CI asserts dropped=0 on it), summed over the points.
-func writeProfiles(pc *harness.ProfileCollector, profilePath, tracePath string, stderr io.Writer) error {
-	if profilePath != "" {
-		merged, err := pc.Merged()
-		if err != nil {
-			return err
-		}
-		if err := writeTo(profilePath, merged.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		if err := writeTo(tracePath, pc.WriteTrace); err != nil {
-			return err
-		}
-	}
-	var points, retained int
-	var recorded, dropped uint64
-	for _, pt := range pc.Points() {
-		points += pt.Profile.Points
-		recorded += pt.Profile.Recorded
-		retained += pt.Profile.Retained
-		dropped += pt.Profile.TotalDropped()
-	}
-	fmt.Fprintf(stderr, "emxbench: profile: points=%d recorded=%d retained=%d dropped=%d\n",
-		points, recorded, retained, dropped)
-	return nil
-}
-
-// writeTo streams one artifact into path, creating or truncating it.
-func writeTo(path string, emit func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // hostStats derives the snapshot's host block from the scheduler's
@@ -313,12 +239,11 @@ func writeMemProfile(path string, stderr io.Writer) {
 // localPanels builds panels in-process through a transient labd
 // scheduler, exactly the execution path emxd serves. The caller owns
 // the scheduler and must Close it.
-func localPanels(scale int, seed int64, workers int, observe *harness.ProfileCollector, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
+func localPanels(scale int, seed int64, workers int, stderr io.Writer) (*labd.Scheduler, func(string) ([]harness.Figure, error)) {
 	sched := labd.New(labd.Options{Workers: workers})
 	pr := harness.NewPanelRunner(harness.PanelOptions{
-		Scale:   scale,
-		Seed:    seed,
-		Observe: observe,
+		Scale: scale,
+		Seed:  seed,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, "emxbench: "+format+"\n", args...)
 		},

@@ -3,10 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -211,46 +208,5 @@ func TestRemoteUnreachable(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "remote") {
 		t.Fatalf("stderr %q", stderr)
-	}
-}
-
-// TestTraceAllPanels: a Perfetto trace of every panel needs no merged
-// profile, so -fig all -tracefile succeeds although the panels differ
-// in machine size, and the summary line sums the per-point totals.
-func TestTraceAllPanels(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "all.trace.json")
-	code, _, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-format", "csv", "-tracefile", trace)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "emxbench: profile: points=") {
-		t.Fatalf("no profile summary line:\n%s", stderr)
-	}
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const prefix = `{"displayTimeUnit"`
-	head := make([]byte, len(prefix))
-	if _, err := io.ReadFull(f, head); err != nil || string(head) != prefix {
-		t.Fatalf("trace does not start as a Perfetto document: %q (%v)", head, err)
-	}
-}
-
-// TestProfileAllPanelsRejected: a merged profile sums PEs of one
-// machine size, so -profile with -fig all exits 2 before simulating
-// anything, rather than failing after the whole sweep.
-func TestProfileAllPanelsRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "profile.json")
-	code, stdout, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-profile", path)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2:\n%s", code, stderr)
-	}
-	if stdout != "" || strings.Contains(stderr, "sweeping") {
-		t.Fatalf("simulated before rejecting:\nstdout: %s\nstderr: %s", stdout, stderr)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("profile file exists after a rejected run (%v)", err)
 	}
 }

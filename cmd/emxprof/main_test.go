@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -287,5 +290,99 @@ func TestReportWorkerInvariantPanel(t *testing.T) {
 	}
 	if prof.Points != 9 {
 		t.Errorf("merged panel profile has %d points, want 9 distinct simulations", prof.Points)
+	}
+}
+
+// TestPanelProfileUsesSweepSeed: with no -seed, a panel profile covers
+// the points the figure shows, swept at seed 1 like emxbench, emxd and
+// perfbench. The hashes are those of the profile and trace emxbench
+// wrote for this panel before emxprof became the one panel profiler;
+// at point mode's seed 7 the JSON hashes to 369f7799… instead.
+func TestPanelProfileUsesSweepSeed(t *testing.T) {
+	for format, want := range map[string]string{
+		"json":     "d4df56ee36399b81e90636e48f69c71d360f2ed0f2174265f9c2f050d26fab31",
+		"perfetto": "7257345aa850f2d10f0822ece5b20c94c04d5e25eca9b69127d68ecf72a68026",
+	} {
+		code, out, errOut := runCLI(t, "-fig", "6a", "-scale", "1048576", "-format", format)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", format, code, errOut)
+		}
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("-fig 6a -format %s: sha256 %s, want %s", format, got, want)
+		}
+	}
+}
+
+// TestTraceAllPanels: a Perfetto trace of every panel needs no merged
+// profile, so -fig all succeeds with -format perfetto although the
+// panels differ in machine size.
+func TestTraceAllPanels(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "all.trace.json")
+	code, _, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-format", "perfetto", "-o", trace)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const prefix = `{"displayTimeUnit"`
+	head := make([]byte, len(prefix))
+	if _, err := io.ReadFull(f, head); err != nil || string(head) != prefix {
+		t.Fatalf("trace does not start as a Perfetto document: %q (%v)", head, err)
+	}
+}
+
+// TestProfileAllPanelsRejected: a merged profile sums PEs of one
+// machine size, so a report or JSON profile of -fig all exits 2 before
+// simulating anything, rather than failing after the whole sweep.
+func TestProfileAllPanelsRejected(t *testing.T) {
+	for _, format := range []string{"report", "json"} {
+		path := filepath.Join(t.TempDir(), "profile.json")
+		code, stdout, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-format", format, "-o", path)
+		if code != 2 {
+			t.Fatalf("%s: exit %d, want 2:\n%s", format, code, stderr)
+		}
+		if stdout != "" || strings.Contains(stderr, "sweeping") {
+			t.Fatalf("%s: simulated before rejecting:\nstdout: %s\nstderr: %s", format, stdout, stderr)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: profile file exists after a rejected run (%v)", format, err)
+		}
+	}
+}
+
+// TestRejectedRunKeepsOutput: -o is created only once the flags and the
+// -diff inputs check out, so a rejected run leaves an existing file
+// byte-identical instead of truncating it.
+func TestRejectedRunKeepsOutput(t *testing.T) {
+	dir := t.TempDir()
+	keep := filepath.Join(dir, "keep.json")
+	const content = "{\"kept\": true}\n"
+	for _, args := range [][]string{
+		{"-fig", "bogus"},
+		{"-fig", "all", "-format", "json"},
+		{"-fig", "6a", "-scale", "0"},
+		{"-format", "svg"},
+		{"-p", "0"},
+		{"-workload", "quicksort"},
+		{"-diff", filepath.Join(dir, "one.json")},
+		{"-diff", filepath.Join(dir, "missing-a.json"), filepath.Join(dir, "missing-b.json")},
+	} {
+		if err := os.WriteFile(keep, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, _, errOut := runCLI(t, append([]string{"-o", keep}, args...)...)
+		if code == 0 {
+			t.Errorf("%v: accepted", args)
+		}
+		if errOut == "" {
+			t.Errorf("%v: rejected silently", args)
+		}
+		if b, err := os.ReadFile(keep); err != nil || string(b) != content {
+			t.Errorf("%v: -o file is %q after a rejected run (%v), want it untouched", args, b, err)
+		}
 	}
 }

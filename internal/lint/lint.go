@@ -16,9 +16,10 @@
 //     not a silently-shadowed duplicate
 //
 // What a runtime test already catches is left to it:
-// testing.AllocsPerRun tests pin the hot paths' allocations, sim.After
-// and friends panic on a negative delay, and the observed-versus-
-// unobserved sweep tests pin that tracing never changes a result.
+// testing.AllocsPerRun tests pin the hot paths' allocations, the sim
+// calendar panics on any item scheduled in the past (a negative delay
+// included), and the observed-versus-unobserved sweep tests pin that
+// tracing never changes a result.
 //
 // The suite is built directly on go/ast and go/types — the module is
 // dependency-free, so there is no golang.org/x/tools here. Packages

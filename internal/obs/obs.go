@@ -182,7 +182,7 @@ func (k NetKind) String() string {
 
 // Event is one observability record: fixed-size, string-free, stored by
 // value in the ring buffer so recording never allocates. The payload
-// fields A and B are category-specific:
+// field A is category-specific:
 //
 //	CatThread: Code=ThreadKind, A=frame
 //	CatSwitch: Code=SwitchCause, A=frame
@@ -200,8 +200,8 @@ type Event struct {
 	Cat Category
 	// Code is the category-specific sub-kind (see Event doc).
 	Code uint8
-	// A and B carry the category-specific payload.
-	A, B int64
+	// A carries the category-specific payload.
+	A int64
 }
 
 // CategoryMask selects a set of categories, one bit per Category.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRingFIFO(t *testing.T) {
@@ -51,7 +52,13 @@ func TestRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestRingDefaultCapacity: a ring made with capacity 0 holds
+// DefaultCapacity elements. An Event is 24 B, so a default tracer ring
+// holds 1.5 MiB of events.
 func TestRingDefaultCapacity(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Fatalf("Event is %d B, want 24", got)
+	}
 	r := NewRing[int](0)
 	for i := 0; i < DefaultCapacity; i++ {
 		if _, dropped := r.Push(i); dropped {

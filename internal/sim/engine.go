@@ -134,12 +134,9 @@ func (e *Engine) At(t Time, fn func()) {
 	e.AtHandler(t, runFunc, fn)
 }
 
-// After schedules fn to run d cycles from now. A negative delay panics:
-// it indicates a causality bug in a component model.
+// After schedules fn to run d cycles from now. A negative delay
+// schedules in the past and panics like At.
 func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic("sim: After called with negative delay")
-	}
 	e.AtHandler(e.now+d, runFunc, fn)
 }
 
@@ -150,11 +147,8 @@ func (e *Engine) AtHandler(t Time, h Handler, arg any) {
 }
 
 // AfterHandler schedules h.OnEvent(arg) d cycles from now without
-// allocating. A negative delay panics.
+// allocating. A negative delay schedules in the past and panics.
 func (e *Engine) AfterHandler(d Time, h Handler, arg any) {
-	if d < 0 {
-		panic("sim: AfterHandler called with negative delay")
-	}
 	e.AtHandler(e.now+d, h, arg)
 }
 
