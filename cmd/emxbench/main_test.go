@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"emx/internal/cluster"
 	"emx/internal/labd/service"
 	"emx/internal/ring"
 )
@@ -166,7 +165,7 @@ func TestRemoteMultiNode(t *testing.T) {
 		r := ring.New([]string{ts1.URL, ts2.URL, dead.URL})
 		owners := map[string]bool{}
 		for _, fig := range panels[:4] {
-			owners[r.Owner(cluster.FigureKey(fig, 1<<20, 1))] = true
+			owners[r.Owner(service.FigureKey(fig, 1<<20, 1))] = true
 		}
 		if owners[ts1.URL] && owners[ts2.URL] {
 			break

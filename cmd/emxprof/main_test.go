@@ -319,7 +319,7 @@ func TestPanelProfileUsesSweepSeed(t *testing.T) {
 // panels differ in machine size.
 func TestTraceAllPanels(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "all.trace.json")
-	code, _, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-format", "perfetto", "-o", trace)
+	code, _, stderr := runCLI(t, "-fig", "all", "-scale", "1048576", "-capacity", "1024", "-format", "perfetto", "-o", trace)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, stderr)
 	}

@@ -1,5 +1,12 @@
-; generated from internal/isa/demos.go DemoBitonic2
-; two-processor bitonic compare-split (paper Figure 4 structure)
+; bitonic2.asm — two-processor bitonic compare-split (paper Figure 4
+; structure): each PE generates four pseudo-random values, sorts them
+; locally (insertion sort), element-wise remote-reads the partner's block
+; through split-phase reads and merges, PE0 keeping the low half and PE1
+; the high half. Per PE: input/local block at 0..3, received partner
+; elements at 8..11, merged output at 16..19; PE0[16..19] ++ PE1[16..19]
+; is the sorted concatenation.
+;
+;   go run ./cmd/emxasm -run -p 2 -spmd -dump 16:4 examples/asm/bitonic2.asm
 main:
     ; ---- generate 4 values: a[i] = (pe*17 + i*i*13 + 5) mod 97 ----
     li   r1, 0            ; i

@@ -396,24 +396,17 @@ func (r *bufferedResponse) Header() http.Header         { return r.header }
 func (r *bufferedResponse) WriteHeader(code int)        { r.status = code }
 func (r *bufferedResponse) Write(b []byte) (int, error) { return r.body.Write(b) }
 
-// FigureKey is the routing key of a whole figure panel: all of a
-// panel's runs land on one owner, so its sweep caches shard together.
-// Single-point /v1/run requests route by their RunIdentity hash
-// instead (see service.ResolveRun).
-func FigureKey(fig string, scale int, seed int64) string {
-	return fmt.Sprintf("figure/%s/scale=%d/seed=%d", fig, scale, seed)
-}
-
-// Figure requests one figure panel from the cluster and decodes it.
-// scale/seed of 0 defer to the nodes' defaults — but are resolved into
-// the routing key as-is, so callers wanting stable routing should pass
-// explicit values (the gateway does).
+// Figure requests one figure panel from the cluster and decodes it. The
+// routing key is the one service.RouteKey gives the body; scale/seed of
+// 0 defer to the nodes' defaults and route as emxd's own defaults
+// (harness.DefaultScale, seed 1) resolve them.
 func (c *Client) Figure(ctx context.Context, fig string, scale int, seed int64) ([]harness.Figure, error) {
-	body, err := json.Marshal(service.FigureRequest{Fig: fig, Scale: scale, Seed: seed})
+	body, _ := json.Marshal(service.FigureRequest{Fig: fig, Scale: scale, Seed: seed}) // strings and numbers always marshal
+	key, err := service.RouteKey("/v1/figure", body, harness.DefaultScale, 1)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Do(ctx, FigureKey(fig, scale, seed), "/v1/figure", body)
+	res, err := c.Do(ctx, key, "/v1/figure", body)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func TestClientRoutesToOwner(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := NewClient(m, ClientOptions{Registry: reg, RetryBackoff: time.Millisecond})
 
-	key := FigureKey("6a", hugeScale, 1)
+	key := service.FigureKey("6a", hugeScale, 1)
 	owner := ring.New(m.Members()).Owner(key)
 	res, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a"))
 	if err != nil {
@@ -56,7 +56,7 @@ func TestClientFailsOverToPeer(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := NewClient(m, ClientOptions{Registry: reg, RetryBackoff: time.Millisecond})
 
-	key := FigureKey("6a", hugeScale, 1)
+	key := service.FigureKey("6a", hugeScale, 1)
 	owner := ring.New(m.Members()).Owner(key)
 	// Kill the owner; the peer must answer with identical bytes.
 	peer := srv2
@@ -265,7 +265,7 @@ func TestClientStatsDeltas(t *testing.T) {
 	m := NewMembership([]string{ts1.URL, ts2.URL}, MembershipOptions{})
 	c := NewClient(m, ClientOptions{RetryBackoff: time.Millisecond})
 
-	key := FigureKey("6a", hugeScale, 1)
+	key := service.FigureKey("6a", hugeScale, 1)
 	before := c.Stats()
 	if _, err := c.Do(context.Background(), key, "/v1/figure", figureBody(t, "6a")); err != nil {
 		t.Fatal(err)

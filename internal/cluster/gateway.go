@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -32,10 +29,9 @@ type GatewayOptions struct {
 // one node serves: /v1/run, /v1/figure, and /v1/profile are routed by
 // content key to the owning node (with failover), /v1/status reports
 // the cluster view, and /metrics exposes the routing counters. Because
-// every node
-// computes byte-identical results for a given run identity, clients
-// cannot tell the gateway from a single overgrown emxd — except that it
-// survives node deaths.
+// every node computes byte-identical results for a given run identity,
+// clients cannot tell the gateway from a single overgrown emxd — except
+// that it survives node deaths.
 type Gateway struct {
 	opts    GatewayOptions
 	client  *Client
@@ -81,9 +77,9 @@ func NewGateway(m *Membership, opts GatewayOptions) *Gateway {
 		func() float64 { return float64(len(m.Members())) })
 	reg.Gauge("emxcluster_members_healthy", "member nodes currently healthy",
 		func() float64 { return float64(len(m.Healthy())) })
-	g.mux.HandleFunc("/v1/run", g.handleRun)
-	g.mux.HandleFunc("/v1/figure", g.handleFigure)
-	g.mux.HandleFunc("/v1/profile", g.handleProfile)
+	for _, path := range []string{"/v1/run", "/v1/figure", "/v1/profile"} {
+		g.mux.HandleFunc(path, g.handleRouted)
+	}
 	g.mux.HandleFunc("/v1/status", g.handleStatus)
 	g.mux.HandleFunc("/metrics", g.handleMetrics)
 	return g
@@ -100,47 +96,38 @@ func (g *Gateway) Registry() *metrics.Registry { return g.reg }
 
 func (g *Gateway) serve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now() //emx:hostclock request-latency observability
-	sw := &gatewayStatusWriter{ResponseWriter: w, code: http.StatusOK}
-	g.mux.ServeHTTP(sw, r)
-	g.responses(sw.code).Inc()
+	g.responses(service.ServeStatus(g.mux, w, r)).Inc()
 	g.latency.Observe(time.Since(start).Seconds()) //emx:hostclock
-}
-
-type gatewayStatusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *gatewayStatusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // NodeHeader names the member node that answered a routed request, so
 // operators can see sharding without reading metrics.
 const NodeHeader = "X-Emx-Cluster-Node"
 
-func (g *Gateway) writeError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(struct {
-		Error string `json:"error"`
-	}{Error: err.Error()})
-}
-
-// route sends body down the cluster client and relays the terminal
-// response — status, backpressure headers, and body — unchanged, so the
-// gateway is byte-transparent with respect to a single node. The
-// request's context goes along: the client re-stamps the identical
-// DeadlineHeader on each routed attempt, so the owning node sheds
-// exactly when the original caller gives up, and a caller that hangs up
-// here cancels the attempt, so it leaves the node's queue too.
-func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key, path string, body []byte) {
+// handleRouted serves /v1/run, /v1/profile and /v1/figure: it reads the
+// body, resolves it with service.RouteKey — the defaults and checks a
+// node applies — and routes it by that key, so a body every node would
+// refuse gets the node's 400 here and is never forwarded. The node's
+// terminal response (status, backpressure headers, body) is relayed
+// unchanged. The request's context goes along: the client re-stamps the
+// identical DeadlineHeader on each attempt, so the owning node sheds
+// when the original caller gives up, and a caller that hangs up here
+// cancels the attempt, which leaves the node's queue too.
+func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request) {
+	body, ok := service.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	key, err := service.RouteKey(r.URL.Path, body, g.opts.Scale, g.opts.Seed)
+	if err != nil {
+		service.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	ctx, cancel := service.RequestContext(r)
 	defer cancel()
-	res, err := g.client.Do(ctx, key, path, body)
+	res, err := g.client.Do(ctx, key, r.URL.Path, body)
 	if err != nil {
-		g.writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: %w", err))
+		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: %w", err))
 		return
 	}
 	g.routed(res.Node).Inc()
@@ -161,92 +148,6 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key, path string
 	w.Header().Set(NodeHeader, res.Node)
 	w.WriteHeader(res.Status)
 	w.Write(res.Body)
-}
-
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		g.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		g.writeError(w, status, fmt.Errorf("reading body: %w", err))
-		return nil, false
-	}
-	return body, true
-}
-
-// handleRun routes one simulation point by its RunIdentity hash — the
-// same key the owning node caches the result under, which is what makes
-// the per-node LRU caches shard instead of duplicate.
-func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	ps, scale, err := service.ResolveRun(req, g.opts.Scale, g.opts.Seed)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.route(w, r, ps.Key(scale), "/v1/run", body)
-}
-
-// handleProfile routes a profiled point by the same RunIdentity hash
-// /v1/run uses, so a point's profile lands on the node whose caches
-// already hold (or will hold) that point — and repeat profile requests
-// hit that node's profile cache.
-func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.ProfileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	ps, scale, err := service.ResolveRun(req.RunRequest, g.opts.Scale, g.opts.Seed)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g.route(w, r, ps.Key(scale), "/v1/profile", body)
-}
-
-// handleFigure routes a whole panel by its figure key: every run the
-// panel fans into lands on the panel's owner, keeping its sweep cache
-// together.
-func (g *Gateway) handleFigure(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req service.FigureRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = g.opts.Scale
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = g.opts.Seed
-	}
-	g.route(w, r, FigureKey(req.Fig, scale, seed), "/v1/figure", body)
 }
 
 // ClusterStatus is the gateway's GET /v1/status: the membership view
@@ -270,10 +171,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ClusterStatus{
+	service.WriteJSON(w, http.StatusOK, ClusterStatus{
 		UptimeSeconds: time.Since(g.start).Seconds(), //emx:hostclock
 		Members:       len(nodes),
 		Healthy:       healthy,

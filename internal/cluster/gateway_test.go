@@ -99,7 +99,7 @@ func TestGatewayFailoverSweep(t *testing.T) {
 	victim, kill := "", -1
 	served := map[string]bool{}
 	for i, fig := range sweepPanels {
-		owner := r.Owner(FigureKey(fig, hugeScale, 1))
+		owner := r.Owner(service.FigureKey(fig, hugeScale, 1))
 		if served[owner] {
 			victim, kill = owner, i
 			break
@@ -230,7 +230,7 @@ func TestGatewayReplicatedSweepOwnerKill(t *testing.T) {
 
 	// Kill the owner of a panel it served in the first sweep. Its cache
 	// dies with it; only the pushed replica copies remain.
-	victim := ring.New(tc.members.Members()).Owner(FigureKey(sweepPanels[0], hugeScale, 1))
+	victim := ring.New(tc.members.Members()).Owner(service.FigureKey(sweepPanels[0], hugeScale, 1))
 	victimIdx := -1
 	for i, b := range tc.backends {
 		if b.URL == victim {
@@ -403,10 +403,12 @@ func TestGatewayValidationPassThrough(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsBadBodiesPromptly: the gateway resolves a run's
-// routing key with the nodes' own ResolveRun, so a p that once made the
-// size clamp spin forever must come back as a prompt 400 here too, and
-// an oversized body as a 413; neither is forwarded to a node.
+// TestGatewayRejectsBadBodiesPromptly: the gateway resolves every body
+// with the nodes' own resolver, so a p that once made the size clamp
+// spin forever must come back as a prompt 400 here too, as must an
+// unknown panel, a negative figure scale, an unknown profile format and
+// a negative slice width, and an oversized body as a 413; none is
+// forwarded to a node.
 func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -417,6 +419,10 @@ func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
 		{"overflowing p", "/v1/run", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
 		{"overflowing p profile", "/v1/profile", `{"workload":"fft","p":4611686018427387905,"h":1,"n":1024}`, http.StatusBadRequest},
 		{"oversized figure", "/v1/figure", `{"fig":"6a","pad":"` + strings.Repeat("x", service.MaxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown panel", "/v1/figure", `{"fig":"bogus"}`, http.StatusBadRequest},
+		{"negative figure scale", "/v1/figure", `{"fig":"6a","scale":-4}`, http.StatusBadRequest},
+		{"unknown profile format", "/v1/profile", `{"workload":"fft","p":4,"h":2,"n":65536,"format":"flamegraph"}`, http.StatusBadRequest},
+		{"negative slice width", "/v1/profile", `{"workload":"fft","p":4,"h":2,"n":65536,"slice_cycles":-1}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := client.Post(tc.front.URL+c.path, "application/json", strings.NewReader(c.body))
@@ -431,6 +437,37 @@ func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
 	for _, srv := range tc.servers {
 		if got := srv.Registry().Snapshot()["emxd_forwarded_requests_total"]; got != 0 {
 			t.Fatalf("a node received %v forwarded requests", got)
+		}
+	}
+}
+
+// TestGatewayRoutesPanelNamesCaseInsensitively: a node reads a panel
+// name case-insensitively, so the gateway routes "6A" to the node that
+// served "6a", where every point of the panel is already cached.
+func TestGatewayRoutesPanelNamesCaseInsensitively(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	started := func() (n uint64) {
+		for _, srv := range tc.servers {
+			n += srv.Scheduler().Stats().Started
+		}
+		return n
+	}
+	for _, fig := range []string{"6a", "6c", "7a", "7c"} {
+		resp, b := postFigure(t, tc.front.URL, fig)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", fig, resp.StatusCode, b)
+		}
+		before := started()
+		upper := strings.ToUpper(fig)
+		resp2, b2 := postFigure(t, tc.front.URL, upper)
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", upper, resp2.StatusCode, b2)
+		}
+		if a, b := resp.Header.Get(NodeHeader), resp2.Header.Get(NodeHeader); a != b {
+			t.Errorf("%s routed to %s, %s to %s", fig, a, upper, b)
+		}
+		if n := started() - before; n != 0 {
+			t.Errorf("%s after %s executed %d simulations, want 0", upper, fig, n)
 		}
 	}
 }

@@ -328,7 +328,7 @@ func (x *exu) perform(t *thr, op opCode) {
 	case opYield:
 		x.st.Switches[t.opKind]++
 		x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
-		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), obs.SwitchCause(t.opKind), t.frame)
+		x.m.obs.Switch(int64(eng.Now()), int32(x.pe), t.opKind, t.frame)
 		x.m.obs.Cycle(int64(eng.Now()), int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 		t.state = stQueued
 		x.m.trace(obs.ThreadYield, t)
@@ -414,8 +414,7 @@ func (x *exu) block(t *thr, kind metrics.SwitchKind, ws *WaitSet, w waiter) {
 	now := int64(x.m.Eng.Now())
 	x.st.Switches[kind]++
 	x.st.Times.Switch += cfg.SpinCheckCycles + cfg.SaveCycles
-	// metrics.SwitchKind and obs.SwitchCause are numerically aligned.
-	x.m.obs.Switch(now, int32(x.pe), obs.SwitchCause(kind), t.frame)
+	x.m.obs.Switch(now, int32(x.pe), kind, t.frame)
 	x.m.obs.Cycle(now, int32(x.pe), obs.PhaseSwitch, int64(cfg.SpinCheckCycles+cfg.SaveCycles))
 	t.state = stBlocked
 	x.m.trace(obs.ThreadYield, t)

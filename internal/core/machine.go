@@ -264,8 +264,6 @@ func (m *Machine) profile(r *metrics.Run) []obs.PEProfile {
 				obs.PhaseService: int64(st.Times.Overhead),
 				obs.PhaseIdle:    int64(st.Times.Comm),
 			},
-			// metrics.SwitchKind and obs.SwitchCause are numerically
-			// aligned, and the arrays have the same length.
 			Switches:    st.Switches,
 			Dispatches:  st.Dispatches,
 			Spills:      st.Spills,

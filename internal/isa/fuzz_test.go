@@ -15,7 +15,6 @@ var errLine = regexp.MustCompile(`^prog:(\d+): `)
 // seed corpus in testdata/fuzz/FuzzAssemble holds the example programs
 // and malformed lines.
 func FuzzAssemble(f *testing.F) {
-	f.Add(DemoBitonic2)
 	f.Fuzz(func(t *testing.T, src string) {
 		lines := strings.Count(src, "\n") + 1
 		p, err := Assemble("prog", src)

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -301,7 +302,11 @@ func TestInstrString(t *testing.T) {
 }
 
 func TestDemoBitonic2SortsAcrossPEs(t *testing.T) {
-	prog := mustAsm(t, DemoBitonic2)
+	src, err := os.ReadFile("../../examples/asm/bitonic2.asm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := mustAsm(t, string(src))
 	cfg := core.DefaultConfig(2)
 	cfg.MemWords = 1 << 10
 	cfg.MaxCycles = 1_000_000

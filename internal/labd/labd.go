@@ -128,7 +128,6 @@ type Scheduler struct {
 	rejected       *metrics.Counter
 	shed           func(reason string) *metrics.Counter
 	shedDeadline   *metrics.Counter
-	shedQueueFull  *metrics.Counter
 	shedAbandoned  *metrics.Counter
 	shedCanceled   *metrics.Counter
 	workloadCycles func(label string) *metrics.Counter
@@ -192,7 +191,6 @@ func New(o Options) *Scheduler {
 			"requests shed before execution, by reason", "reason", reason)
 	}
 	s.shedDeadline = s.shed("deadline")
-	s.shedQueueFull = s.shed("queue_full")
 	s.shedAbandoned = s.shed("abandoned")
 	s.shedCanceled = s.shed("canceled")
 	s.workloadCycles = func(label string) *metrics.Counter {
@@ -313,7 +311,6 @@ func (s *Scheduler) enqueue(j *job) error {
 		return nil
 	default:
 		s.rejected.Inc()
-		s.shedQueueFull.Inc()
 		return fmt.Errorf("%w (capacity %d)", ErrQueueFull, cap(s.jobs))
 	}
 }

@@ -67,26 +67,11 @@ func (c *profileCache) len() int {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req ProfileRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !s.readRequest(w, r, &req) {
 		return
 	}
-	format := strings.ToLower(req.Format)
-	switch format {
-	case "", "json", "report", "perfetto":
-	default:
-		s.writeError(w, fmt.Errorf("unknown profile format %q (want json, report, or perfetto)", req.Format))
-		return
-	}
-	if req.SliceCycles < 0 {
-		s.writeError(w, fmt.Errorf("slice_cycles must be >= 0, got %d", req.SliceCycles))
-		return
-	}
-	ps, scale, err := ResolveRun(req.RunRequest, s.opts.Scale, s.opts.Seed)
+	ps, scale, err := resolveProfile(req, s.opts.Scale, s.opts.Seed)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -114,7 +99,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set(RunKeyHeader, runKey)
 	w.Header().Set(SourceHeader, source)
-	switch format {
+	switch strings.ToLower(req.Format) {
 	case "report":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		pt.Profile.WriteReport(w)

@@ -19,15 +19,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"emx/internal/harness"
 	"emx/internal/labd"
 	"emx/internal/metrics"
-	"emx/internal/proc"
 )
 
 // Request bounds. ResolveRun rejects a run outside them before it
@@ -215,7 +214,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	if stored && s.repl != nil {
 		s.repl.stores.Inc()
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"stored": stored})
+	WriteJSON(w, http.StatusOK, map[string]bool{"stored": stored})
 }
 
 // handleCacheGet exports the cache entry named by RunKeyHeader (the
@@ -229,12 +228,12 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.Header.Get(RunKeyHeader)
 	run, ok := s.sched.CacheGet(key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "not cached: " + key})
+		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "not cached: " + key})
 		return
 	}
 	body, digest, err := encodeEntry(run)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	h := w.Header()
@@ -256,10 +255,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(ForwardedByHeader) != "" {
 		s.forwarded.Inc()
 	}
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
-	s.responses(sw.code).Inc()
+	s.responses(ServeStatus(s.mux, w, r)).Inc()
 	s.latency.Observe(time.Since(start).Seconds()) //emx:hostclock
+}
+
+// ServeStatus serves r with h and returns the status code h answered
+// with, for the response counters of a node and of the gateway.
+func ServeStatus(h http.Handler, w http.ResponseWriter, r *http.Request) int {
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	h.ServeHTTP(sw, r)
+	return sw.code
 }
 
 // statusWriter records the status code a handler wrote.
@@ -392,7 +397,14 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteError answers with status and err in the JSON error body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// WriteJSON answers with status and v as indented JSON, the body shape
+// of every API endpoint, the gateway's included.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -419,7 +431,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, labd.ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	WriteError(w, status, err)
 }
 
 // retryAfterSeconds estimates queue-drain time from the observed mean
@@ -454,27 +466,52 @@ func (e ctxExec) Do(key string, fn func() (*metrics.Run, error)) (*metrics.Run, 
 	return e.sched.DoContext(e.ctx, key, fn)
 }
 
-// decodeBody decodes a JSON request body of at most MaxBodyBytes.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+// ReadBody reads a POST body of at most MaxBodyBytes for a caller that
+// relays the bytes, as the gateway does. On failure it has answered the
+// request as a node would: 405 for another method, 413 for a longer
+// body, 400 for a broken read.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if !requirePost(w, r) {
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		WriteError(w, status, fmt.Errorf("bad request body: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// readRequest decodes a POST body of at most MaxBodyBytes into v, or
+// answers the request when it cannot.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	if !requirePost(w, r) {
+		return false
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v); err != nil {
+		s.writeError(w, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
 }
 
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return false
 	}
 	return true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req RunRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !s.readRequest(w, r, &req) {
 		return
 	}
 	ps, scale, err := ResolveRun(req, s.opts.Scale, s.opts.Seed)
@@ -494,7 +531,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	b := run.TotalBreakdown()
 	c, o, m, sw := b.Fractions()
-	writeJSON(w, http.StatusOK, RunResponse{
+	WriteJSON(w, http.StatusOK, RunResponse{
 		Key:             key,
 		Source:          src.String(),
 		Workload:        ps.Workload.String(),
@@ -513,101 +550,31 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ResolveRun validates a run request against default scale/seed and
-// resolves it to the point it will execute, plus the effective scale.
-// It is the single request→identity mapping: the cluster gateway calls
-// it with the same defaults as its member nodes, so the routing key it
-// hashes is exactly the cache key the owning node will store under.
-func ResolveRun(req RunRequest, defaultScale int, defaultSeed int64) (harness.PointSpec, int, error) {
-	w, err := harness.ParseWorkload(strings.ToLower(req.Workload))
-	if err != nil {
-		return harness.PointSpec{}, 0, err
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = defaultScale
-	}
-	for _, b := range []struct {
-		name     string
-		val, max int
-	}{{"p", req.P, MaxP}, {"h", req.H, MaxH}, {"n", req.N, MaxN}, {"scale", scale, MaxScale}} {
-		if b.val < 1 || b.val > b.max {
-			return harness.PointSpec{}, 0, fmt.Errorf("%s must be in [1, %d], got %d", b.name, b.max, b.val)
-		}
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	mode, err := proc.ParseServiceMode(req.Mode)
-	if err != nil {
-		return harness.PointSpec{}, 0, err
-	}
-	sw := harness.Sweep{P: req.P, Scale: scale, Threads: []int{req.H}}
-	ps := harness.PointSpec{
-		Workload:  w,
-		P:         req.P,
-		SimN:      sw.SimSize(req.N),
-		PaperN:    req.N,
-		H:         req.H,
-		Mode:      mode,
-		BlockRead: req.BlockRead,
-		ReplyHigh: req.ReplyHigh,
-		Seed:      seed,
-		Verify:    req.Verify,
-	}
-	// Reject what the workload cannot run here, so the gateway rejects
-	// it too and no worker ever starts it.
-	if err := ps.Validate(); err != nil {
-		return harness.PointSpec{}, 0, err
-	}
-	return ps, scale, nil
-}
-
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req FigureRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, fmt.Errorf("bad request body: %w", err))
+	if !s.readRequest(w, r, &req) {
 		return
 	}
-	name := strings.ToLower(req.Fig)
-	if !harness.ValidPanel(name) {
-		s.writeError(w, fmt.Errorf("unknown panel %q: valid panels are %s",
-			req.Fig, strings.Join(harness.PanelNames(), ", ")))
-		return
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = s.opts.Scale
-	}
-	if scale < 1 {
-		s.writeError(w, fmt.Errorf("scale must be >= 1, got %d", scale))
-		return
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.opts.Seed
-	}
-	ctx, cancel := RequestContext(r)
-	defer cancel()
-	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: scale, Seed: seed}, ctxExec{ctx, s.sched})
-	figs, err := pr.Panel(name)
+	req, err := resolveFigure(req, s.opts.Scale, s.opts.Seed)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FigureResponse{
-		Fig: name, Scale: scale, Seed: seed, Figures: figs,
-	})
+	ctx, cancel := RequestContext(r)
+	defer cancel()
+	pr := harness.NewPanelRunner(harness.PanelOptions{Scale: req.Scale, Seed: req.Seed}, ctxExec{ctx, s.sched})
+	figs, err := pr.Panel(req.Fig)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, FigureResponse{Fig: req.Fig, Scale: req.Scale, Seed: req.Seed, Figures: figs})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := s.sched.Stats()
 	cps, eps := st.Throughput()
-	writeJSON(w, http.StatusOK, StatusResponse{
+	WriteJSON(w, http.StatusOK, StatusResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(), //emx:hostclock
 		Workers:       st.Workers,
 		QueueDepth:    st.QueueDepth,

@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"emx/internal/cluster"
 	"emx/internal/harness"
 	"emx/internal/labd/service"
 )
@@ -243,37 +242,27 @@ func (g *Generator) runRequest(d *draws) service.RunRequest {
 	}
 }
 
-// Request derives the i-th request. The routing key is computed with
-// the same request→identity mapping the cluster gateway uses, so a
-// load run exercises the real routing.
+// Request derives the i-th request. Its routing key is the one
+// service.RouteKey gives its body, as the cluster gateway routes it, so
+// a load run exercises the real routing.
 func (g *Generator) Request(i uint64) Request {
 	d := drawsAt(g.seed, i)
 	pick := d.intn(g.mix.total())
+	var path string
+	var req any
 	switch {
 	case pick < g.mix.Run:
-		req := g.runRequest(d)
-		ps, scale, err := service.ResolveRun(req, g.space.Scale, g.space.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("load: generator produced invalid run request: %v", err))
-		}
-		body, _ := json.Marshal(req)
-		return Request{Endpoint: "/v1/run", Key: ps.Key(scale), Body: body}
+		path, req = "/v1/run", g.runRequest(d)
 	case pick < g.mix.Run+g.mix.Figure:
 		fig := g.space.Panels[d.intn(len(g.space.Panels))]
-		req := service.FigureRequest{Fig: fig, Scale: g.space.Scale, Seed: g.space.Seed}
-		body, _ := json.Marshal(req)
-		return Request{
-			Endpoint: "/v1/figure",
-			Key:      cluster.FigureKey(fig, g.space.Scale, g.space.Seed),
-			Body:     body,
-		}
+		path, req = "/v1/figure", service.FigureRequest{Fig: fig, Scale: g.space.Scale, Seed: g.space.Seed}
 	default:
-		req := service.ProfileRequest{RunRequest: g.runRequest(d)}
-		ps, scale, err := service.ResolveRun(req.RunRequest, g.space.Scale, g.space.Seed)
-		if err != nil {
-			panic(fmt.Sprintf("load: generator produced invalid profile request: %v", err))
-		}
-		body, _ := json.Marshal(req)
-		return Request{Endpoint: "/v1/profile", Key: ps.Key(scale), Body: body}
+		path, req = "/v1/profile", service.ProfileRequest{RunRequest: g.runRequest(d)}
 	}
+	body, _ := json.Marshal(req) // strings, numbers and bools always marshal
+	key, err := service.RouteKey(path, body, g.space.Scale, g.space.Seed)
+	if err != nil {
+		panic(fmt.Sprintf("load: generator produced an invalid %s request: %v", path, err))
+	}
+	return Request{Endpoint: path, Key: key, Body: body}
 }

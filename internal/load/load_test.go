@@ -1,9 +1,14 @@
 package load
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"emx/internal/labd/service"
 )
 
 func TestGeneratorPureFunctionOfSeedAndIndex(t *testing.T) {
@@ -59,6 +64,76 @@ func TestGeneratorRequestsAreValid(t *testing.T) {
 	for _, ep := range []string{"/v1/run", "/v1/figure", "/v1/profile"} {
 		if !seen[ep] {
 			t.Errorf("200 requests with a uniform mix never hit %s", ep)
+		}
+	}
+}
+
+// TestGeneratedKeysMatchNodeKeys: the routing key a generated request
+// carries is the key a node serves it under — a run's RunResponse.Key, a
+// profile's X-Emx-Run-Key, a figure's FigureKey of the panel, scale and
+// seed the node answers with — and so is the key of the same body with
+// scale and seed left to the node's defaults.
+func TestGeneratedKeysMatchNodeKeys(t *testing.T) {
+	const scale, seed = 1 << 20, 1
+	g, err := NewGenerator(1, DefaultSpace(scale, seed), DefaultMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Options{Scale: scale, Seed: seed})
+	defer srv.Close()
+	nodeKey := func(path string, body []byte) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d: %s", path, body, rec.Code, rec.Body)
+		}
+		switch path {
+		case "/v1/run":
+			var res service.RunResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			return res.Key
+		case "/v1/profile":
+			return rec.Header().Get(service.RunKeyHeader)
+		}
+		var res service.FigureResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		return service.FigureKey(res.Fig, res.Scale, res.Seed)
+	}
+	seen := map[string]bool{}
+	for i := uint64(0); i < 200; i++ {
+		req := g.Request(i)
+		seen[req.Endpoint] = true
+		var fields map[string]any
+		if err := json.Unmarshal(req.Body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		delete(fields, "scale")
+		delete(fields, "seed")
+		defaulted, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range [][]byte{req.Body, defaulted} {
+			key, err := service.RouteKey(req.Endpoint, body, scale, seed)
+			if err != nil {
+				t.Fatalf("request %d %s: %v", i, body, err)
+			}
+			if key != req.Key {
+				t.Fatalf("request %d %s: resolved key %s, generated %s", i, body, key, req.Key)
+			}
+			if got := nodeKey(req.Endpoint, body); got != key {
+				t.Fatalf("request %d %s: node key %s, resolved %s", i, body, got, key)
+			}
+		}
+	}
+	for _, ep := range []string{"/v1/run", "/v1/figure", "/v1/profile"} {
+		if !seen[ep] {
+			t.Errorf("no %s request among the first 200", ep)
 		}
 	}
 }

@@ -7,40 +7,22 @@
 package metrics
 
 import (
-	"fmt"
-
+	"emx/internal/obs"
 	"emx/internal/sim"
 )
 
 // SwitchKind classifies why the EXU switched away from / spun on a thread,
-// matching the paper's three categories in Figure 9.
-type SwitchKind uint8
+// matching the paper's three categories in Figure 9. It is obs.SwitchCause,
+// so a run's switch counters and its profile share one enum.
+type SwitchKind = obs.SwitchCause
 
 const (
-	// SwitchRemoteRead: a thread issued a split-phase remote read and
-	// suspended. One per remote read; independent of thread count.
-	SwitchRemoteRead SwitchKind = iota
-	// SwitchIterSync: a thread spun/suspended at the end-of-iteration
-	// barrier waiting for other threads or other PEs.
-	SwitchIterSync
-	// SwitchThreadSync: a thread spun/suspended waiting for a sibling
-	// thread on the same PE (sorting's ordered-merge constraint).
-	SwitchThreadSync
-	// SwitchExplicit: a voluntary yield not caused by the above.
-	SwitchExplicit
-	NumSwitchKinds
+	SwitchRemoteRead = obs.CauseRemoteRead
+	SwitchIterSync   = obs.CauseIterSync
+	SwitchThreadSync = obs.CauseThreadSync
+	SwitchExplicit   = obs.CauseExplicit
+	NumSwitchKinds   = obs.NumSwitchCauses
 )
-
-var switchNames = [NumSwitchKinds]string{
-	"remote-read", "iter-sync", "thread-sync", "explicit",
-}
-
-func (k SwitchKind) String() string {
-	if int(k) < len(switchNames) {
-		return switchNames[k]
-	}
-	return fmt.Sprintf("switch(%d)", uint8(k))
-}
 
 // Breakdown decomposes a PE's makespan. The four components are mutually
 // exclusive and, with Idle ambiguity resolved as communication wait, sum

@@ -22,6 +22,8 @@
 // even when the ring wraps.
 package obs
 
+import "strconv"
+
 // Category classifies an event by the subsystem that produced it. The
 // per-category drop counters and the retention mask are indexed by it.
 type Category uint8
@@ -84,17 +86,20 @@ func (p Phase) String() string {
 	return "phase(?)"
 }
 
-// SwitchCause classifies why a thread switched out. Values mirror the
-// paper's Figure 9 taxonomy and are numerically aligned with
-// metrics.SwitchKind, so core can convert by value.
+// SwitchCause classifies why a thread switched out, in the paper's
+// Figure 9 taxonomy. metrics.SwitchKind is this type, so the run's switch
+// counters and the profile index the same values.
 type SwitchCause uint8
 
 const (
 	// CauseRemoteRead: a split-phase remote read suspended the thread.
+	// One per remote read; independent of thread count.
 	CauseRemoteRead SwitchCause = iota
-	// CauseIterSync: an end-of-iteration barrier wait.
+	// CauseIterSync: an end-of-iteration barrier wait for other threads
+	// or other PEs.
 	CauseIterSync
-	// CauseThreadSync: a wait on a sibling thread on the same PE.
+	// CauseThreadSync: a wait on a sibling thread on the same PE
+	// (sorting's ordered-merge constraint).
 	CauseThreadSync
 	// CauseExplicit: a voluntary yield not caused by the above.
 	CauseExplicit
@@ -109,7 +114,7 @@ func (c SwitchCause) String() string {
 	if int(c) < len(causeNames) {
 		return causeNames[c]
 	}
-	return "cause(?)"
+	return "switch(" + strconv.Itoa(int(c)) + ")"
 }
 
 // ThreadKind is a thread lifecycle transition.
