@@ -406,9 +406,9 @@ func TestGatewayValidationPassThrough(t *testing.T) {
 // TestGatewayRejectsBadBodiesPromptly: the gateway resolves every body
 // with the nodes' own resolver, so a p that once made the size clamp
 // spin forever must come back as a prompt 400 here too, as must an
-// unknown panel, a negative figure scale, an unknown profile format and
-// a negative slice width, and an oversized body as a 413; none is
-// forwarded to a node.
+// unknown panel, a negative figure scale, an unknown profile format, a
+// negative slice width and a body with data after its JSON value, and
+// an oversized body as a 413; none is forwarded to a node.
 func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -423,6 +423,9 @@ func TestGatewayRejectsBadBodiesPromptly(t *testing.T) {
 		{"negative figure scale", "/v1/figure", `{"fig":"6a","scale":-4}`, http.StatusBadRequest},
 		{"unknown profile format", "/v1/profile", `{"workload":"fft","p":4,"h":2,"n":65536,"format":"flamegraph"}`, http.StatusBadRequest},
 		{"negative slice width", "/v1/profile", `{"workload":"fft","p":4,"h":2,"n":65536,"slice_cycles":-1}`, http.StatusBadRequest},
+		{"trailing junk run", "/v1/run", `{"workload":"fft","p":4,"h":2,"n":65536} trailing junk`, http.StatusBadRequest},
+		{"trailing junk profile", "/v1/profile", `{"workload":"fft","p":4,"h":2,"n":65536}}`, http.StatusBadRequest},
+		{"trailing junk figure", "/v1/figure", `{"fig":"6a"} {"fig":"6b"}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := client.Post(tc.front.URL+c.path, "application/json", strings.NewReader(c.body))

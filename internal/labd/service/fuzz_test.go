@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/http"
@@ -49,6 +50,67 @@ func FuzzResolveRun(f *testing.F) {
 		sameSim, sameKey := ps2.SimN == ps.SimN, ps2.Key(gotScale2) == ps.Key(gotScale)
 		if sameSim != sameKey {
 			t.Fatalf("SimN %d vs %d, same key %v: %+v vs %+v", ps.SimN, ps2.SimN, sameKey, req, alias)
+		}
+	})
+}
+
+// routePaths are the request paths RouteKey resolves.
+var routePaths = [...]string{"/v1/run", "/v1/profile", "/v1/figure"}
+
+// nodeKey is what a node's handler derives from a body at path: it
+// decodes the body as readRequest does, resolves it with the handler's
+// resolver and returns the key its point is cached under (a run, a
+// profile) or its panel routes by (a figure), or the error the node
+// answers with.
+func nodeKey(path string, body []byte, defaultScale int, defaultSeed int64) (string, error) {
+	var ps harness.PointSpec
+	var scale int
+	var err error
+	switch path {
+	case "/v1/run":
+		var req RunRequest
+		if err = decodeRequest(bytes.NewReader(body), &req); err == nil {
+			ps, scale, err = ResolveRun(req, defaultScale, defaultSeed)
+		}
+	case "/v1/profile":
+		var req ProfileRequest
+		if err = decodeRequest(bytes.NewReader(body), &req); err == nil {
+			ps, scale, err = resolveProfile(req, defaultScale, defaultSeed)
+		}
+	default:
+		var req FigureRequest
+		if err = decodeRequest(bytes.NewReader(body), &req); err == nil {
+			req, err = resolveFigure(req, defaultScale, defaultSeed)
+		}
+		if err != nil {
+			return "", err
+		}
+		return FigureKey(req.Fig, req.Scale, req.Seed), nil
+	}
+	if err != nil {
+		return "", err
+	}
+	return ps.Key(scale), nil
+}
+
+// FuzzRouteKey checks the gateway's reading of a body against a node's:
+// for any body at /v1/run, /v1/profile or /v1/figure, RouteKey fails
+// exactly when the node's decode and resolver fail, and when both
+// accept, they give one key. The node side runs no simulation. The seed
+// corpus lives in testdata/fuzz/FuzzRouteKey and holds bodies with data
+// after their JSON value, which a node once served and the gateway
+// refused.
+func FuzzRouteKey(f *testing.F) {
+	const defaultScale, defaultSeed = 512, 1
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		path := routePaths[int(which)%len(routePaths)]
+		gw, gwErr := RouteKey(path, body, defaultScale, defaultSeed)
+		node, nodeErr := nodeKey(path, body, defaultScale, defaultSeed)
+		switch {
+		case (gwErr == nil) != (nodeErr == nil):
+			t.Fatalf("%s %q: RouteKey error %v, node error %v", path, body, gwErr, nodeErr)
+		case gw != node:
+			t.Fatalf("%s %q: RouteKey %q, node key %q", path, body, gw, node)
 		}
 	})
 }

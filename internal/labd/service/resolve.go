@@ -55,8 +55,9 @@ func FigureKey(fig string, scale int, seed int64) string {
 }
 
 // unmarshal decodes a body that holds one JSON value. A node's handlers
-// decode the value a body starts with, so a body unmarshal accepts is
-// one a node reads the same way.
+// stream the same value and refuse any non-whitespace after it
+// (decodeRequest), so a body unmarshal accepts is one a node reads the
+// same way, and a body it refuses is one a node refuses.
 func unmarshal(body []byte, v any) error {
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)

@@ -493,11 +493,29 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool
 	if !requirePost(w, r) {
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v); err != nil {
-		s.writeError(w, fmt.Errorf("bad request body: %w", err))
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); err != nil {
+		s.writeError(w, err)
 		return false
 	}
 	return true
+}
+
+// decodeRequest streams the one JSON value a request body holds into v.
+// Whitespace may follow the value and nothing else may, as
+// json.Unmarshal requires of the whole body, so a body RouteKey rejects
+// is one a node rejects too.
+func decodeRequest(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errors.New("invalid data after top-level value")
+		}
+	}
+	return fmt.Errorf("bad request body: %w", err)
 }
 
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
